@@ -32,11 +32,27 @@ class Antichain:
     @classmethod
     def of(cls, strings: Iterable[PartialString],
            alphabet: Alphabet | None = None) -> "Antichain":
+        """Canonically order the strings, rejecting any comparable pair.
+
+        With one bitset of elements per (position, letter), the elements
+        extending f are the AND of the bitsets of f's pairs (all of them for
+        the void string); the set is an antichain when each such AND holds f
+        alone.
+        """
         elems = sort_strings(strings, alphabet)
+        holders: dict[tuple[int, str], int] = {}
         for i, f in enumerate(elems):
-            for g in elems[i + 1:]:
-                if f <= g or g <= f:
-                    raise ValueError(f"not an antichain: {f!r} and {g!r} are comparable")
+            for pair in f.pairs:
+                holders[pair] = holders.get(pair, 0) | 1 << i
+        everyone = (1 << len(elems)) - 1
+        for i, f in enumerate(elems):
+            above = everyone
+            for pair in f.pairs:
+                above &= holders[pair]
+            above ^= 1 << i  # f itself
+            if above:
+                g = elems[(above & -above).bit_length() - 1]
+                raise ValueError(f"not an antichain: {f!r} and {g!r} are comparable")
         return cls(elems)
 
     def __iter__(self):

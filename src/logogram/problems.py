@@ -2,9 +2,9 @@
 
 A problem slice fixes one instance size of a decision problem: the slice of
 encoded instances, the accepted subset, an ordered list of candidate
-solutions, and the per-solution satisfaction predicate that carves the
-accepted set into regions. Adapters are provided for CNF satisfiability
-over the ternary clause encoding, compositeness of fixed-width binary
+solutions, and per solution its region: the words it satisfies, which
+together carve out the accepted set. Adapters are provided for CNF
+satisfiability over the ternary clause encoding, compositeness of fixed-width binary
 integers, connectivity of undirected graphs given as edge bitmaps, and
 table-driven problems read from JSON descriptors.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import isqrt
 from typing import Callable, Iterable
 
 from .budget import Budget
@@ -34,38 +35,42 @@ class DegenerateProblemError(ValueError):
 class ProblemSlice:
     """A slice with a target subset, solutions, and regions.
 
-    The regions (words satisfied by each solution) must cover the target
-    exactly; this is validated at construction. Instances are immutable
-    after construction; reduced logograms are computed on demand and cached.
+    Each solution's region (the words it satisfies) is held as a mask over
+    the slice, bit i standing for packed word i (see
+    :meth:`Slice.mask_of_ints`); the adapters build these masks
+    arithmetically, never testing a (word, solution) pair. The regions must
+    cover the target exactly: their OR is compared with ``f_membership``
+    run once per word of the slice. Instances are immutable after
+    construction; reduced logograms are computed on demand and cached.
     """
 
-    def __init__(self, slc: Slice, solutions: Iterable, satisfies: Callable,
+    def __init__(self, slc: Slice, solutions: Iterable, region_masks: Iterable[int],
                  label: str, f_membership: Callable | None = None,
                  solution_text: Callable = str, cnf_shape: "CnfShape | None" = None):
         self.slice = slc
         self.solutions = tuple(solutions)
-        self.satisfies = satisfies
         self.label = label
         self.solution_text = solution_text
         self.cnf_shape = cnf_shape
-        words = [(i, slc.word_of_int(i)) for i in slc.word_ints()]
-        self._region_sets = tuple(
-            frozenset(i for i, w in words if satisfies(w, y))
-            for y in self.solutions)
-        union = frozenset().union(*self._region_sets) if self._region_sets else frozenset()
+        self._region_masks = tuple(region_masks)
+        union = 0
+        for m in self._region_masks:
+            union |= m
         if f_membership is None:
-            self.f_ints = union
+            self._f_mask = union
         else:
-            self.f_ints = frozenset(i for i, w in words if f_membership(w))
-            if self.f_ints != union:
+            self._f_mask = slc.mask_of_ints(
+                i for i in slc.word_ints() if f_membership(slc.word_of_int(i)))
+            if self._f_mask != union:
                 raise ProblemFormatError(
                     f"{label}: regions do not cover the target exactly "
-                    f"({len(union)} region words vs {len(self.f_ints)} target words)")
+                    f"({union.bit_count()} region words vs "
+                    f"{self._f_mask.bit_count()} target words)")
+        self.f_ints = frozenset(slc.ints_of_mask(self._f_mask))
         if not self.f_ints:
             raise DegenerateProblemError(f"{label}: empty target set")
         if len(self.f_ints) == slc.word_count():
             raise DegenerateProblemError(f"{label}: target set is the whole slice")
-        self._f_mask: int | None = None
         self._logogram: Antichain | None = None
         self._region_logograms: dict[int, Antichain] = {}
 
@@ -74,20 +79,27 @@ class ProblemSlice:
         """How many solutions are relevant at this size."""
         return len(self.solutions)
 
+    def region_mask(self, index: int) -> int:
+        """The words the index-th solution satisfies, as a mask."""
+        return self._region_masks[index]
+
     def region_ints(self, index: int) -> frozenset[int]:
-        return self._region_sets[index]
+        return frozenset(self.slice.ints_of_mask(self._region_masks[index]))
 
     def f_mask(self) -> int:
         """The target set as a mask over the slice (see :meth:`Slice.cylinder`)."""
-        if self._f_mask is None:
-            self._f_mask = self.slice.mask_of_ints(self.f_ints)
         return self._f_mask
+
+    def satisfies(self, word: PartialString, solution) -> bool:
+        """Does the solution satisfy the word: is the word in its region?"""
+        mask = self._region_masks[self.solutions.index(solution)]
+        return bool(mask >> self.slice.int_of_word(word) & 1)
 
     def accepts(self, word: PartialString) -> bool:
         return self.slice.int_of_word(word) in self.f_ints
 
     def f_words(self) -> tuple[PartialString, ...]:
-        return tuple(self.slice.word_of_int(i) for i in sorted(self.f_ints))
+        return tuple(map(self.slice.word_of_int, self.slice.ints_of_mask(self._f_mask)))
 
     def solution_texts(self) -> list[str]:
         return [self.solution_text(y) for y in self.solutions]
@@ -102,7 +114,7 @@ class ProblemSlice:
                         meter=None) -> Antichain:
         if index not in self._region_logograms:
             self._region_logograms[index] = reduced_logogram(
-                self._region_sets[index], self.slice, budget, meter=meter)
+                self.region_ints(index), self.slice, budget, meter=meter)
         return self._region_logograms[index]
 
     def descriptor(self) -> dict:
@@ -112,8 +124,9 @@ class ProblemSlice:
             "alphabet": list(slc.alphabet.letters),
             "length": slc.length,
             "universe": "all" if slc.is_full else [slc.text_of_int(i) for i in slc.word_ints()],
-            "target": [slc.text_of_int(i) for i in sorted(self.f_ints)],
-            "regions": [[slc.text_of_int(i) for i in sorted(r)] for r in self._region_sets],
+            "target": [slc.text_of_int(i) for i in slc.ints_of_mask(self._f_mask)],
+            "regions": [[slc.text_of_int(i) for i in slc.ints_of_mask(m)]
+                        for m in self._region_masks],
             "solutions": self.solution_texts(),
         }
 
@@ -171,21 +184,20 @@ def sat_problem(var_count: int, clause_count: int) -> ProblemSlice:
     solutions = tuple(
         tuple(bool((i >> v) & 1) for v in range(n)) for i in range(2 ** n))
 
-    def satisfies(word: PartialString, bits: tuple[bool, ...]) -> bool:
-        if len(word) != shape.length:
-            raise ValueError(f"expected a word of length {shape.length}")
-        pairs = word.pairs
-        for c in range(m):
-            base = c * n
-            for v in range(n):
-                ch = pairs[base + v][1]
-                if (ch == "1" and bits[v]) or (ch == "2" and not bits[v]):
-                    break
-            else:
-                return False
-        return True
+    # an assignment satisfies a formula when every clause holds a literal
+    # it makes true: slot (c, v) coded 1 with x_v true, or 2 with x_v false
+    masks = slc.position_masks()
 
-    return ProblemSlice(slc, solutions, satisfies, label=f"sat:{n}x{m}",
+    def region(bits: tuple[bool, ...]) -> int:
+        out = slc.e_mask()
+        for c in range(1, m + 1):
+            clause = 0
+            for v in range(1, n + 1):
+                clause |= masks[shape.position(c, v) - 1][1 if bits[v - 1] else 2]
+            out &= clause
+        return out
+
+    return ProblemSlice(slc, solutions, map(region, solutions), label=f"sat:{n}x{m}",
                         solution_text=_assignment_text, cnf_shape=shape)
 
 
@@ -288,15 +300,15 @@ def composite_problem(width: int) -> ProblemSlice:
             v = v * 2 + (ch == "1")
         return v
 
-    def satisfies(word: PartialString, d: int) -> bool:
-        v = value(word)
-        return 1 < d < v and v % d == 0
-
     def is_composite(word: PartialString) -> bool:
         v = value(word)
-        return v >= 4 and any(v % d == 0 for d in range(2, v))
+        return v >= 4 and any(v % d == 0 for d in range(2, isqrt(v) + 1))
 
-    return ProblemSlice(slc, tuple(range(2, 2 ** width)), satisfies,
+    # a word's packed index is its value, so d's region is the multiples
+    # of d from 2d up
+    divisors = range(2, 2 ** width)
+    regions = (slc.mask_of_ints(range(2 * d, 2 ** width, d)) for d in divisors)
+    return ProblemSlice(slc, divisors, regions,
                         label=f"composite:{width}", f_membership=is_composite)
 
 
@@ -337,14 +349,18 @@ def connectivity_problem(vertices: int) -> ProblemSlice:
     trees = tuple(combo for combo in combinations(range(len(edges)), vertices - 1)
                   if reaches_all(combo))
 
-    def satisfies(word: PartialString, tree: tuple[int, ...]) -> bool:
-        pairs = word.pairs
-        return all(pairs[e][1] == "1" for e in tree)
+    present = [row[1] for row in slc.position_masks()]
+
+    def region(tree: tuple[int, ...]) -> int:
+        out = slc.e_mask()
+        for e in tree:
+            out &= present[e]
+        return out
 
     def tree_text(tree: tuple[int, ...]) -> str:
         return "+".join(f"{edges[e][0]}-{edges[e][1]}" for e in tree)
 
-    return ProblemSlice(slc, trees, satisfies, label=f"connectivity:{vertices}",
+    return ProblemSlice(slc, trees, map(region, trees), label=f"connectivity:{vertices}",
                         f_membership=connected, solution_text=tree_text)
 
 
@@ -385,15 +401,11 @@ def generic_problem(doc: dict) -> ProblemSlice:
     names = doc.get("solutions") or [f"region-{i + 1}" for i in range(len(regions))]
     if len(names) != len(regions):
         raise ProblemFormatError("one solution name per region is required")
-    by_name = dict(zip(names, regions))
-    if len(by_name) != len(regions):
+    if len(set(names)) != len(names):
         raise ProblemFormatError("solution names must be distinct")
-
-    def satisfies(word: PartialString, name: str) -> bool:
-        return slc.int_of_word(word) in by_name[name]
 
     def in_target(word: PartialString) -> bool:
         return slc.int_of_word(word) in target
 
-    return ProblemSlice(slc, tuple(names), satisfies, label=label,
+    return ProblemSlice(slc, tuple(names), map(slc.mask_of_ints, regions), label=label,
                         f_membership=in_target)

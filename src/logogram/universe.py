@@ -26,6 +26,9 @@ DECODE_TABLE_SIZE = 256
 
 Pairs = tuple[tuple[int, int], ...]  # ((position, letter index), ...)
 
+# The set bits of each byte value, ascending, for decoding masks.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+
 
 class DegenerateSliceError(ValueError):
     """The slice has no words satisfying its membership predicate."""
@@ -165,6 +168,16 @@ class Slice:
         for i in ints:
             buf[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(buf, "little")
+
+    def ints_of_mask(self, mask: int) -> tuple[int, ...]:
+        """The packed words of a mask, ascending: the inverse of
+        :meth:`mask_of_ints`."""
+        out = []
+        for j, byte in enumerate(mask.to_bytes((self.total_words + 7) >> 3, "little")):
+            if byte:
+                base = j << 3
+                out.extend(base + b for b in _BYTE_BITS[byte])
+        return tuple(out)
 
     def e_mask(self) -> int:
         """The words of the slice as a mask."""

@@ -12,6 +12,10 @@ The cover of the target is the family of expansions of the reduced
 logogram strings; its cardinality and the per-chart counts of containing
 regions are reported as computed, including the cases where a chart fits
 in several regions or the cover is smaller than the region count.
+
+Regions are masks over the slice (:meth:`ProblemSlice.region_mask`) and a
+string's expansion is its cylinder (:meth:`Slice.cylinder`), so whether an
+expansion fits inside a region is one AND and one comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .strings import PartialString
-from .universe import expand_ints
 
 
 @dataclass(frozen=True)
@@ -57,22 +60,27 @@ class ClassifiedLogogram:
         }
 
 
+def _charts(problem, budget: Budget | None):
+    """(string, cylinder, indices of the regions containing the cylinder)
+    for each reduced-logogram string, in canonical order."""
+    log = problem.logogram(budget)
+    slc = problem.slice
+    masks = [problem.region_mask(i) for i in range(problem.alpha)]
+    for s in log.elements:
+        cyl = slc.cylinder(slc.pairs_of(s))
+        yield s, cyl, tuple(i for i, m in enumerate(masks) if cyl & m == cyl)
+
+
 def classify(problem, budget: Budget | None = None) -> ClassifiedLogogram:
     """Split the reduced logogram into witnesses and wizards.
 
-    A string is a witness for region i when its whole expansion lies in
-    that region; a wizard fits in none.
+    A string is a witness for region i when its cylinder lies in that
+    region's mask; a wizard fits in none.
     """
-    log = problem.logogram(budget)
-    slc = problem.slice
-    entries = []
-    for s in log.elements:
-        ext = expand_ints([s], slc)
-        regions = tuple(i for i in range(problem.alpha)
-                        if ext <= problem.region_ints(i))
-        entries.append(ClassifiedString(
-            string=s, witness_regions=regions, is_wizard=not regions))
-    return ClassifiedLogogram(problem.label, slc.length, tuple(entries))
+    entries = tuple(
+        ClassifiedString(string=s, witness_regions=regions, is_wizard=not regions)
+        for s, _cyl, regions in _charts(problem, budget))
+    return ClassifiedLogogram(problem.label, problem.slice.length, entries)
 
 
 def witness_union_complete(problem, budget: Budget | None = None) -> bool:
@@ -83,10 +91,12 @@ def witness_union_complete(problem, budget: Budget | None = None) -> bool:
     region searches run against one shared budget meter.
     """
     meter = (budget or Budget.default()).start(f"witness union: {problem.label}")
-    union: list[PartialString] = []
+    slc = problem.slice
+    union = 0
     for i in range(problem.alpha):
-        union.extend(problem.region_logogram(i, meter=meter).elements)
-    return expand_ints(union, problem.slice) == problem.f_ints
+        for s in problem.region_logogram(i, meter=meter).elements:
+            union |= slc.cylinder(slc.pairs_of(s))
+    return union == problem.f_mask()
 
 
 @dataclass(frozen=True)
@@ -141,14 +151,9 @@ class CoverReport:
 
 def cover(problem, budget: Budget | None = None) -> CoverReport:
     """One chart per reduced-logogram string: the size of its expansion and
-    how many regions contain that expansion entirely."""
-    log = problem.logogram(budget)
-    slc = problem.slice
-    charts = []
-    for s in log.elements:
-        ext = expand_ints([s], slc)
-        containing = sum(1 for i in range(problem.alpha)
-                         if ext <= problem.region_ints(i))
-        charts.append(Chart(string=s, expansion_size=len(ext),
-                            containing_regions=containing))
-    return CoverReport(problem.label, slc.length, tuple(charts), problem.alpha)
+    how many regions contain that expansion entirely, both read off the
+    string's cylinder and the region masks."""
+    charts = tuple(
+        Chart(string=s, expansion_size=cyl.bit_count(), containing_regions=len(regions))
+        for s, cyl, regions in _charts(problem, budget))
+    return CoverReport(problem.label, problem.slice.length, charts, problem.alpha)

@@ -1,6 +1,7 @@
 """CLI subcommands: reports, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -197,6 +198,22 @@ class TestContract:
         code, doc = run_json(capsys, "logogram", "generic", str(path))
         assert code == 0
         assert doc["strings"] == ["1", "2"]
+
+    @pytest.mark.parametrize("argv", [
+        ("cover", "composite", "12"), ("logogram", "connectivity", "6")])
+    def test_budget_seconds_bounds_construction_and_search(self, capsys, argv):
+        # sizes whose per-(word, solution) problem construction once ran
+        # for tens of seconds outside any budget
+        from logogram import composite_problem, connectivity_problem
+        composite_problem.cache_clear()
+        connectivity_problem.cache_clear()
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, "--budget-seconds", "2")
+        elapsed = time.perf_counter() - start
+        composite_problem.cache_clear()
+        connectivity_problem.cache_clear()
+        assert code in (0, 2), err
+        assert elapsed < 10
 
     def test_env_budget_default(self, capsys, monkeypatch):
         from logogram import sat_problem

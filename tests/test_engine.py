@@ -15,6 +15,7 @@ from logogram import (
     irreducibility_report, is_closed, is_complete, is_irreducible,
     isoexpansive, parse_string, reduced_logogram, simple_independence,
     strong_independence, verify_galois, generic_problem, sat_problem,
+    sort_strings,
 )
 
 
@@ -32,6 +33,39 @@ def oracle_antichain(slc, target_ints):
     e_texts = [slc.text_of_int(i) for i in slc.word_ints()]
     a_texts = [slc.text_of_int(i) for i in sorted(target_ints)]
     return oracles.brute_reduced_logogram(e_texts, a_texts)
+
+
+class TestAntichainOf:
+    def test_rejects_comparable_pair_in_either_order(self):
+        low, high, other = ps("1_"), ps("12"), ps("_0")
+        for strings in ([low, high], [high, low], [other, high, low], [high, other, low]):
+            with pytest.raises(ValueError, match="not an antichain"):
+                Antichain.of(strings, TERNARY)
+
+    def test_rejects_void_with_any_other_string(self):
+        assert Antichain.of([VOID], TERNARY).elements == (VOID,)
+        for text in ["0", "_2", "21", "__1"]:
+            with pytest.raises(ValueError):
+                Antichain.of([VOID, ps(text)], TERNARY)
+            with pytest.raises(ValueError):
+                Antichain.of([ps(text), VOID], TERNARY)
+
+    def test_agrees_with_pairwise_definition(self):
+        rng = random.Random(20081)
+        verdicts = {True: 0, False: 0}
+        for _ in range(1500):
+            strings = [ps("".join(rng.choice("_012") for _ in range(rng.randint(1, 3))))
+                       for _ in range(rng.randint(0, 6))]
+            distinct = set(strings)
+            expected = not any(f <= g for f in distinct for g in distinct if f != g)
+            verdicts[expected] += 1
+            if expected:
+                chain = Antichain.of(strings, TERNARY)
+                assert chain.elements == sort_strings(strings, TERNARY)
+            else:
+                with pytest.raises(ValueError):
+                    Antichain.of(strings, TERNARY)
+        assert min(verdicts.values()) > 200
 
 
 class TestInLogogram:

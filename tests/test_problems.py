@@ -99,6 +99,44 @@ class TestSatProblem:
         assert union == p.f_ints
 
 
+class TestRegionMasks:
+    """Each region-mask bit against a definition that visits the word."""
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    def test_sat_matches_clause_oracle(self, n, m):
+        p = sat_problem(n, m)
+        for i, y in enumerate(p.solutions):
+            mask = p.region_mask(i)
+            lits = {v + 1 if y[v] else -(v + 1) for v in range(n)}
+            for w in p.slice.word_ints():
+                clauses = oracles.decode_clauses(p.slice.text_of_int(w), n, m)
+                assert (mask >> w & 1) == all(cl & lits for cl in clauses)
+
+    @pytest.mark.parametrize("width", [3, 4, 5, 6, 7])
+    def test_composite_matches_proper_divisibility(self, width):
+        p = composite_problem(width)
+        for i, d in enumerate(p.solutions):
+            mask = p.region_mask(i)
+            for w in p.slice.word_ints():
+                v = int(p.slice.text_of_int(w), 2)
+                assert (mask >> w & 1) == (v % d == 0 and d < v)
+
+    @pytest.mark.parametrize("vertices", [3, 4])
+    def test_connectivity_matches_tree_edges(self, vertices):
+        p = connectivity_problem(vertices)
+        for i, tree in enumerate(p.solutions):
+            mask = p.region_mask(i)
+            for w in p.slice.word_ints():
+                text = p.slice.text_of_int(w)
+                assert (mask >> w & 1) == all(text[e] == "1" for e in tree)
+
+    def test_satisfies_reads_the_mask(self):
+        p = composite_problem(5)
+        for i, d in enumerate(p.solutions):
+            for w in p.slice.word_ints():
+                assert p.satisfies(p.slice.word_of_int(w), d) == bool(p.region_mask(i) >> w & 1)
+
+
 class TestPredictedLogogram:
     @pytest.mark.parametrize("n,m,count", [
         (1, 1, 2), (2, 1, 4), (1, 2, 2), (2, 2, 12), (2, 3, 28), (3, 2, 30)])

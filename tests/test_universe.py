@@ -72,6 +72,18 @@ class TestPacking:
                 assert slc.pairs_of_code(slc.code_of_pairs(pairs)) == pairs
 
 
+    @pytest.mark.parametrize("alphabet,length", [
+        (BINARY, 1), (BINARY, 3), (TERNARY, 3), (BINARY, 10)])
+    def test_mask_roundtrip(self, alphabet, length):
+        slc = full_slice(alphabet, length)
+        n = slc.total_words
+        rng = random.Random(length)
+        shapes = [(), (0,), (n - 1,), tuple(range(n)),
+                  tuple(sorted(rng.sample(range(n), n // 3)))]
+        for ints in shapes:
+            assert slc.ints_of_mask(slc.mask_of_ints(ints)) == ints
+
+
 class TestSigmaMembership:
     def test_void_always_present(self):
         assert in_sigma_infinity(VOID, Slice(BINARY, 2, ["11"]))
