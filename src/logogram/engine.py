@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .budget import Budget, BudgetExceededError, Meter
@@ -308,14 +310,22 @@ def is_complete(strings, problem, budget: Budget | None = None) -> bool:
 
     ``strings`` must be a subset of the problem's reduced logogram.
     """
-    log = problem.logogram(budget)
-    members = set(log.elements)
-    chosen = [s if isinstance(s, PartialString) else
-              PartialString.parse(s, problem.slice.alphabet) for s in strings]
-    for s in chosen:
+    return reduce(or_, _cylinders(strings, problem, budget).values(), 0) == problem.f_mask()
+
+
+def _cylinders(strings, problem, budget: Budget | None) -> dict[PartialString, int]:
+    """Each string, checked to be in the reduced logogram, with its
+    cylinder."""
+    members = set(problem.logogram(budget).elements)
+    slc = problem.slice
+    out = {}
+    for s in strings:
+        if not isinstance(s, PartialString):
+            s = PartialString.parse(s, slc.alphabet)
         if s not in members:
             raise ValueError(f"{s!r} is not in the reduced logogram")
-    return expand_ints(chosen, problem.slice) == problem.f_ints
+        out[s] = slc.cylinder(slc.pairs_of(s))
+    return out
 
 
 def irreducibility_report(strings, problem,
@@ -324,27 +334,27 @@ def irreducibility_report(strings, problem,
 
     Completeness is monotone under supersets, so a complete set is
     irreducible exactly when every member covers some word no other member
-    covers; that word is the member's removal witness.
+    covers: its cylinder minus the union of the others' is non-empty, and
+    the lowest word there is the member's removal witness.
     """
-    if not is_complete(strings, problem, budget):
-        raise ValueError("irreducibility is only defined for complete sets")
     slc = problem.slice
-    chosen = sort_strings(
-        (s if isinstance(s, PartialString) else PartialString.parse(s, slc.alphabet)
-         for s in strings), slc.alphabet)
-    covers = {s: sorted(expand_ints([s], slc)) for s in chosen}
-    counts: dict[int, int] = {}
-    for ws in covers.values():
-        for w in ws:
-            counts[w] = counts.get(w, 0) + 1
+    cyls = _cylinders(strings, problem, budget)
+    if reduce(or_, cyls.values(), 0) != problem.f_mask():
+        raise ValueError("irreducibility is only defined for complete sets")
+    chosen = sort_strings(cyls, slc.alphabet)
+    after = [0] * (len(chosen) + 1)  # after[j]: the union of cylinders j, j+1, ...
+    for j in range(len(chosen) - 1, -1, -1):
+        after[j] = after[j + 1] | cyls[chosen[j]]
     removable = []
     witnesses = {}
-    for s in chosen:
-        unique = next((w for w in covers[s] if counts[w] == 1), None)
-        if unique is None:
-            removable.append(s)
+    before = 0
+    for j, s in enumerate(chosen):
+        unique = cyls[s] & ~(before | after[j + 1])
+        before |= cyls[s]
+        if unique:
+            witnesses[s] = slc.word_of_int((unique & -unique).bit_length() - 1)
         else:
-            witnesses[s] = slc.word_of_int(unique)
+            removable.append(s)
     return IrreducibilityReport(
         irreducible=not removable,
         removable=tuple(removable),

@@ -12,6 +12,11 @@ certifies with: those included in the probed restriction of some accepted
 input. A correct, justified program always has a complete kernel, and when
 the reduced logogram is irreducible every such program has the same one.
 
+Programs are deterministic given the letters they observe, so every word
+extending a trace's probed restriction runs through that same trace: the
+kernel sweep runs a program once per distinct probe trace, on the lowest
+word not yet covered, and settles the whole cylinder of the trace at once.
+
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
 """
@@ -30,7 +35,6 @@ from .strings import PartialString
 class Verdict(str, Enum):
     ACCEPT = "accept"
     REJECT = "reject"
-    DISCARD = "discard"
 
 
 class MalformedProgramError(RuntimeError):
@@ -73,29 +77,82 @@ class DecisionProgram:
     decide: Callable[[Callable[[int], str]], bool]
 
 
-def run_traced(program: DecisionProgram, word: PartialString, problem) -> ProbeTrace:
-    """Run the program on one word of the slice and record its trace."""
-    slc = problem.slice
-    if not slc.contains(word):
-        raise ValueError(f"{word!r} is not a word of the slice")
-    lookup = dict(word.pairs)
+def _run(program: DecisionProgram, length: int,
+         letter_at: Callable[[int], str]) -> ProbeTrace:
+    """Run the program on the word whose letter at position p is
+    ``letter_at(p)``, enforcing the probe discipline."""
     record: list[tuple[int, str]] = []
     seen: set[int] = set()
 
     def probe(position: int) -> str:
-        if not isinstance(position, int) or not 1 <= position <= slc.length:
+        if not isinstance(position, int) or not 1 <= position <= length:
             raise MalformedProgramError(
-                f"{program.name}: probe outside positions 1..{slc.length}: {position!r}")
+                f"{program.name}: probe outside positions 1..{length}: {position!r}")
         if position in seen:
             raise MalformedProgramError(
                 f"{program.name}: position {position} probed twice")
         seen.add(position)
-        letter = lookup[position]
+        letter = letter_at(position)
         record.append((position, letter))
         return letter
 
     accepted = program.decide(probe)
     return ProbeTrace(tuple(record), Verdict.ACCEPT if accepted else Verdict.REJECT)
+
+
+def _packed_letters(slc, value: int) -> Callable[[int], str]:
+    """Position -> letter of the packed word ``value``."""
+    letters, k, ww = slc.alphabet.letters, len(slc.alphabet), slc._word_weights
+    return lambda p: letters[value // ww[p - 1] % k]
+
+
+def _trace_cylinder(trace: ProbeTrace, slc) -> int:
+    index = slc.alphabet.letters.index
+    return slc.cylinder(tuple((p, index(ch)) for p, ch in trace.probes))
+
+
+def _justified(trace: ProbeTrace, cyl: int, problem) -> bool:
+    if trace.verdict == Verdict.ACCEPT:
+        return _log_probe(cyl, problem.slice.e_mask() & ~problem.f_mask())[0]
+    else:
+        return not cyl & problem.f_mask()
+
+
+def _certifier(elements: tuple[PartialString, ...],
+               length: int) -> Callable[[ProbeTrace], int]:
+    """Trace -> bitset of the elements included in its probed restriction.
+
+    With one bitset per position of the elements blank there, and one per
+    (position, letter) of those blank there or holding that letter, the
+    elements inside a restriction are one AND per position.
+    """
+    everyone = (1 << len(elements)) - 1
+    blank = [everyone] * length
+    holding: list[dict[str, int]] = [{} for _ in range(length)]
+    for j, g in enumerate(elements):
+        for p, ch in g.pairs:
+            blank[p - 1] &= ~(1 << j)
+            holding[p - 1][ch] = holding[p - 1].get(ch, 0) | 1 << j
+    allowed = [{ch: bits | b for ch, bits in row.items()}
+               for row, b in zip(holding, blank)]
+
+    def inside(trace: ProbeTrace) -> int:
+        observed = dict(trace.probes)
+        out = everyone
+        for p in range(length):
+            ch = observed.get(p + 1)
+            out &= blank[p] if ch is None else allowed[p].get(ch, blank[p])
+        return out
+
+    return inside
+
+
+def run_traced(program: DecisionProgram, word: PartialString, problem) -> ProbeTrace:
+    """Run the program on one word of the slice and record its trace."""
+    slc = problem.slice
+    if not slc.contains(word):
+        raise ValueError(f"{word!r} is not a word of the slice")
+    return _run(program, slc.length, dict(word.pairs).__getitem__)
 
 
 def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
@@ -104,46 +161,49 @@ def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
     Accepts need the restriction to force the target; rejects need the
     restriction to admit no accepted extension within the slice.
     """
-    slc = problem.slice
-    cyl = slc.cylinder(slc.pairs_of(trace.probed_restriction))
-    if trace.verdict == Verdict.ACCEPT:
-        return _log_probe(cyl, slc.e_mask() & ~problem.f_mask())[0]
-    if trace.verdict == Verdict.REJECT:
-        return not cyl & problem.f_mask()
-    raise ValueError(f"no justification notion for verdict {trace.verdict}")
+    return _justified(trace, _trace_cylinder(trace, problem.slice), problem)
 
 
 def kernel(program: DecisionProgram, problem,
            budget: Budget | None = None) -> Antichain:
     """The reduced-logogram strings the program actually certifies with.
 
-    Sweeps every word of the slice; the program must be correct and
-    justified throughout, otherwise the offending input is reported.
+    Covers every word of the slice, running the program once per distinct
+    probe trace: on the lowest word not yet covered, after which every word
+    extending the trace's probed restriction is covered too, since a
+    program is deterministic given the letters it observes. The program
+    must be correct and justified throughout, otherwise the offending input
+    is reported. Traces are met in order of their lowest word and a fault
+    taints its whole trace, so the input reported is the first faulty word
+    in canonical order.
     """
     budget = budget or Budget.default()
     meter = budget.start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    used: set[PartialString] = set()
-    for i in slc.word_ints():
+    f = problem.f_mask()
+    inside = _certifier(log.elements, slc.length)
+    used = 0
+    uncovered = slc.e_mask()
+    while uncovered:
+        i = (uncovered & -uncovered).bit_length() - 1
         if meter.out_of_time():
             raise BudgetExceededError(
                 f"kernel sweep for {program.name}: out of time at word {i}")
-        word = slc.word_of_int(i)
-        trace = run_traced(program, word, problem)
+        trace = _run(program, slc.length, _packed_letters(slc, i))
+        cyl = _trace_cylinder(trace, slc)
+        uncovered &= ~cyl
         accepted = trace.verdict == Verdict.ACCEPT
-        if accepted != (i in problem.f_ints):
+        if accepted != bool(f >> i & 1):
             raise ProgramFaultError(slc.text_of_int(i),
                                     f"{program.name} gave the wrong verdict")
-        if not justified(trace, word, problem):
+        if not _justified(trace, cyl, problem):
             raise ProgramFaultError(slc.text_of_int(i),
                                     f"{program.name} was not justified in its {trace.verdict.value}")
         if accepted:
-            observed = dict(trace.probes)
-            for g in log.elements:
-                if g not in used and all(observed.get(p) == ch for p, ch in g.pairs):
-                    used.add(g)
-    return Antichain.of(used, slc.alphabet)
+            used |= inside(trace)
+    return Antichain.of((g for j, g in enumerate(log.elements) if used >> j & 1),
+                        slc.alphabet)
 
 
 @dataclass(frozen=True)
@@ -186,19 +246,19 @@ def trace_records(program: DecisionProgram, problem,
     """JSON-ready trace dump, one record per input word."""
     log = problem.logogram(budget)
     slc = problem.slice
+    inside = _certifier(log.elements, slc.length)
     for i in slc.word_ints():
-        word = slc.word_of_int(i)
-        trace = run_traced(program, word, problem)
+        trace = _run(program, slc.length, _packed_letters(slc, i))
         certifying = []
         if trace.verdict == Verdict.ACCEPT:
-            observed = dict(trace.probes)
-            certifying = [g.render(slc.length) for g in log.elements
-                          if all(observed.get(p) == ch for p, ch in g.pairs)]
+            bits = inside(trace)
+            certifying = [g.render(slc.length) for j, g in enumerate(log.elements)
+                          if bits >> j & 1]
         yield {
             "input": slc.text_of_int(i),
             "probes": [[p, ch] for p, ch in trace.probes],
             "verdict": trace.verdict.value,
-            "justified": justified(trace, word, problem),
+            "justified": _justified(trace, _trace_cylinder(trace, slc), problem),
             "certifying_strings": certifying,
         }
 

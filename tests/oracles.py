@@ -4,7 +4,8 @@ Everything here works on plain text (words as strings, blanks as '_') and
 derives answers by a different route than the library: logogram membership
 is computed backwards by marking every restriction of every word, clause
 satisfiability by decoding literal sets and enumerating whole truth
-tables, connectivity by union-find, compositeness by a sieve.
+tables, connectivity by union-find, compositeness by a sieve, and program
+kernels by running the program on every word in turn.
 """
 
 from itertools import product
@@ -63,6 +64,51 @@ def sigma_members(e_words) -> set[str]:
     for w in e_words:
         out.update(restrictions(w))
     return out
+
+
+def completions(string: str, alphabet: str) -> list[str]:
+    """Every word filling the blanks of the padded string."""
+    out = [""]
+    for ch in string:
+        out = [p + c for p in out for c in (alphabet if ch == BLANK else ch)]
+    return out
+
+
+def sweep_kernel(decide, name: str, alphabet: str, length: int,
+                 e_words, a_words, minimal) -> tuple[list[str] | None, tuple[str, str] | None]:
+    """A decision program's kernel by running it on every word of E.
+
+    Words are visited in alphabet order. On each, the verdict must match
+    membership in A, and the probed restriction (padded text) must be
+    justified: every word of E completing it lies in A for an accept, none
+    does for a reject. Returns (sorted kernel texts, None), or (None,
+    (word, reason)) for the first word where the program fails.
+    """
+    e, a = set(e_words), set(a_words)
+    sides: dict[str, set[bool]] = {}  # restriction -> membership of its completions
+    used: set[str] = set()
+    for w in all_words(alphabet, length):
+        if w not in e:
+            continue
+        probes: dict[int, str] = {}
+
+        def probe(p: int) -> str:
+            probes[p] = w[p - 1]
+            return w[p - 1]
+
+        accepted = bool(decide(probe))
+        if accepted != (w in a):
+            return None, (w, f"{name} gave the wrong verdict")
+        r = "".join(probes.get(p, BLANK) for p in range(1, length + 1))
+        fresh = r not in sides
+        if fresh:
+            sides[r] = {c in a for c in completions(r, alphabet) if c in e}
+        if sides[r] != {accepted}:
+            verdict = "accept" if accepted else "reject"
+            return None, (w, f"{name} was not justified in its {verdict}")
+        if accepted and fresh:
+            used.update(g for g in minimal if g not in used and includes(r, g))
+    return sorted(used), None
 
 
 # -- clause encoding ---------------------------------------------------------

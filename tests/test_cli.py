@@ -128,6 +128,16 @@ class TestKernelCommand:
             "clause-first-scan"}
         assert all(r["justified"] for r in records)
 
+    def test_fault_names_first_faulty_input(self, capsys, monkeypatch):
+        import logogram.cli
+        from logogram import DecisionProgram
+        first = DecisionProgram("first-position", lambda probe: probe(1) == "1")
+        monkeypatch.setattr(logogram.cli, "built_in_programs", lambda problem: (first,))
+        code, doc = run_json(capsys, "kernel", "sat", "1", "2")
+        assert code == 3
+        assert doc["fault"] == "on input '10': first-position gave the wrong verdict"
+        assert doc["programs"] == []
+
     def test_non_clause_problem_rejected(self, capsys):
         code, _, err = run(capsys, "kernel", "composite", "4")
         assert code == 1

@@ -419,6 +419,33 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible([ps("1")], p)
 
+    @pytest.mark.parametrize("doc", [
+        {"sat": (2, 2)}, {"sat": (2, 3)}, {"sat": (3, 2)},
+        {"alphabet": ["0", "1"], "length": 2, "universe": ["00", "11"],
+         "target": ["11"], "regions": [["11"]], "label": "twin"},
+        {"alphabet": ["0", "1"], "length": 3, "universe": "all",
+         "target": ["100", "101", "110", "011"],
+         "regions": [["100", "101"], ["110", "011"]], "label": "mixed"},
+    ], ids=["sat-2-2", "sat-2-3", "sat-3-2", "twin", "mixed"])
+    def test_witnesses_match_word_counts(self, doc):
+        # a member's witness is the first word, in canonical order, that it
+        # alone covers; members with no such word are the removable ones
+        p = sat_problem(*doc["sat"]) if "sat" in doc else generic_problem(doc)
+        slc = p.slice
+        L = slc.length
+        texts = p.logogram().texts(L)
+        e = {slc.text_of_int(i) for i in slc.word_ints()}
+        words = [w for w in oracles.all_words("".join(slc.alphabet.letters), L) if w in e]
+        covers = {s: [w for w in words if oracles.includes(w, s)] for s in texts}
+        counts = {w: sum(w in ws for ws in covers.values()) for w in words}
+        expected = {s: next(w for w in ws if counts[w] == 1)
+                    for s, ws in covers.items() if any(counts[w] == 1 for w in ws)}
+        report = irreducibility_report(p.logogram().elements, p)
+        assert report.witness_texts(L) == expected
+        assert [s.render(L) for s in report.removable] == \
+            [s for s in texts if s not in expected]
+        assert report.irreducible == (len(expected) == len(texts))
+
 
 class TestInternalIndependence:
     def test_full_cubes_pass(self):

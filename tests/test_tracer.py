@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from logogram import (
     DecisionProgram, MalformedProgramError, ProbeTrace, ProgramFaultError,
     Verdict, backward_assignment_scan, built_in_programs, clause_first_scan,
@@ -146,6 +147,101 @@ class TestKernel:
                 positions = [pos for pos, _ in record["probes"]]
                 assert len(positions) == len(set(positions))
                 assert len(positions) <= p.slice.length
+
+
+# words of length 4 with an even number of ones, the target those starting
+# with 1: a universe that is not the full cube, with a reducible logogram
+EVEN4_WORDS = [w for w in oracles.all_words("01", 4) if w.count("1") % 2 == 0]
+EVEN4_DOC = {"alphabet": ["0", "1"], "length": 4, "universe": EVEN4_WORDS,
+             "target": [w for w in EVEN4_WORDS if w[0] == "1"],
+             "regions": [[w for w in EVEN4_WORDS if w[0] == "1"]], "label": "even:4"}
+
+
+def first_position(probe):
+    return probe(1) == "1"
+
+
+def odd_tail(probe):
+    # on even-parity words, position 1 is 1 exactly when 2..4 hold an odd
+    # number of ones
+    return [probe(4), probe(3), probe(2)].count("1") % 2 == 1
+
+
+def sweep_psychic():
+    # right verdicts on sat 1 1 when run once per word, in order, with no probes
+    answers = iter([False, True, True])
+    return DecisionProgram("sweep-psychic", lambda probe: next(answers))
+
+
+def oracle_sweep(program, p):
+    slc = p.slice
+    texts = [slc.text_of_int(i) for i in slc.word_ints()]
+    return oracles.sweep_kernel(
+        program.decide, program.name, "".join(slc.alphabet.letters), slc.length,
+        texts, [slc.text_of_int(i) for i in p.f_ints], p.logogram().texts(slc.length))
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
+    def test_built_in_programs_match_per_word_sweep(self, n, m):
+        p = sat_problem(n, m)
+        for prog in built_in_programs(p):
+            expected, fault = oracle_sweep(prog, p)
+            assert fault is None, (prog.name, fault)
+            assert sorted(kernel(prog, p).texts(p.slice.length)) == expected, prog.name
+
+    def test_universe_smaller_than_the_cube(self):
+        p = generic_problem(EVEN4_DOC)
+        kernels = {}
+        for prog in (DecisionProgram("first-position", first_position),
+                     DecisionProgram("odd-tail", odd_tail)):
+            expected, fault = oracle_sweep(prog, p)
+            assert fault is None, (prog.name, fault)
+            kernels[prog.name] = kernel(prog, p).texts(4)
+            assert sorted(kernels[prog.name]) == expected, prog.name
+        assert kernels == {"first-position": ["1___"],
+                           "odd-tail": ["_001", "_010", "_100", "_111"]}
+
+    @pytest.mark.parametrize("make,shape", [
+        (lambda: DecisionProgram("always-accept", lambda probe: True), (1, 2)),
+        (lambda: DecisionProgram("first-position", first_position), (1, 2)),
+        (sweep_psychic, (1, 1)),
+    ], ids=["always-accept", "first-position", "sweep-psychic"])
+    def test_faults_match_per_word_sweep(self, make, shape):
+        p = sat_problem(*shape)
+        _, fault = oracle_sweep(make(), p)
+        assert fault is not None
+        with pytest.raises(ProgramFaultError) as err:
+            kernel(make(), p)
+        assert (err.value.word_text, err.value.reason) == fault
+
+    @pytest.mark.parametrize("decide", [
+        lambda probe: probe(1) == probe(1),
+        lambda probe: probe(2) == "1" or probe(7) == "1",
+    ], ids=["revisit", "out-of-range"])
+    def test_probe_discipline(self, decide):
+        p = sat_problem(2, 1)
+        prog = DecisionProgram("malformed", decide)
+        with pytest.raises(MalformedProgramError):
+            kernel(prog, p)
+        with pytest.raises(MalformedProgramError):
+            list(trace_records(prog, p))
+
+    def test_runs_once_per_distinct_trace(self):
+        p = sat_problem(2, 3)
+        prog = forward_assignment_scan(p)
+        traces = {(tuple(map(tuple, r["probes"])), r["verdict"])
+                  for r in trace_records(prog, p)}
+        calls = 0
+
+        def counted(probe):
+            nonlocal calls
+            calls += 1
+            return prog.decide(probe)
+
+        kernel(DecisionProgram(prog.name, counted), p)
+        assert calls == len(traces) == 347
+        assert p.slice.word_count() == 729
 
 
 class TestKernelLaws:
