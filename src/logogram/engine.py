@@ -8,6 +8,10 @@ search, decides entanglement between string sets, exposes the
 expansion/logogram closure pair, and checks the three independence notions
 a decision problem may enjoy.
 
+Word sets are bitmasks over the slice (see :mod:`logogram.universe`):
+entanglement, expansions, irreducibility and the independence checks are
+unions and differences of cylinders, not scans of completions.
+
 Everything here is exhaustive over one slice: correctness comes from
 enumeration, and budgets keep the enumeration honest about its limits.
 """
@@ -18,11 +22,11 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .budget import Budget, BudgetExceededError, Meter
 from .strings import Alphabet, PartialString, sort_strings
-from .universe import Pairs, Slice, expand_ints
+from .universe import Pairs, Slice, expand_ints, expand_mask
 
 
 @dataclass(frozen=True)
@@ -98,18 +102,6 @@ def _log_probe(cyl: int, off: int) -> tuple[bool, bool]:
 def _off_mask(a_set: Iterable[int], slc: Slice) -> int:
     """The words of the slice outside the packed word set, as a mask."""
     return slc.e_mask() & ~slc.mask_of_ints(a_set)
-
-
-def _pairs_in_word(pairs: Pairs, word_int: int, slc: Slice) -> bool:
-    k = len(slc.alphabet)
-    ww = slc._word_weights
-    return all((word_int // ww[p - 1]) % k == d for p, d in pairs)
-
-
-def _pairs_extend(f_pairs: Pairs, g_pairs: Pairs) -> bool:
-    """g <= f on packed pairs."""
-    fmap = dict(f_pairs)
-    return all(fmap.get(p) == d for p, d in g_pairs)
 
 
 def _target_ints(target_words, slc: Slice) -> frozenset[int]:
@@ -237,23 +229,12 @@ def entangles(antecedent, consequent, slc: Slice) -> bool:
     True when every word of the slice extending some member of
     ``antecedent`` also extends some member of ``consequent``.
     """
-    e = slc.e_set()
-    cons_pairs = [p for p in (slc.pairs_of(g) for g in consequent) if p is not None]
-    for f in antecedent:
-        pf = slc.pairs_of(f)
-        if pf is None:
-            continue
-        for w in slc.iter_completions(pf):
-            if e is not None and w not in e:
-                continue
-            if not any(_pairs_in_word(pg, w, slc) for pg in cons_pairs):
-                return False
-    return True
+    return not expand_mask(antecedent, slc) & ~expand_mask(consequent, slc)
 
 
 def isoexpansive(first, second, slc: Slice) -> bool:
     """Do the two string sets cut out the same words of the slice?"""
-    return expand_ints(first, slc) == expand_ints(second, slc)
+    return expand_mask(first, slc) == expand_mask(second, slc)
 
 
 # -- the closure pair ----------------------------------------------------
@@ -270,19 +251,19 @@ def closure_ba(target_words, slc: Slice,
     a_set = _target_ints(target_words, slc)
     codes = _minimal_log_codes(a_set, slc, budget, label="closure")
     minimal = [slc.string_of_pairs(slc.pairs_of_code(c)) for c in codes]
-    return tuple(slc.word_of_int(i) for i in sorted(expand_ints(minimal, slc)))
+    return tuple(slc.word_of_int(i) for i in slc.ints_of_mask(expand_mask(minimal, slc)))
 
 
 def closure_ab_contains(string: PartialString, strings, slc: Slice) -> bool:
     """Is ``string`` in the closure of the string set ``strings``, i.e. in
     the logogram of their expansion?"""
-    a_set = expand_ints(strings, slc)
     if string.size > slc.length:
         return False
     pairs = slc.pairs_of(string)
     if pairs is None:
         return False
-    return _log_probe(slc.cylinder(pairs), _off_mask(a_set, slc))[0]
+    off = slc.e_mask() & ~expand_mask(strings, slc)
+    return _log_probe(slc.cylinder(pairs), off)[0]
 
 
 def is_closed(target_words, slc: Slice, budget: Budget | None = None) -> bool:
@@ -342,15 +323,9 @@ def irreducibility_report(strings, problem,
     if reduce(or_, cyls.values(), 0) != problem.f_mask():
         raise ValueError("irreducibility is only defined for complete sets")
     chosen = sort_strings(cyls, slc.alphabet)
-    after = [0] * (len(chosen) + 1)  # after[j]: the union of cylinders j, j+1, ...
-    for j in range(len(chosen) - 1, -1, -1):
-        after[j] = after[j + 1] | cyls[chosen[j]]
     removable = []
     witnesses = {}
-    before = 0
-    for j, s in enumerate(chosen):
-        unique = cyls[s] & ~(before | after[j + 1])
-        before |= cyls[s]
+    for s, unique in zip(chosen, _unique_coverage([cyls[s] for s in chosen])):
         if unique:
             witnesses[s] = slc.word_of_int((unique & -unique).bit_length() - 1)
         else:
@@ -363,6 +338,21 @@ def irreducibility_report(strings, problem,
 
 def is_irreducible(strings, problem, budget: Budget | None = None) -> bool:
     return irreducibility_report(strings, problem, budget).irreducible
+
+
+def _unique_coverage(cyls: list[int]) -> Iterator[int]:
+    """Each cylinder minus the union of all the others, in order.
+
+    One suffix pass stores the union of the cylinders after each one; the
+    union of those before it is kept while walking forward.
+    """
+    after = [0] * (len(cyls) + 1)  # after[j]: the union of cylinders j, j+1, ...
+    for j in range(len(cyls) - 1, -1, -1):
+        after[j] = after[j + 1] | cyls[j]
+    before = 0
+    for j, cyl in enumerate(cyls):
+        yield cyl & ~(before | after[j + 1])
+        before |= cyl
 
 
 # -- independence ---------------------------------------------------------
@@ -393,34 +383,50 @@ class IndependenceReport:
         return doc
 
 
-def _separating_word(f_pairs: Pairs, g_pairs: Pairs, slc: Slice) -> int | None:
-    """A word of the slice extending f but not g, or None.
+def _first_entailment(pair_list: list[Pairs], slc: Slice, meter: Meter,
+                      excuse_extensions: bool) -> tuple[int, tuple[int, int] | None, bool]:
+    """The first ordered pair (f, g) of distinct strings, rows f in list
+    order, where every word of the slice extending f also extends g.
 
-    Over a full cube a separator can be written down directly: pick a
-    position where g demands something f does not already force, give it a
-    different letter, and pad with the first letter.
+    Returns (pairs examined, (i, j) of that pair or None, ran out of time).
+    With ``excuse_extensions`` a pair where f extends g does not count: the
+    extension order entails it by itself. The clock is checked once per f.
+
+    Call a pair (p, d) forced by f when f's cylinder lies inside the mask
+    of (p, d); f entails g exactly when every pair of g is forced. With one
+    bitset of list indices per (p, d), the strings f entails are those
+    holding no pair unforced by f, and the strings f extends are those
+    holding no pair f lacks: each f costs one cylinder and a test per
+    (p, d), not a search for a separating word per g.
     """
-    e = slc.e_set()
-    k = len(slc.alphabet)
-    if e is None:
-        fmap = dict(f_pairs)
-        for p, d in g_pairs:
-            have = fmap.get(p)
-            if have is None and k > 1:
-                cells = dict(fmap)
-                cells[p] = (d + 1) % k
-                w = sum(dq * slc._word_weights[q - 1] for q, dq in cells.items())
-                if not _pairs_in_word(g_pairs, w, slc):
-                    return w
-            elif have is not None and have != d:
-                w = sum(dq * slc._word_weights[q - 1] for q, dq in f_pairs)
-                if not _pairs_in_word(g_pairs, w, slc):
-                    return w
-        return None
-    for w in slc.iter_completions(f_pairs):
-        if w in e and not _pairs_in_word(g_pairs, w, slc):
-            return w
-    return None
+    n = len(pair_list)
+    e = slc.e_mask()
+    masks = slc.position_masks()
+    holders: dict[tuple[int, int], int] = {}
+    for j, g in enumerate(pair_list):
+        for pair in g:
+            holders[pair] = holders.get(pair, 0) | 1 << j
+    # (pair, its holders, the words of the slice without it)
+    rows = [(pair, held, e & ~masks[pair[0] - 1][pair[1]])
+            for pair, held in holders.items()]
+    everyone = (1 << n) - 1
+    for i, f in enumerate(pair_list):
+        if meter.out_of_time():
+            return i * (n - 1), None, True
+        cyl = slc.cylinder(f)
+        own = set(f)  # forced by f, and held by f itself
+        unforced = lacked = 0
+        for pair, held, without in rows:
+            if pair not in own:
+                lacked |= held
+                if cyl & without:
+                    unforced |= held
+        entailed = everyone & ~unforced
+        bad = entailed & lacked if excuse_extensions else entailed & ~(1 << i)
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            return i * (n - 1) + j + (j < i), (i, j), False
+    return n * (n - 1), None, False
 
 
 def internal_independence(slc: Slice, budget: Budget | None = None) -> IndependenceReport:
@@ -429,40 +435,25 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
 
     All ordered pairs over the slice's strings are examined, in canonical
     order, as far as the budget allows. A forcing that extends is entailed
-    by the order itself, so the work is finding a separating word for every
-    non-extending pair.
+    by the order itself, so the work is finding a non-extending pair that
+    is entailed all the same.
     """
     budget = budget or Budget.default()
     cap = max(1, int(budget.max_strings ** 0.5))
     meter = budget.start("internal independence")
     codes, saw_all = _sigma_codes(slc, cap)
-    pair_list = [(slc.pairs_of_code(c)) for c in codes]
-    pairs_checked = 0
-    exhausted = not saw_all
-    for f_pairs in pair_list:
-        if meter.out_of_time():
-            exhausted = True
-            break
-        for g_pairs in pair_list:
-            if f_pairs == g_pairs:
-                continue
-            pairs_checked += 1
-            if _pairs_extend(f_pairs, g_pairs):
-                continue
-            if _separating_word(f_pairs, g_pairs, slc) is None:
-                f = slc.string_of_pairs(f_pairs)
-                g = slc.string_of_pairs(g_pairs)
-                return IndependenceReport(
-                    kind="internal", passed=False,
-                    strings_checked=len(codes), pairs_checked=pairs_checked,
-                    budget_exhausted=exhausted,
-                    counterexample={
-                        "f": slc.render(f), "g": slc.render(g),
-                        "entangled": True, "extends": False,
-                    })
+    pair_list = [slc.pairs_of_code(c) for c in codes]
+    pairs_checked, hit, late = _first_entailment(pair_list, slc, meter,
+                                                 excuse_extensions=True)
+    counterexample = None
+    if hit is not None:
+        f, g = (slc.string_of_pairs(pair_list[x]) for x in hit)
+        counterexample = {"f": slc.render(f), "g": slc.render(g),
+                          "entangled": True, "extends": False}
     return IndependenceReport(
-        kind="internal", passed=True, strings_checked=len(codes),
-        pairs_checked=pairs_checked, budget_exhausted=exhausted)
+        kind="internal", passed=hit is None, strings_checked=len(codes),
+        pairs_checked=pairs_checked, budget_exhausted=late or not saw_all,
+        counterexample=counterexample)
 
 
 def _sigma_codes(slc: Slice, cap: int) -> tuple[list[int], bool]:
@@ -476,7 +467,8 @@ def _sigma_codes(slc: Slice, cap: int) -> tuple[list[int], bool]:
         return out, True
     out.append(0)
     live = [0]
-    while live and len(out) < cap:
+    # at exactly cap strings, one more level tells whether that was all of them
+    while live and len(out) <= cap:
         live_set = set(live)
         frontier = []
         for parent in live:
@@ -491,9 +483,7 @@ def _sigma_codes(slc: Slice, cap: int) -> tuple[list[int], bool]:
         frontier.sort(key=lambda c: slc.pairs_of_code(c))
         live = frontier
         out.extend(frontier)
-    if len(out) > cap:
-        return out[:cap], False
-    return out, not live
+    return out[:cap], len(out) <= cap
 
 
 def simple_independence(problem, budget: Budget | None = None) -> IndependenceReport:
@@ -504,28 +494,19 @@ def simple_independence(problem, budget: Budget | None = None) -> IndependenceRe
     log = problem.logogram(meter=meter)
     slc = problem.slice
     pair_list = [slc.pairs_of(s) for s in log.elements]
-    pairs_checked = 0
-    for i, fp in enumerate(pair_list):
-        if meter.out_of_time():
-            raise BudgetExceededError(
-                f"simple independence: out of time after {pairs_checked} pairs")
-        for j, gp in enumerate(pair_list):
-            if i == j:
-                continue
-            pairs_checked += 1
-            if _separating_word(fp, gp, slc) is None:
-                return IndependenceReport(
-                    kind="simple", passed=False,
-                    strings_checked=len(pair_list), pairs_checked=pairs_checked,
-                    budget_exhausted=False,
-                    counterexample={
-                        "f": slc.render(log.elements[i]),
-                        "g": slc.render(log.elements[j]),
-                        "entangled": True,
-                    })
+    pairs_checked, hit, late = _first_entailment(pair_list, slc, meter,
+                                                 excuse_extensions=False)
+    if late:
+        raise BudgetExceededError(
+            f"simple independence: out of time after {pairs_checked} pairs")
+    counterexample = None
+    if hit is not None:
+        f, g = (log.elements[x] for x in hit)
+        counterexample = {"f": slc.render(f), "g": slc.render(g), "entangled": True}
     return IndependenceReport(
-        kind="simple", passed=True, strings_checked=len(pair_list),
-        pairs_checked=pairs_checked, budget_exhausted=False)
+        kind="simple", passed=hit is None, strings_checked=len(pair_list),
+        pairs_checked=pairs_checked, budget_exhausted=False,
+        counterexample=counterexample)
 
 
 def strong_independence(problem, budget: Budget | None = None) -> IndependenceReport:
@@ -533,36 +514,31 @@ def strong_independence(problem, budget: Budget | None = None) -> IndependenceRe
     other member. One separator per member settles the condition for every
     subset of the logogram at once: a word avoiding all other members
     avoids any selection of them.
+
+    A member's separator is the lowest word of its cylinder outside the
+    union of the other members' cylinders.
     """
     budget = budget or Budget.default()
     meter = budget.start(f"strong independence: {problem.label}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    e = slc.e_set()
-    pair_list = [slc.pairs_of(s) for s in log.elements]
+    cyls = [slc.cylinder(slc.pairs_of(s)) for s in log.elements]
     separators = []
-    for i, fp in enumerate(pair_list):
+    for i, unique in enumerate(_unique_coverage(cyls)):
         if meter.out_of_time():
             raise BudgetExceededError(
                 f"strong independence: out of time after {i} strings")
-        others = [gp for j, gp in enumerate(pair_list) if j != i]
-        found = None
-        for w in slc.iter_completions(fp):
-            if e is not None and w not in e:
-                continue
-            if not any(_pairs_in_word(gp, w, slc) for gp in others):
-                found = w
-                break
-        if found is None:
+        text = slc.render(log.elements[i])
+        if not unique:
             return IndependenceReport(
                 kind="strong", passed=False,
-                strings_checked=len(pair_list), pairs_checked=0,
+                strings_checked=len(cyls), pairs_checked=0,
                 budget_exhausted=False,
-                counterexample={"string": slc.render(log.elements[i]),
+                counterexample={"string": text,
                                 "reason": "every word containing it contains another member"})
-        separators.append((slc.render(log.elements[i]), slc.text_of_int(found)))
+        separators.append((text, slc.text_of_int((unique & -unique).bit_length() - 1)))
     return IndependenceReport(
-        kind="strong", passed=True, strings_checked=len(pair_list),
+        kind="strong", passed=True, strings_checked=len(cyls),
         pairs_checked=0, budget_exhausted=False,
         separators=tuple(separators))
 

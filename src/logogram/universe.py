@@ -265,22 +265,6 @@ class Slice:
             self._decode_blocks = tuple(blocks)
         return self._decode_blocks
 
-    def iter_completions(self, pairs: Pairs) -> Iterator[int]:
-        """All words of the full cube extending the given pairs, ascending."""
-        base = sum(d * self._word_weights[p - 1] for p, d in pairs)
-        defined = {p for p, _ in pairs}
-        free = [self._word_weights[p - 1] for p in range(1, self.length + 1)
-                if p not in defined]
-        if not free:
-            yield base
-            return
-        k = len(self.alphabet)
-        for combo in product(range(k), repeat=len(free)):
-            value = base
-            for d, w in zip(combo, free):
-                value += d * w
-            yield value
-
     def render(self, string: PartialString) -> str:
         return string.render(self.length)
 
@@ -340,28 +324,29 @@ def extensions_in_e(string: PartialString, slc: Slice) -> Iterator[PartialString
     pairs = slc.pairs_of(string)
     if pairs is None:
         return
-    e = slc.e_set()
-    for i in slc.iter_completions(pairs):
-        if e is None or i in e:
-            yield slc.word_of_int(i)
+    for i in slc.ints_of_mask(slc.cylinder(pairs)):
+        yield slc.word_of_int(i)
+
+
+def expand_mask(strings: Iterable[PartialString], slc: Slice) -> int:
+    """The words of the slice that extend at least one of the strings, as a
+    mask: the union of their cylinders. Strings that cannot occur in the
+    slice contribute nothing."""
+    out = 0
+    for s in strings:
+        pairs = slc.pairs_of(s)
+        if pairs is not None:
+            out |= slc.cylinder(pairs)
+    return out
 
 
 def expand_ints(strings: Iterable[PartialString], slc: Slice) -> frozenset[int]:
     """Packed words of the slice that extend at least one of the strings."""
-    e = slc.e_set()
-    out: set[int] = set()
-    for s in strings:
-        pairs = slc.pairs_of(s)
-        if pairs is None:
-            continue
-        for i in slc.iter_completions(pairs):
-            if e is None or i in e:
-                out.add(i)
-    return frozenset(out)
+    return frozenset(slc.ints_of_mask(expand_mask(strings, slc)))
 
 
 def expand(strings: Iterable[PartialString], slc: Slice) -> tuple[PartialString, ...]:
     """The relative cylinder of a string set: every word of the slice that
     extends some member. Strings that cannot occur in the slice contribute
     nothing."""
-    return tuple(slc.word_of_int(i) for i in sorted(expand_ints(strings, slc)))
+    return tuple(slc.word_of_int(i) for i in slc.ints_of_mask(expand_mask(strings, slc)))

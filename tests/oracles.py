@@ -66,6 +66,60 @@ def sigma_members(e_words) -> set[str]:
     return out
 
 
+def canonical_order(strings, alphabet: str) -> list[str]:
+    """Padded strings by domain size, then by their (position, letter index)
+    cells: the library's canonical order."""
+    def key(s: str):
+        cells = [(p, alphabet.index(ch)) for p, ch in enumerate(s) if ch != BLANK]
+        return len(cells), cells
+    return sorted(strings, key=key)
+
+
+def first_entailment(e_words, strings, excuse_extensions: bool):
+    """Walk the ordered pairs (f, g) of distinct strings, f in list order and
+    g in list order within each f, and stop at the first where every word of
+    E including f includes g; with ``excuse_extensions``, a pair where f
+    itself includes g does not count. Returns (pairs walked, (f, g) or
+    None)."""
+    walked = 0
+    for f in strings:
+        above = [x for x in e_words if includes(x, f)]
+        for g in strings:
+            if g == f:
+                continue
+            walked += 1
+            if excuse_extensions and includes(f, g):
+                continue
+            if all(includes(x, g) for x in above):
+                return walked, (f, g)
+    return walked, None
+
+
+def brute_internal_independence(e_words, alphabet: str, cap: int):
+    """Internal independence over the first ``cap`` strings occurring in E,
+    in canonical order: (strings checked, all strings checked, passed,
+    pairs walked, first counterexample (f, g) or None)."""
+    sigma = canonical_order(sigma_members(e_words), alphabet)
+    strings = sigma[:cap]
+    walked, hit = first_entailment(e_words, strings, excuse_extensions=True)
+    return len(strings), len(strings) == len(sigma), hit is None, walked, hit
+
+
+def first_separators(e_words, strings) -> tuple[list[tuple[str, str]], str | None]:
+    """For each string in order, the first word of E (in the given word
+    order) including it and no other string. Returns (separators so far,
+    the first string without one or None)."""
+    found = []
+    for s in strings:
+        others = [g for g in strings if g != s]
+        word = next((x for x in e_words if includes(x, s)
+                     and not any(includes(x, g) for g in others)), None)
+        if word is None:
+            return found, s
+        found.append((s, word))
+    return found, None
+
+
 def completions(string: str, alphabet: str) -> list[str]:
     """Every word filling the blanks of the padded string."""
     out = [""]

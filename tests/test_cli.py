@@ -81,6 +81,21 @@ class TestIndependenceCommand:
         assert code == 3
         assert report["internal"]["verdict"] == "fail"
 
+    def test_default_budget_sat_3x2_is_count_bound(self, capsys, monkeypatch):
+        # the internal check ends on the string count (2,236 strings, all
+        # ordered pairs), well inside its share of the default clock
+        monkeypatch.delenv("LOGOGRAM_BUDGET_STRINGS", raising=False)
+        monkeypatch.delenv("LOGOGRAM_BUDGET_SECONDS", raising=False)
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "independence", "sat", "3", "2")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        internal = doc["internal"]
+        assert internal["strings_checked"] == 2236
+        assert internal["pairs_checked"] == 4997460
+        assert internal["budget_exhausted"] is True
+        assert elapsed < 10
+
 
 class TestIrreducibleCommand:
     def test_sat_2x1(self, capsys):

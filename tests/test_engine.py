@@ -265,37 +265,116 @@ class TestEntanglement:
 
 
 class TestSeparatorConstruction:
-    def test_full_cube_shortcut_agrees_with_scan(self):
-        # the direct separator construction for full cubes must agree with
-        # the word-by-word scan on existence, for every string pair
-        from logogram.engine import _separating_word
+    def test_forced_pairs_agree_with_word_scan_on_full_cube(self):
+        # f entails g, by forced pairs, exactly when no word of the slice
+        # includes f and not g, for every non-extending string pair
+        from logogram.engine import _first_entailment
         slc = full_slice(TERNARY, 3)
+        meter = Budget().start("test")
         e_texts = [slc.text_of_int(i) for i in slc.word_ints()]
         strings = list(all_strings(TERNARY, 3))
         for f in strings:
             fp = slc.pairs_of(f)
             for g in strings:
                 if f >= g:
-                    continue  # callers exclude entailed pairs
-                gp = slc.pairs_of(g)
-                found = _separating_word(fp, gp, slc)
+                    continue  # the order excuses entailed extensions
+                walked, hit, late = _first_entailment([fp, slc.pairs_of(g)], slc, meter,
+                                                      excuse_extensions=True)
                 exists = any(
                     oracles.includes(x, f.render(3)) and not oracles.includes(x, g.render(3))
                     for x in e_texts)
-                assert (found is not None) == exists
-                if found is not None:
-                    text = slc.text_of_int(found)
-                    assert oracles.includes(text, f.render(3))
-                    assert not oracles.includes(text, g.render(3))
+                assert (hit == (0, 1)) == (not exists)
+                assert not late and walked == (1 if hit == (0, 1) else 2)
 
     def test_single_letter_alphabet_never_separates(self):
-        from logogram.engine import _separating_word
+        from logogram.engine import _first_entailment
         lone = Alphabet.of("a")
         slc = full_slice(lone, 2)
         f = slc.pairs_of(PartialString.of({1: "a"}))
         g = slc.pairs_of(PartialString.of({2: "a"}))
-        assert _separating_word(f, g, slc) is None
+        walked, hit, _ = _first_entailment([f, g], slc, Budget().start("test"),
+                                           excuse_extensions=True)
+        assert (walked, hit) == (1, (0, 1))
         assert not internal_independence(slc).passed
+
+
+class TestIndependenceOracle:
+    """internal, simple and strong independence against the per-pair,
+    per-word definitions in ``oracles``."""
+
+    @staticmethod
+    def random_words(rng, alphabet, length):
+        words = oracles.all_words("".join(alphabet.letters), length)
+        if rng.random() < 0.25:
+            return words, "all"
+        keep = set(rng.sample(words, rng.randint(1, len(words))))
+        if rng.random() < 0.5:  # dense slices fail later, if at all
+            keep |= set(rng.sample(words, len(words) * 3 // 4))
+        e = [w for w in words if w in keep]
+        return e, e
+
+    def test_internal_matches_oracle_on_random_slices(self):
+        rng = random.Random(41)
+        cases = [(Alphabet.of("a"), length) for length in (1, 2, 3)]
+        cases += [(BINARY, rng.randint(1, 4)) for _ in range(40)]
+        cases += [(TERNARY, rng.randint(1, 3)) for _ in range(30)]
+        cases += [(TERNARY, 4) for _ in range(4)]
+        for alphabet, length in cases:
+            e, universe = self.random_words(rng, alphabet, length)
+            letters = "".join(alphabet.letters)
+            sigma = len(oracles.sigma_members(e))
+            limit = 60 if length == 4 and alphabet is TERNARY else sigma + 5
+            for cap in sorted({1, 2, rng.randint(1, sigma), min(sigma - 1, limit),
+                               min(sigma, limit), limit}):
+                if cap < 1:
+                    continue
+                slc = full_slice(alphabet, length) if universe == "all" \
+                    else Slice(alphabet, length, universe)
+                report = internal_independence(slc, Budget(max_strings=cap * cap))
+                checked, saw_all, passed, walked, hit = \
+                    oracles.brute_internal_independence(e, letters, cap)
+                label = (letters, length, universe, cap)
+                assert report.strings_checked == checked, label
+                assert report.budget_exhausted == (not saw_all), label
+                assert report.passed == passed, label
+                assert report.pairs_checked == walked, label
+                if hit is None:
+                    assert report.counterexample is None, label
+                else:
+                    cx = report.counterexample
+                    assert (cx["f"], cx["g"]) == hit and not cx["extends"], label
+
+    def test_simple_and_strong_match_oracle_on_random_problems(self):
+        rng = random.Random(43)
+        checked = 0
+        while checked < 150:
+            alphabet = rng.choice([BINARY, TERNARY])
+            length = rng.randint(1, 4 if alphabet is BINARY else 3)
+            e, universe = self.random_words(rng, alphabet, length)
+            if len(e) < 2:
+                continue
+            a = sorted(rng.sample(e, rng.randint(1, len(e) - 1)))
+            p = generic_problem({"alphabet": list(alphabet.letters), "length": length,
+                                 "universe": universe, "target": a, "regions": [a],
+                                 "label": "random"})
+            letters = "".join(alphabet.letters)
+            strings = oracles.canonical_order(oracles.brute_reduced_logogram(e, a), letters)
+            assert p.logogram().texts(length) == strings
+
+            simple = simple_independence(p)
+            walked, hit = oracles.first_entailment(e, strings, excuse_extensions=False)
+            assert (simple.passed, simple.pairs_checked) == (hit is None, walked)
+            if hit is not None:
+                assert (simple.counterexample["f"], simple.counterexample["g"]) == hit
+
+            strong = strong_independence(p)
+            separators, lacking = oracles.first_separators(e, strings)
+            assert strong.passed == (lacking is None)
+            if lacking is None:
+                assert list(strong.separators) == separators
+            else:
+                assert strong.counterexample["string"] == lacking
+            checked += 1
 
 
 class TestClosures:
