@@ -53,7 +53,6 @@ from .strings import (
     IncompatibleStrings,
     PartialString,
     canonical_key,
-    format_string,
     parse_string,
     sort_strings,
 )

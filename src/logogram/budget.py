@@ -1,9 +1,12 @@
 """Work budgets for the potentially exponential searches.
 
-Every operation that enumerates candidate strings takes a budget (maximum
-candidates tested, maximum wall-clock seconds). Exceeding one raises
-:class:`BudgetExceededError` carrying whatever partial state the search had
-reached; results are never silently truncated.
+Every potentially exponential operation takes a budget: a maximum count of
+charged steps and a maximum of wall-clock seconds. The reduced-logogram
+search charges one step per distinct sub-problem it solves; the
+internal-independence check takes its string cap from the same count.
+Exceeding a limit raises :class:`BudgetExceededError` carrying whatever
+partial state the search had reached; results are never silently
+truncated.
 """
 
 from __future__ import annotations
@@ -63,12 +66,12 @@ class Meter:
         self.count += 1
         if self.count > self.budget.max_strings:
             raise BudgetExceededError(
-                f"{self.label}: exceeded {self.budget.max_strings} candidate strings",
+                f"{self.label}: exceeded {self.budget.max_strings} sub-problems",
                 partial=partial)
         if self.count % self._CLOCK_STRIDE == 0 and time.monotonic() > self._deadline:
             raise BudgetExceededError(
                 f"{self.label}: exceeded {self.budget.max_seconds}s "
-                f"after {self.count} candidates", partial=partial)
+                f"after {self.count} sub-problems", partial=partial)
 
     def out_of_time(self) -> bool:
         return time.monotonic() > self._deadline

@@ -35,7 +35,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help=_PROBLEM_USAGE)
     sp.add_argument("args", nargs="*", help="problem arguments")
     sp.add_argument("--budget-strings", type=int, default=None, metavar="N",
-                    help="max candidate strings per search")
+                    help="max distinct sub-problems per search")
     sp.add_argument("--budget-seconds", type=float, default=None, metavar="S",
                     help="max wall-clock seconds per search")
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")

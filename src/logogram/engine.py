@@ -3,14 +3,17 @@
 The logogram of a target set A within a slice is the set of strings whose
 presence in a word of the slice forces membership in A; its minimal
 elements form the reduced logogram, the irredundant certificate set of the
-target. This module computes reduced logograms by a pruned level-wise
-search, decides entanglement between string sets, exposes the
-expansion/logogram closure pair, and checks the three independence notions
-a decision problem may enjoy.
+target. They are the prime implicants, among those meeting A, of the
+function that is on over A, off over the rest of the slice and free outside
+it, and this module computes them by the classical recursion for primes on
+Shannon cofactors, memoized within one call. It also decides entanglement
+between string sets, exposes the expansion/logogram closure pair, and
+checks the three independence notions a decision problem may enjoy.
 
-Word sets are bitmasks over the slice (see :mod:`logogram.universe`):
-entanglement, expansions, irreducibility and the independence checks are
-unions and differences of cylinders, not scans of completions.
+Word sets are bitmasks over the slice (see :mod:`logogram.universe`): a
+cofactor is a shift and an AND, and entanglement, expansions,
+irreducibility and the independence checks are unions and differences of
+cylinders, not scans of completions.
 
 Everything here is exhaustive over one slice: correctness comes from
 enumeration, and budgets keep the enumeration honest about its limits.
@@ -76,8 +79,14 @@ class Antichain:
 
 @dataclass(frozen=True)
 class SearchFrontier:
-    """Partial state attached to a budget error: what the level-wise search
-    had established when it ran out."""
+    """Partial state attached to a budget error: what the reduced-logogram
+    search had established when it ran out.
+
+    ``minimal_so_far`` holds the members already final at the top level of
+    the recursion (whole branches of position 1 that finished), ``level``
+    the deepest position a sub-problem reached, and ``live_count`` the
+    number of sub-problems solved and memoized.
+    """
 
     minimal_so_far: tuple[PartialString, ...]
     level: int
@@ -87,33 +96,30 @@ class SearchFrontier:
 # -- membership probes -------------------------------------------------
 
 
-def _log_probe(cyl: int, off: int) -> tuple[bool, bool]:
-    """(in logogram of A, occurs in some word of the slice) for one string.
+def _log_probe(cyl: int, off: int) -> bool:
+    """Is a string in the logogram of A?
 
     ``cyl`` is the string's cylinder (:meth:`Slice.cylinder`) and ``off``
-    the mask of the slice's words outside A (:func:`_off_mask`). A string is
-    in the logogram of A when it occurs in the slice and every word of the
-    slice extending it lies in A: its cylinder is non-empty and misses
-    ``off``.
+    the mask of the slice's words outside A. A string is in the logogram of
+    A when it occurs in the slice and every word of the slice extending it
+    lies in A: its cylinder is non-empty and misses ``off``.
     """
-    return cyl != 0 and not cyl & off, cyl != 0
+    return cyl != 0 and not cyl & off
 
 
-def _off_mask(a_set: Iterable[int], slc: Slice) -> int:
-    """The words of the slice outside the packed word set, as a mask."""
-    return slc.e_mask() & ~slc.mask_of_ints(a_set)
-
-
-def _target_ints(target_words, slc: Slice) -> frozenset[int]:
-    """Normalize a target word set to packed form, checking it lies in the
-    slice."""
-    out = set()
-    for w in target_words:
-        i = w if isinstance(w, int) else slc.int_of_word(slc._as_word(w))
-        if not slc.contains_int(i):
-            raise ValueError(f"target word {slc.text_of_int(i)!r} is outside the slice")
-        out.add(i)
-    return frozenset(out)
+def _target_mask(target_words, slc: Slice) -> int:
+    """A target word set (packed words, texts or words) as a mask, checking
+    it lies in the slice."""
+    ints = [w if isinstance(w, int) else slc.int_of_word(slc._as_word(w))
+            for w in target_words]
+    stray = next((i for i in ints if not 0 <= i < slc.total_words), None)
+    if stray is None:
+        mask = slc.mask_of_ints(ints)
+        outside = mask & ~slc.e_mask()
+        if not outside:
+            return mask
+        stray = (outside & -outside).bit_length() - 1
+    raise ValueError(f"target word {slc.text_of_int(stray)!r} is outside the slice")
 
 
 # -- logogram membership and the reduced logogram -----------------------
@@ -122,102 +128,98 @@ def _target_ints(target_words, slc: Slice) -> frozenset[int]:
 def in_logogram(string: PartialString, target_words, slc: Slice) -> bool:
     """Does the presence of ``string`` in a word of the slice force
     membership in the target set?"""
-    a_set = _target_ints(target_words, slc)
+    off = slc.e_mask() & ~_target_mask(target_words, slc)
     if string.size > slc.length:
         return False
     pairs = slc.pairs_of(string)
     if pairs is None:
         return False
-    return _log_probe(slc.cylinder(pairs), _off_mask(a_set, slc))[0]
+    return _log_probe(slc.cylinder(pairs), off)
 
 
-def _minimal_log_codes(a_set: frozenset[int], slc: Slice,
-                       budget: Budget | None = None,
-                       label: str = "reduced logogram",
-                       meter: Meter | None = None) -> list[int]:
-    """Codes of the minimal logogram strings, by pruned level-wise search.
+def _minimal_pairs(on: int, slc: Slice,
+                   budget: Budget | None = None,
+                   label: str = "reduced logogram",
+                   meter: Meter | None = None) -> list[Pairs]:
+    """The reduced logogram of the target mask ``on``, as pairs, by
+    memoized recursion on Shannon cofactors.
 
-    Level j holds the strings with j defined positions. A candidate is
-    generated only if every immediate restriction survived the previous
-    level as a non-member of the logogram that still occurs in the slice:
-    anything extending an already-found minimal element, or a string with
-    no occurrence at all, is pruned together with its entire up-set.
+    The minimal logogram strings are the prime implicants, among those that
+    meet the target, of the function that is on over the target, off over
+    the rest of the slice and free outside it. ``rl(p, on, off)`` returns
+    the minimal tails over positions p..L for the words ``on`` and ``off``
+    of the tail space: a tail is a member when its cylinder meets ``on``
+    and misses ``off``, and minimal when every restriction meets ``off``.
+    Position p is the most significant digit of a packed tail, so the
+    cofactor of a mask on p = d is one run of k^(L-p) bits.
 
-    A parent's cylinder is built once, from the position masks, and each
-    child's is the parent's narrowed by one more mask. Live strings are kept
-    as codes alone: a cylinder per live string would cost one bit per word
-    of the cube for each of them.
+    - The tails blank at p are the minimal tails of the cofactors ORed over
+      the letters of p.
+    - The tails setting p = d are (p, d) before each minimal tail t of the
+      cofactors on p = d whose cylinder meets the off cofactor of another
+      letter, else t with p blank would be a member already. Since t misses
+      the off cofactor of d, the test is against the OR of them all.
 
-    Operations that run several searches pass one shared meter so their
-    total work stays within a single budget.
+    Each distinct (p, on, off) is solved once per call, and each one solved
+    is one charge to the meter. Operations that run several searches pass
+    one shared meter so their total work stays within a single budget.
     """
     meter = meter or (budget or Budget.default()).start(label)
     k = len(slc.alphabet)
-    L = slc.length
-    cw = slc._code_weights
     masks = slc.position_masks()
-    off = _off_mask(a_set, slc)
-    found: list[int] = []
-    level = 0
-    live: set[int] = set()
-    try:
+    memo: dict[tuple[int, int, int], list[Pairs]] = {}
+    found: list[Pairs] = []
+    deepest = 0
+
+    def rl(p: int, on: int, off: int) -> list[Pairs]:
+        nonlocal deepest
+        # a cylinder meeting on only where off is meets off too; past
+        # position L a tail space is one word, so one of these returns
+        if not on & ~off:
+            return []
+        if not off:
+            return [()]
+        key = (p, on, off)
+        known = memo.get(key)
+        if known is not None:
+            return known
         meter.charge()
-        in_log, in_sigma = _log_probe(slc.e_mask(), off)
-        if in_log:
-            return [0]
-        if in_sigma:
-            live.add(0)
-        for level in range(1, L + 1):
-            frontier: set[int] = set()
-            for parent in sorted(live):
-                if parent % (k + 1):
-                    continue  # position L is set: nothing left to extend
-                pairs = slc.pairs_of_code(parent)
-                cyl = None  # built for the first child that is tested
-                # the parent's own restrictions: adding the child's (p, d) to
-                # each gives the child's restrictions other than the parent
-                drops = [parent - (dq + 1) * cw[q - 1] for q, dq in pairs]
-                start = pairs[-1][0] + 1 if pairs else 1
-                for p in range(start, L + 1):
-                    wt = cw[p - 1]
-                    row = masks[p - 1]
-                    for d in range(k):
-                        step = (d + 1) * wt
-                        # every restriction must be live, else the child
-                        # either extends a minimal element or cannot occur
-                        for r in drops:
-                            if r + step not in live:
-                                break
-                        else:
-                            meter.charge()
-                            if cyl is None:
-                                cyl = slc.cylinder(pairs)
-                            child = parent + step
-                            in_log, in_sigma = _log_probe(cyl & row[d], off)
-                            if in_log:
-                                found.append(child)
-                            elif in_sigma:
-                                frontier.add(child)
-            live = frontier
-            if not live:
-                break
+        deepest = max(deepest, p)
+        run = slc._word_weights[p - 1]
+        low = (1 << run) - 1
+        ons = [on >> d * run & low for d in range(k)]
+        offs = [off >> d * run & low for d in range(k)]
+        off_any = reduce(or_, offs)
+        out = found if p == 1 else []  # top-level members are final at once
+        out.extend(rl(p + 1, reduce(or_, ons), off_any))
+        for d in range(k):
+            for t in rl(p + 1, ons[d], offs[d]):
+                meets = off_any
+                for q, e in t:
+                    meets &= masks[q - 1][e]
+                if meets:
+                    out.append(((p, d),) + t)
+        memo[key] = out
+        return out
+
+    try:
+        return rl(1, on, slc.e_mask() & ~on)
     except BudgetExceededError as err:
         err.partial = SearchFrontier(
-            minimal_so_far=sort_strings(
-                (slc.string_of_pairs(slc.pairs_of_code(c)) for c in found),
-                slc.alphabet),
-            level=level, live_count=len(live))
+            minimal_so_far=sort_strings(map(slc.string_of_pairs, found), slc.alphabet),
+            level=deepest, live_count=len(memo))
         raise
-    return found
+    finally:
+        # rl refers to itself through its closure: unbinding it frees the
+        # memo now, not at the next cyclic garbage collection
+        del rl
 
 
 def reduced_logogram(target_words, slc: Slice, budget: Budget | None = None,
                      meter: Meter | None = None) -> Antichain:
     """The minimal elements of the logogram of the target set."""
-    a_set = _target_ints(target_words, slc)
-    codes = _minimal_log_codes(a_set, slc, budget, meter=meter)
-    return Antichain.of((slc.string_of_pairs(slc.pairs_of_code(c)) for c in codes),
-                        slc.alphabet)
+    found = _minimal_pairs(_target_mask(target_words, slc), slc, budget, meter=meter)
+    return Antichain.of(map(slc.string_of_pairs, found), slc.alphabet)
 
 
 # -- entanglement -------------------------------------------------------
@@ -248,10 +250,15 @@ def closure_ba(target_words, slc: Slice,
     slice it coincides with the input, which is exactly what makes every
     subset of such a slice closed.
     """
-    a_set = _target_ints(target_words, slc)
-    codes = _minimal_log_codes(a_set, slc, budget, label="closure")
-    minimal = [slc.string_of_pairs(slc.pairs_of_code(c)) for c in codes]
-    return tuple(slc.word_of_int(i) for i in slc.ints_of_mask(expand_mask(minimal, slc)))
+    closed = _closure_mask(_target_mask(target_words, slc), slc, budget)
+    return tuple(slc.word_of_int(i) for i in slc.ints_of_mask(closed))
+
+
+def _closure_mask(on: int, slc: Slice, budget: Budget | None) -> int:
+    """The words of the slice extending a member of the target's reduced
+    logogram."""
+    found = _minimal_pairs(on, slc, budget, label="closure")
+    return reduce(or_, map(slc.cylinder, found), 0)
 
 
 def closure_ab_contains(string: PartialString, strings, slc: Slice) -> bool:
@@ -263,13 +270,12 @@ def closure_ab_contains(string: PartialString, strings, slc: Slice) -> bool:
     if pairs is None:
         return False
     off = slc.e_mask() & ~expand_mask(strings, slc)
-    return _log_probe(slc.cylinder(pairs), off)[0]
+    return _log_probe(slc.cylinder(pairs), off)
 
 
 def is_closed(target_words, slc: Slice, budget: Budget | None = None) -> bool:
-    a_set = _target_ints(target_words, slc)
-    closed = closure_ba(target_words, slc, budget)
-    return frozenset(slc.int_of_word(w) for w in closed) == a_set
+    on = _target_mask(target_words, slc)
+    return _closure_mask(on, slc, budget) == on
 
 
 # -- complete and irreducible certificate sets ---------------------------
@@ -441,8 +447,7 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
     budget = budget or Budget.default()
     cap = max(1, int(budget.max_strings ** 0.5))
     meter = budget.start("internal independence")
-    codes, saw_all = _sigma_codes(slc, cap)
-    pair_list = [slc.pairs_of_code(c) for c in codes]
+    pair_list, saw_all = _sigma_pairs(slc, cap)
     pairs_checked, hit, late = _first_entailment(pair_list, slc, meter,
                                                  excuse_extensions=True)
     counterexample = None
@@ -451,38 +456,43 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
         counterexample = {"f": slc.render(f), "g": slc.render(g),
                           "entangled": True, "extends": False}
     return IndependenceReport(
-        kind="internal", passed=hit is None, strings_checked=len(codes),
+        kind="internal", passed=hit is None, strings_checked=len(pair_list),
         pairs_checked=pairs_checked, budget_exhausted=late or not saw_all,
         counterexample=counterexample)
 
 
-def _sigma_codes(slc: Slice, cap: int) -> tuple[list[int], bool]:
+def _sigma_pairs(slc: Slice, cap: int) -> tuple[list[Pairs], bool]:
     """Up to ``cap`` strings occurring in the slice, in canonical order
-    (domain size first). Second value: whether that was all of them."""
+    (domain size first). Second value: whether that was all of them.
+
+    Each size is one walk over (position, letter) pairs in lexicographic
+    order, which is canonical order within the size; a branch whose
+    cylinder is empty is pruned, since nothing extending it occurs. The
+    walks stop at the first string past the cap, or at a size with no
+    string, beyond which no string occurs either.
+    """
     k = len(slc.alphabet)
     L = slc.length
-    cw = slc._code_weights
-    out: list[int] = []
-    if not slc.cylinder(()):  # empty slices are rejected at construction
-        return out, True
-    out.append(0)
-    live = [0]
-    # at exactly cap strings, one more level tells whether that was all of them
-    while live and len(out) <= cap:
-        live_set = set(live)
-        frontier = []
-        for parent in live:
-            pairs = slc.pairs_of_code(parent)
-            start = pairs[-1][0] + 1 if pairs else 1
-            for p in range(start, L + 1):
-                for d in range(k):
-                    child = parent + (d + 1) * cw[p - 1]
-                    if all(child - (dq + 1) * cw[q - 1] in live_set
-                           for q, dq in pairs) and slc.cylinder(pairs + ((p, d),)):
-                        frontier.append(child)
-        frontier.sort(key=lambda c: slc.pairs_of_code(c))
-        live = frontier
-        out.extend(frontier)
+    masks = slc.position_masks()
+    out: list[Pairs] = []
+
+    def walk(pairs: Pairs, cyl: int, start: int, left: int) -> bool:
+        """Append the occurring strings extending ``pairs`` by ``left``
+        more pairs past ``start - 1``; True once past the cap."""
+        if not left:
+            out.append(pairs)
+            return len(out) > cap
+        for p in range(start, L - left + 2):
+            for d in range(k):
+                sub = cyl & masks[p - 1][d]
+                if sub and walk(pairs + ((p, d),), sub, p + 1, left - 1):
+                    return True
+        return False
+
+    for size in range(L + 1):
+        before = len(out)
+        if walk((), slc.e_mask(), 1, size) or len(out) == before:
+            break
     return out[:cap], len(out) <= cap
 
 
@@ -623,8 +633,8 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         return out
 
     def minimal(a_ints) -> list[PartialString]:
-        codes = _minimal_log_codes(frozenset(a_ints), slc, budget, label="galois sample")
-        return [slc.string_of_pairs(slc.pairs_of_code(c)) for c in codes]
+        found = _minimal_pairs(slc.mask_of_ints(a_ints), slc, budget, label="galois sample")
+        return [slc.string_of_pairs(pairs) for pairs in found]
 
     tallies: dict[str, int] = {}
     failures: dict[str, dict] = {}
@@ -659,8 +669,8 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
 
         # nested targets have nested logograms, hence entangled logograms
         min_a, min_b = minimal(A), minimal(B)
-        off_b = _off_mask(B, slc)
-        ok = all(_log_probe(slc.cylinder(slc.pairs_of(g)), off_b)[0] for g in min_a) \
+        off_b = slc.e_mask() & ~slc.mask_of_ints(B)
+        ok = all(_log_probe(slc.cylinder(slc.pairs_of(g)), off_b) for g in min_a) \
             and expand_ints(min_a, slc) <= expand_ints(min_b, slc)
         record("antitone-logogram", ok, {"A": a_texts, "B": b_texts})
 

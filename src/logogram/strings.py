@@ -129,9 +129,6 @@ class PartialString:
                 return ch
         return None
 
-    def is_void(self) -> bool:
-        return not self.pairs
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -216,10 +213,6 @@ VOID = PartialString(())
 
 def parse_string(text: str, alphabet: Alphabet) -> PartialString:
     return PartialString.parse(text, alphabet)
-
-
-def format_string(string: PartialString, length: int | None = None) -> str:
-    return string.render(length)
 
 
 def canonical_key(string: PartialString, alphabet: Alphabet | None = None):

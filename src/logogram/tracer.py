@@ -58,10 +58,6 @@ class ProbeTrace:
     probes: tuple[tuple[int, str], ...]
     verdict: Verdict
 
-    @property
-    def probed_restriction(self) -> PartialString:
-        return PartialString(self.probes)
-
 
 @dataclass(frozen=True)
 class DecisionProgram:
@@ -113,7 +109,7 @@ def _trace_cylinder(trace: ProbeTrace, slc) -> int:
 
 def _justified(trace: ProbeTrace, cyl: int, problem) -> bool:
     if trace.verdict == Verdict.ACCEPT:
-        return _log_probe(cyl, problem.slice.e_mask() & ~problem.f_mask())[0]
+        return _log_probe(cyl, problem.slice.e_mask() & ~problem.f_mask())
     else:
         return not cyl & problem.f_mask()
 

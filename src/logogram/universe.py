@@ -4,25 +4,20 @@ A slice restricts a reference set of words to one length L over one
 alphabet, which makes every quantifier in the calculus exhaustively
 checkable. Words are packed into integers (base k, position 1 most
 significant) so that ascending integer order is exactly the canonical
-lexicographic order; partial strings restricted to a slice are packed the
-same way in base k+1 with digit 0 for blank. A set of words is also held as
-a bitmask, bit i standing for packed word i, so that the words extending a
-string (its cylinder) are one AND of per-position masks.
+lexicographic order. A partial string restricted to a slice is a tuple of
+(position, letter index) pairs. A set of words is held as a bitmask, bit
+i standing for packed word i, so that the words extending a string (its
+cylinder) are one AND of per-position masks.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .strings import Alphabet, PartialString
 
 # Hard cap on materialized universes; desk-scale analyses stay far below it.
 MAX_UNIVERSE = 1 << 22
-
-# Codes are decoded a block of positions at a time, through a table of at
-# most this many entries per block.
-DECODE_TABLE_SIZE = 256
 
 Pairs = tuple[tuple[int, int], ...]  # ((position, letter index), ...)
 
@@ -54,12 +49,10 @@ class Slice:
         self.length = length
         self.label = label or f"{''.join(alphabet)}^{length}"
         self._word_weights = tuple(k ** (length - p) for p in range(1, length + 1))
-        self._code_weights = tuple((k + 1) ** (length - p) for p in range(1, length + 1))
         self._e_ints: tuple[int, ...] | None = None
         self._e_set: frozenset[int] | None = None
         self._e_mask: int | None = None
         self._position_masks: tuple[tuple[int, ...], ...] | None = None
-        self._decode_blocks: tuple[tuple[int, tuple[Pairs, ...]], ...] | None = None
         if membership == "all":
             self._kind = "all"
             self._predicate = None
@@ -235,35 +228,6 @@ class Slice:
     def string_of_pairs(self, pairs: Pairs) -> PartialString:
         letters = self.alphabet.letters
         return PartialString(tuple((p, letters[d]) for p, d in pairs))
-
-    def code_of_pairs(self, pairs: Pairs) -> int:
-        return sum((d + 1) * self._code_weights[p - 1] for p, d in pairs)
-
-    def pairs_of_code(self, code: int) -> Pairs:
-        out: Pairs = ()
-        for weight, table in self._decode_tables():
-            block, code = divmod(code, weight)
-            out += table[block]
-        return out
-
-    def _decode_tables(self) -> tuple[tuple[int, tuple[Pairs, ...]], ...]:
-        """(weight, table) per block of consecutive positions, from position
-        1 on: a code's block digits are ``code // weight`` once the blocks
-        before it are removed, and ``table`` maps them to the block's pairs."""
-        if self._decode_blocks is None:
-            base = len(self.alphabet) + 1
-            width = 1
-            while base ** (width + 1) <= DECODE_TABLE_SIZE:
-                width += 1
-            blocks = []
-            for first in range(1, self.length + 1, width):
-                positions = range(first, min(first + width, self.length + 1))
-                table = tuple(
-                    tuple((p, d - 1) for p, d in zip(positions, digits) if d)
-                    for digits in product(range(base), repeat=len(positions)))
-                blocks.append((self._code_weights[positions[-1] - 1], table))
-            self._decode_blocks = tuple(blocks)
-        return self._decode_blocks
 
     def render(self, string: PartialString) -> str:
         return string.render(self.length)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import Budget
+from .budget import Budget, BudgetExceededError
 from .strings import PartialString
 
 
@@ -60,13 +60,21 @@ class ClassifiedLogogram:
         }
 
 
-def _charts(problem, budget: Budget | None):
+def _charts(problem, budget: Budget | None, label: str):
     """(string, cylinder, indices of the regions containing the cylinder)
-    for each reduced-logogram string, in canonical order."""
-    log = problem.logogram(budget)
+    for each reduced-logogram string, in canonical order.
+
+    The search and the region tests run on one meter, whose clock is
+    checked once per string.
+    """
+    meter = (budget or Budget.default()).start(f"{label}: {problem.label}")
+    log = problem.logogram(meter=meter)
     slc = problem.slice
     masks = [problem.region_mask(i) for i in range(problem.alpha)]
-    for s in log.elements:
+    for n, s in enumerate(log.elements):
+        if meter.out_of_time():
+            raise BudgetExceededError(
+                f"{meter.label}: out of time after {n} of {len(log)} strings")
         cyl = slc.cylinder(slc.pairs_of(s))
         yield s, cyl, tuple(i for i, m in enumerate(masks) if cyl & m == cyl)
 
@@ -79,7 +87,7 @@ def classify(problem, budget: Budget | None = None) -> ClassifiedLogogram:
     """
     entries = tuple(
         ClassifiedString(string=s, witness_regions=regions, is_wizard=not regions)
-        for s, _cyl, regions in _charts(problem, budget))
+        for s, _cyl, regions in _charts(problem, budget, "wizards"))
     return ClassifiedLogogram(problem.label, problem.slice.length, entries)
 
 
@@ -155,5 +163,5 @@ def cover(problem, budget: Budget | None = None) -> CoverReport:
     string's cylinder and the region masks."""
     charts = tuple(
         Chart(string=s, expansion_size=cyl.bit_count(), containing_regions=len(regions))
-        for s, cyl, regions in _charts(problem, budget))
+        for s, cyl, regions in _charts(problem, budget, "cover"))
     return CoverReport(problem.label, problem.slice.length, charts, problem.alpha)

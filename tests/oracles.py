@@ -105,6 +105,37 @@ def brute_internal_independence(e_words, alphabet: str, cap: int):
     return len(strings), len(strings) == len(sigma), hit is None, walked, hit
 
 
+def neighbours_everywhere(e_words, alphabet: str) -> bool:
+    """Does every word of E have, at every position, a neighbour in E: the
+    same word with another letter there?
+
+    By masks over the cube, bit i for the i-th word in lexicographic order,
+    with L*k shifts and ANDs: at position p a letter holds runs of k^(L-p)
+    words, so shifting E's words with letter d there down by d runs lines
+    each up with its neighbours. A word has a neighbour at p when its
+    shifted bit is set for at least two letters.
+    """
+    k = len(alphabet)
+    length = len(e_words[0])
+    e = 0
+    for w in e_words:
+        i = 0
+        for ch in w:
+            i = i * k + alphabet.index(ch)
+        e |= 1 << i
+    for p in range(1, length + 1):
+        run = k ** (length - p)
+        first_letter = sum(1 << i for i in range(k ** length) if i // run % k == 0)
+        seen = twice = 0
+        for d in range(k):
+            moved = e >> d * run & first_letter
+            twice |= seen & moved
+            seen |= moved
+        if seen & ~twice:
+            return False
+    return True
+
+
 def first_separators(e_words, strings) -> tuple[list[tuple[str, str]], str | None]:
     """For each string in order, the first word of E (in the given word
     order) including it and no other string. Returns (separators so far,

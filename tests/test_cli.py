@@ -36,6 +36,19 @@ class TestLogogramCommand:
         _, doc = run_json(capsys, "logogram", "composite", "4")
         assert "111_" in doc["strings"]
 
+    def test_connectivity_6_within_default_budget(self, capsys, monkeypatch):
+        # 2^15 words and 1,296 minimal strings, far inside the default budget
+        from logogram import connectivity_problem
+        monkeypatch.delenv("LOGOGRAM_BUDGET_STRINGS", raising=False)
+        monkeypatch.delenv("LOGOGRAM_BUDGET_SECONDS", raising=False)
+        connectivity_problem.cache_clear()
+        try:
+            code, doc = run_json(capsys, "logogram", "connectivity", "6")
+        finally:
+            connectivity_problem.cache_clear()
+        assert code == 0
+        assert doc["count"] == 1296
+
     def test_regions_flag(self, capsys):
         _, doc = run_json(capsys, "logogram", "sat", "1", "1", "--regions")
         assert len(doc["regions"]) == 2

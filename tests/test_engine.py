@@ -14,8 +14,8 @@ from logogram import (
     expand, full_slice, in_logogram, internal_independence,
     irreducibility_report, is_closed, is_complete, is_irreducible,
     isoexpansive, parse_string, reduced_logogram, simple_independence,
-    strong_independence, verify_galois, generic_problem, sat_problem,
-    sort_strings,
+    strong_independence, verify_galois, generic_problem, predicted_sat_logogram,
+    sat_problem, sort_strings,
 )
 
 
@@ -89,6 +89,15 @@ class TestInLogogram:
         slc = Slice(BINARY, 2, ["11", "00"])
         with pytest.raises(ValueError):
             in_logogram(VOID, [slc.word("01")], slc)
+
+    @pytest.mark.parametrize("target", [["01"], [1], [0, 3, 2], [4], [-1], [-5]])
+    def test_packed_target_outside_slice_rejected(self, target):
+        # words of the cube missing from E, and integers outside the cube
+        slc = Slice(BINARY, 2, ["11", "00"])
+        for run in (in_logogram, reduced_logogram, closure_ba, is_closed):
+            args = (VOID, target, slc) if run is in_logogram else (target, slc)
+            with pytest.raises(ValueError, match="outside the slice"):
+                run(*args)
 
 
 class TestReducedLogogram:
@@ -188,6 +197,57 @@ class TestReducedLogogram:
         assert frontier.level >= 1
         expected = set(sat_problem(2, 2).logogram().elements)
         assert set(frontier.minimal_so_far) <= expected
+
+    def test_budget_counts_distinct_subproblems(self):
+        # the charge count of a finished search is exactly enough budget;
+        # one less stops in the last branch of position 1, after the
+        # branches before it are final
+        p = sat_problem(2, 2)
+        meter = Budget().start("probe")
+        chain = reduced_logogram(p.f_ints, p.slice, meter=meter)
+        used = meter.count
+        assert reduced_logogram(p.f_ints, p.slice, Budget(max_strings=used)) == chain
+        with pytest.raises(BudgetExceededError) as err:
+            reduced_logogram(p.f_ints, p.slice, Budget(max_strings=used - 1))
+        frontier = err.value.partial
+        assert 1 <= frontier.level <= p.slice.length
+        assert frontier.live_count < used
+        assert frontier.minimal_so_far
+        assert set(frontier.minimal_so_far) < set(chain.elements)
+
+    def test_matches_oracle_on_random_slices(self):
+        # explicit and predicate slices over 1 to 4 letters; targets empty,
+        # the whole slice, and random subsets
+        rng = random.Random(20080)
+        shapes = [("a", 1), ("a", 3), ("01", 1), ("01", 4), ("01", 5),
+                  ("012", 2), ("012", 3), ("0123", 2), ("0123", 3)]
+        for letters, length in shapes:
+            alphabet = Alphabet.of(letters)
+            words = oracles.all_words(letters, length)
+            for trial in range(40):
+                e = sorted(rng.sample(words, rng.randint(1, len(words))))
+                if trial % 2:
+                    slc = Slice(alphabet, length, e)
+                else:
+                    keep = frozenset(e)
+                    slc = Slice(alphabet, length,
+                                lambda w, keep=keep, n=length: w.render(n) in keep)
+                if trial == 0:
+                    a = []
+                elif trial == 1:
+                    a = e
+                else:
+                    a = [w for w in e if rng.random() < rng.random()]
+                chain = reduced_logogram(a, slc)
+                expected = oracles.canonical_order(
+                    oracles.brute_reduced_logogram(e, a), letters)
+                assert chain.texts(length) == expected, (letters, length, e, a)
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (2, 6)])
+    def test_sat_matches_closed_form_at_larger_shapes(self, n, m):
+        # 3^12 words each; built outside the adapter's cache
+        p = sat_problem.__wrapped__(n, m)
+        assert p.logogram() == predicted_sat_logogram(p.cnf_shape)
 
 
 class TestEntanglement:
@@ -343,6 +403,30 @@ class TestIndependenceOracle:
                 else:
                     cx = report.counterexample
                     assert (cx["f"], cx["g"]) == hit and not cx["extends"], label
+
+    def test_internal_verdict_is_the_neighbour_condition(self):
+        # internal independence holds exactly when every word of E has, at
+        # every position, a neighbour in E; checked uncapped against the
+        # engine and against the per-pair definition
+        rng = random.Random(47)
+        cases = [(Alphabet.of("a"), length) for length in (1, 2, 3)]
+        cases += [(BINARY, rng.randint(1, 4)) for _ in range(60)]
+        cases += [(TERNARY, rng.randint(1, 3)) for _ in range(40)]
+        verdicts = {True: 0, False: 0}
+        for alphabet, length in cases:
+            letters = "".join(alphabet.letters)
+            words = oracles.all_words(letters, length)
+            drop = min(rng.choice([0, 1, 2, len(words) // 2]), len(words) - 1)
+            e = sorted(set(words) - set(rng.sample(words, drop)))
+            slc = Slice(alphabet, length, e)
+            sigma = len(oracles.sigma_members(e))
+            expected = oracles.neighbours_everywhere(e, letters)
+            report = internal_independence(slc, Budget(max_strings=sigma * sigma))
+            assert not report.budget_exhausted and report.strings_checked == sigma
+            assert report.passed == expected, (letters, length, e)
+            assert oracles.brute_internal_independence(e, letters, sigma)[2] == expected
+            verdicts[expected] += 1
+        assert min(verdicts.values()) >= 10, verdicts
 
     def test_simple_and_strong_match_oracle_on_random_problems(self):
         rng = random.Random(43)

@@ -62,16 +62,6 @@ class TestPacking:
         with pytest.raises(ValueError):
             slc.int_of_word(parse_string("1_2", TERNARY))
 
-    def test_code_roundtrip(self):
-        # lengths 6 and 7 decode in more than one block of positions
-        for alphabet, length in [(TERNARY, 3), (TERNARY, 6), (BINARY, 7)]:
-            slc = full_slice(alphabet, length)
-            cells = [None] + list(range(len(alphabet)))
-            for combo in product(cells, repeat=length):
-                pairs = tuple((p + 1, d) for p, d in enumerate(combo) if d is not None)
-                assert slc.pairs_of_code(slc.code_of_pairs(pairs)) == pairs
-
-
     @pytest.mark.parametrize("alphabet,length", [
         (BINARY, 1), (BINARY, 3), (TERNARY, 3), (BINARY, 10)])
     def test_mask_roundtrip(self, alphabet, length):

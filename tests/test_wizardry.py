@@ -2,10 +2,11 @@
 
 import pytest
 
+import logogram.budget
 from logogram import (
-    classify, composite_problem, connectivity_problem, cover, expand,
-    generic_problem, in_logogram, reduced_logogram, sat_problem,
-    witness_union_complete,
+    Budget, BudgetExceededError, classify, composite_problem,
+    connectivity_problem, cover, expand, generic_problem, in_logogram,
+    reduced_logogram, sat_problem, witness_union_complete,
 )
 
 SINGLE_REGION = {
@@ -148,3 +149,35 @@ class TestCover:
     def test_rows_for_csv(self):
         rows = cover(sat_problem(1, 1)).rows()
         assert rows == [("1", 1, 1), ("2", 1, 1)]
+
+
+class TestRegionTestBudget:
+    class TickingClock:
+        """Stands in for the budget module's clock: one second per read."""
+
+        def __init__(self):
+            self.now = 0.0
+
+        def monotonic(self):
+            self.now += 1.0
+            return self.now
+
+    @pytest.mark.parametrize("run,what", [(classify, "wizards"), (cover, "cover")])
+    def test_out_of_time_between_strings(self, monkeypatch, run, what):
+        # the search is done (cached) before the clock is patched, so every
+        # read after the meter starts comes from the per-string check: the
+        # deadline of 3.5 s passes at the third string
+        problem = composite_problem(6)
+        problem.logogram()
+        assert len(problem.logogram()) > 3
+        monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{what}: composite:6: out of time after 2 of "):
+            run(problem, Budget(max_seconds=2.5))
+
+    @pytest.mark.parametrize("run", [classify, cover])
+    def test_report_unchanged_while_time_remains(self, monkeypatch, run):
+        problem = composite_problem(6)
+        expected = run(problem).to_json_dict()
+        monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
+        assert run(problem, Budget(max_seconds=1e6)).to_json_dict() == expected
