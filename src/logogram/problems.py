@@ -12,13 +12,14 @@ table-driven problems read from JSON descriptors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import isqrt
+from operator import or_
 from typing import Callable, Iterable
 
 from .budget import Budget
-from .engine import Antichain, reduced_logogram
+from .engine import Antichain, reduced_logogram_of_mask
 from .strings import BINARY, TERNARY, Alphabet, PartialString
 from .universe import Slice, full_slice
 
@@ -35,17 +36,19 @@ class DegenerateProblemError(ValueError):
 class ProblemSlice:
     """A slice with a target subset, solutions, and regions.
 
-    Each solution's region (the words it satisfies) is held as a mask over
-    the slice, bit i standing for packed word i (see
-    :meth:`Slice.mask_of_ints`); the adapters build these masks
-    arithmetically, never testing a (word, solution) pair. The regions must
-    cover the target exactly: their OR is compared with ``f_membership``
-    run once per word of the slice. Instances are immutable after
-    construction; reduced logograms are computed on demand and cached.
+    The target and each solution's region (the words it satisfies) are
+    masks over the slice, bit i standing for packed word i (see
+    :meth:`Slice.mask_of_ints`); the adapters build them arithmetically or
+    by one scan of packed words, never testing a (word, solution) pair,
+    and the engine searches them as they are. The regions must cover the
+    target exactly: their OR must equal ``target_mask``, else
+    :class:`ProblemFormatError` is raised; ``target_mask=None`` takes the
+    target to be that OR. Instances are immutable after construction;
+    reduced logograms are computed on demand and cached.
     """
 
     def __init__(self, slc: Slice, solutions: Iterable, region_masks: Iterable[int],
-                 label: str, f_membership: Callable | None = None,
+                 label: str, target_mask: int | None = None,
                  solution_text: Callable = str, cnf_shape: "CnfShape | None" = None):
         self.slice = slc
         self.solutions = tuple(solutions)
@@ -53,23 +56,18 @@ class ProblemSlice:
         self.solution_text = solution_text
         self.cnf_shape = cnf_shape
         self._region_masks = tuple(region_masks)
-        union = 0
-        for m in self._region_masks:
-            union |= m
-        if f_membership is None:
-            self._f_mask = union
-        else:
-            self._f_mask = slc.mask_of_ints(
-                i for i in slc.word_ints() if f_membership(slc.word_of_int(i)))
-            if self._f_mask != union:
-                raise ProblemFormatError(
-                    f"{label}: regions do not cover the target exactly "
-                    f"({union.bit_count()} region words vs "
-                    f"{self._f_mask.bit_count()} target words)")
-        self.f_ints = frozenset(slc.ints_of_mask(self._f_mask))
-        if not self.f_ints:
+        union = reduce(or_, self._region_masks, 0)
+        if target_mask is not None and target_mask != union:
+            raise ProblemFormatError(
+                f"{label}: regions do not cover the target exactly "
+                f"({union.bit_count()} region words vs "
+                f"{target_mask.bit_count()} target words)")
+        if union & ~slc.e_mask():
+            raise ProblemFormatError(f"{label}: regions hold words outside the slice")
+        self._f_mask = union
+        if not union:
             raise DegenerateProblemError(f"{label}: empty target set")
-        if len(self.f_ints) == slc.word_count():
+        if union == slc.e_mask():
             raise DegenerateProblemError(f"{label}: target set is the whole slice")
         self._logogram: Antichain | None = None
         self._region_logograms: dict[int, Antichain] = {}
@@ -83,9 +81,6 @@ class ProblemSlice:
         """The words the index-th solution satisfies, as a mask."""
         return self._region_masks[index]
 
-    def region_ints(self, index: int) -> frozenset[int]:
-        return frozenset(self.slice.ints_of_mask(self._region_masks[index]))
-
     def f_mask(self) -> int:
         """The target set as a mask over the slice (see :meth:`Slice.cylinder`)."""
         return self._f_mask
@@ -96,7 +91,7 @@ class ProblemSlice:
         return bool(mask >> self.slice.int_of_word(word) & 1)
 
     def accepts(self, word: PartialString) -> bool:
-        return self.slice.int_of_word(word) in self.f_ints
+        return bool(self._f_mask >> self.slice.int_of_word(word) & 1)
 
     def f_words(self) -> tuple[PartialString, ...]:
         return tuple(map(self.slice.word_of_int, self.slice.ints_of_mask(self._f_mask)))
@@ -106,15 +101,15 @@ class ProblemSlice:
 
     def logogram(self, budget: Budget | None = None, meter=None) -> Antichain:
         if self._logogram is None:
-            self._logogram = reduced_logogram(self.f_ints, self.slice, budget,
-                                              meter=meter)
+            self._logogram = reduced_logogram_of_mask(self._f_mask, self.slice, budget,
+                                                      meter=meter)
         return self._logogram
 
     def region_logogram(self, index: int, budget: Budget | None = None,
                         meter=None) -> Antichain:
         if index not in self._region_logograms:
-            self._region_logograms[index] = reduced_logogram(
-                self.region_ints(index), self.slice, budget, meter=meter)
+            self._region_logograms[index] = reduced_logogram_of_mask(
+                self._region_masks[index], self.slice, budget, meter=meter)
         return self._region_logograms[index]
 
     def descriptor(self) -> dict:
@@ -294,22 +289,15 @@ def composite_problem(width: int) -> ProblemSlice:
         raise ValueError("width must be >= 1")
     slc = full_slice(BINARY, width, label=f"bin:{width}")
 
-    def value(word: PartialString) -> int:
-        v = 0
-        for _, ch in word.pairs:
-            v = v * 2 + (ch == "1")
-        return v
-
-    def is_composite(word: PartialString) -> bool:
-        v = value(word)
+    def is_composite(v: int) -> bool:
         return v >= 4 and any(v % d == 0 for d in range(2, isqrt(v) + 1))
 
-    # a word's packed index is its value, so d's region is the multiples
-    # of d from 2d up
+    # a word's packed index is its value, so the target is the composite
+    # values and d's region is the multiples of d from 2d up
     divisors = range(2, 2 ** width)
     regions = (slc.mask_of_ints(range(2 * d, 2 ** width, d)) for d in divisors)
-    return ProblemSlice(slc, divisors, regions,
-                        label=f"composite:{width}", f_membership=is_composite)
+    return ProblemSlice(slc, divisors, regions, label=f"composite:{width}",
+                        target_mask=slc.mask_of_ints(filter(is_composite, range(2 ** width))))
 
 
 # -- graph connectivity ------------------------------------------------------
@@ -343,8 +331,11 @@ def connectivity_problem(vertices: int) -> ProblemSlice:
                     stack.append(u)
         return len(seen) == vertices
 
-    def connected(word: PartialString) -> bool:
-        return reaches_all(p - 1 for p, ch in word.pairs if ch == "1")
+    # edge e is position e + 1, the digit of weight 2^(L-1-e) in a packed word
+    bits = [(e, 1 << (len(edges) - 1 - e)) for e in range(len(edges))]
+
+    def connected(value: int) -> bool:
+        return reaches_all(e for e, bit in bits if value & bit)
 
     trees = tuple(combo for combo in combinations(range(len(edges)), vertices - 1)
                   if reaches_all(combo))
@@ -361,7 +352,8 @@ def connectivity_problem(vertices: int) -> ProblemSlice:
         return "+".join(f"{edges[e][0]}-{edges[e][1]}" for e in tree)
 
     return ProblemSlice(slc, trees, map(region, trees), label=f"connectivity:{vertices}",
-                        f_membership=connected, solution_text=tree_text)
+                        target_mask=slc.mask_of_ints(filter(connected, range(slc.total_words))),
+                        solution_text=tree_text)
 
 
 # -- table-driven problems ---------------------------------------------------
@@ -387,14 +379,14 @@ def generic_problem(doc: dict) -> ProblemSlice:
     label = doc.get("label") or "generic"
     slc = Slice(alphabet, length, doc["universe"], label=f"{label}:universe")
 
-    def words_of(texts, what: str) -> frozenset[int]:
-        out = set()
+    def words_of(texts, what: str) -> int:
+        ints = []
         for t in texts:
-            w = slc.word(t)
-            if not slc.contains(w):
+            i = slc.int_of_word(slc.word(t))
+            if not slc.contains_int(i):
                 raise ProblemFormatError(f"{what} word {t!r} is outside the universe")
-            out.add(slc.int_of_word(w))
-        return frozenset(out)
+            ints.append(i)
+        return slc.mask_of_ints(ints)
 
     target = words_of(doc["target"], "target")
     regions = [words_of(r, f"region {i + 1}") for i, r in enumerate(doc["regions"])]
@@ -404,8 +396,4 @@ def generic_problem(doc: dict) -> ProblemSlice:
     if len(set(names)) != len(names):
         raise ProblemFormatError("solution names must be distinct")
 
-    def in_target(word: PartialString) -> bool:
-        return slc.int_of_word(word) in target
-
-    return ProblemSlice(slc, tuple(names), map(slc.mask_of_ints, regions), label=label,
-                        f_membership=in_target)
+    return ProblemSlice(slc, tuple(names), regions, label=label, target_mask=target)

@@ -239,11 +239,17 @@ def compare_kernels(first: DecisionProgram, second: DecisionProgram, problem,
 
 def trace_records(program: DecisionProgram, problem,
                   budget: Budget | None = None) -> Iterator[dict]:
-    """JSON-ready trace dump, one record per input word."""
-    log = problem.logogram(budget)
+    """JSON-ready trace dump, one record per input word. The clock is
+    checked once per word."""
+    budget = budget or Budget.default()
+    meter = budget.start(f"trace dump: {program.name}")
+    log = problem.logogram(meter=meter)
     slc = problem.slice
     inside = _certifier(log.elements, slc.length)
     for i in slc.word_ints():
+        if meter.out_of_time():
+            raise BudgetExceededError(
+                f"trace dump for {program.name}: out of time at word {slc.text_of_int(i)!r}")
         trace = _run(program, slc.length, _packed_letters(slc, i))
         certifying = []
         if trace.verdict == Verdict.ACCEPT:
@@ -316,18 +322,29 @@ def backward_assignment_scan(problem) -> DecisionProgram:
 def clause_first_scan(problem) -> DecisionProgram:
     """Probe whole clause blocks in order, keeping the set of assignments
     that satisfy everything probed so far; reject as soon as it empties,
-    accept once every block has been read with survivors left."""
+    accept once every block has been read with survivors left.
+
+    The assignments are bits of a mask, with one mask per (variable, slot
+    code) of the assignments that code makes true there: a block keeps the
+    viable assignments ANDed with the OR of its slots' masks.
+    """
     shape = _require_shape(problem)
     n, m = shape.var_count, shape.clause_count
+    makes_true: list[dict[str, int]] = [{} for _ in range(n)]
+    for j, bits in enumerate(problem.solutions):
+        for v in range(n):
+            code = "1" if bits[v] else "2"
+            makes_true[v][code] = makes_true[v].get(code, 0) | 1 << j
+    everyone = (1 << len(problem.solutions)) - 1
 
     def decide(probe):
-        viable = list(problem.solutions)
+        viable = everyone
         for c in range(m):
             base = c * n
-            block = [(v, probe(base + v + 1)) for v in range(n)]
-            viable = [bits for bits in viable
-                      if any((ch == "1" and bits[v]) or (ch == "2" and not bits[v])
-                             for v, ch in block)]
+            block = 0
+            for v in range(n):
+                block |= makes_true[v].get(probe(base + v + 1), 0)
+            viable &= block
             if not viable:
                 return False
         return True

@@ -6,8 +6,10 @@ checkable. Words are packed into integers (base k, position 1 most
 significant) so that ascending integer order is exactly the canonical
 lexicographic order. A partial string restricted to a slice is a tuple of
 (position, letter index) pairs. A set of words is held as a bitmask, bit
-i standing for packed word i, so that the words extending a string (its
-cylinder) are one AND of per-position masks.
+i standing for packed word i, and this is the only form a word set takes:
+the slice's own membership is one mask, and the words extending a string
+(its cylinder) are that mask ANDed with per-position masks. Word tuples
+are decoded from a mask only where a caller lists words.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ class Slice:
     """All words of one length over one alphabet, filtered by membership.
 
     ``membership`` may be ``"all"``, an explicit collection of words (texts
-    or total strings), or a predicate on words. Slices are immutable;
-    derived tables are cached on first use.
+    or total strings), or a predicate on words. Either way it becomes one
+    mask, :meth:`e_mask`: an explicit collection is masked at construction,
+    a predicate is run once per word of the cube on the first call, and
+    :class:`DegenerateSliceError` is raised when no word is a member.
+    Slices are immutable; derived tables are cached on first use.
     """
 
     def __init__(self, alphabet: Alphabet, length: int,
@@ -49,24 +54,20 @@ class Slice:
         self.length = length
         self.label = label or f"{''.join(alphabet)}^{length}"
         self._word_weights = tuple(k ** (length - p) for p in range(1, length + 1))
-        self._e_ints: tuple[int, ...] | None = None
-        self._e_set: frozenset[int] | None = None
         self._e_mask: int | None = None
         self._position_masks: tuple[tuple[int, ...], ...] | None = None
+        self._predicate = None
         if membership == "all":
             self._kind = "all"
-            self._predicate = None
         elif callable(membership):
             self._kind = "predicate"
             self._predicate = membership
         else:
             self._kind = "explicit"
-            ints = sorted({self.int_of_word(self._as_word(w)) for w in membership})
-            if not ints:
+            self._e_mask = self.mask_of_ints(
+                self.int_of_word(self._as_word(w)) for w in membership)
+            if not self._e_mask:
                 raise DegenerateSliceError(f"{self.label}: empty word set")
-            self._e_ints = tuple(ints)
-            self._e_set = frozenset(ints)
-            self._predicate = None
 
     def _as_word(self, w) -> PartialString:
         if isinstance(w, PartialString):
@@ -118,37 +119,15 @@ class Slice:
 
     # -- membership ------------------------------------------------------
 
-    def _materialize(self) -> None:
-        if self._e_ints is not None:
-            return
-        if self._kind == "all":
-            self._e_ints = tuple(range(self.total_words))
-        else:
-            self._e_ints = tuple(
-                i for i in range(self.total_words)
-                if self._predicate(self.word_of_int(i)))
-            if not self._e_ints:
-                raise DegenerateSliceError(f"{self.label}: membership predicate rejects every word")
-            self._e_set = frozenset(self._e_ints)
-
     def word_ints(self) -> tuple[int, ...]:
-        self._materialize()
-        return self._e_ints
-
-    def e_set(self) -> frozenset[int] | None:
-        """Membership as a set of packed words, or None for a full cube."""
-        if self._kind == "all":
-            return None
-        self._materialize()
-        return self._e_set
+        """The packed words of the slice, ascending."""
+        return self.ints_of_mask(self.e_mask())
 
     def word_count(self) -> int:
-        return len(self.word_ints())
+        return self.e_mask().bit_count()
 
     def contains_int(self, value: int) -> bool:
-        if self._kind == "all":
-            return 0 <= value < self.total_words
-        return value in self.e_set()
+        return 0 <= value < self.total_words and bool(self.e_mask() >> value & 1)
 
     def contains(self, word: PartialString) -> bool:
         return self.contains_int(self.int_of_word(word))
@@ -178,7 +157,12 @@ class Slice:
             if self._kind == "all":
                 self._e_mask = (1 << self.total_words) - 1
             else:
-                self._e_mask = self.mask_of_ints(self.word_ints())
+                self._e_mask = self.mask_of_ints(
+                    i for i in range(self.total_words)
+                    if self._predicate(self.word_of_int(i)))
+                if not self._e_mask:
+                    raise DegenerateSliceError(
+                        f"{self.label}: membership predicate rejects every word")
         return self._e_mask
 
     def position_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -302,11 +286,6 @@ def expand_mask(strings: Iterable[PartialString], slc: Slice) -> int:
         if pairs is not None:
             out |= slc.cylinder(pairs)
     return out
-
-
-def expand_ints(strings: Iterable[PartialString], slc: Slice) -> frozenset[int]:
-    """Packed words of the slice that extend at least one of the strings."""
-    return frozenset(slc.ints_of_mask(expand_mask(strings, slc)))
 
 
 def expand(strings: Iterable[PartialString], slc: Slice) -> tuple[PartialString, ...]:

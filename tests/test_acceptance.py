@@ -50,13 +50,13 @@ def test_criterion_reduced_logogram_oracle_equivalence():
         for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3),
                      (2, 3), (3, 2), (4, 1), (4, 2)]:
             p = sat_problem(n, m)
-            cases.append((p.slice, p.f_ints, p.logogram()))
+            cases.append((p.slice, p.slice.ints_of_mask(p.f_mask()), p.logogram()))
         for width in (3, 4, 5, 6):
             p = composite_problem(width)
-            cases.append((p.slice, p.f_ints, p.logogram()))
+            cases.append((p.slice, p.slice.ints_of_mask(p.f_mask()), p.logogram()))
         for v in (2, 3, 4):
             p = connectivity_problem(v)
-            cases.append((p.slice, p.f_ints, p.logogram()))
+            cases.append((p.slice, p.slice.ints_of_mask(p.f_mask()), p.logogram()))
         rng = random.Random(2024)
         tern3 = full_slice(TERNARY, 3)
         for _ in range(6):

@@ -135,6 +135,13 @@ class TestGaloisCommand:
         assert doc["verdict"] == "pass"
         assert all(c["verdict"] == "pass" for c in doc["checks"])
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_sample_count_exits_1(self, capsys, samples):
+        code, out, err = run(capsys, "galois", "sat", "1", "1", "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert "sample count must be >= 1" in err
+
 
 class TestKernelCommand:
     def test_sat_2x1(self, capsys):

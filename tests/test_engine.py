@@ -82,8 +82,18 @@ class TestInLogogram:
 
     def test_sat_1x1(self):
         p = sat_problem(1, 1)
-        assert in_logogram(ps("1"), p.f_ints, p.slice)
-        assert not in_logogram(VOID, p.f_ints, p.slice)
+        assert in_logogram(ps("1"), p.slice.ints_of_mask(p.f_mask()), p.slice)
+        assert not in_logogram(VOID, p.slice.ints_of_mask(p.f_mask()), p.slice)
+
+    @pytest.mark.parametrize("text", ["__1", "_3", "3"])
+    def test_string_outside_the_slice_is_not_a_member(self, text):
+        # a position past L, or a letter outside the alphabet, occurs in no
+        # word of the slice, even when every word is a target word
+        slc = full_slice(TERNARY, 2)
+        string = parse_string(text, Alphabet.of("0123"))
+        everything = list(slc.word_ints())
+        assert not in_logogram(string, everything, slc)
+        assert not closure_ab_contains(string, [VOID], slc)
 
     def test_target_outside_slice_rejected(self):
         slc = Slice(BINARY, 2, ["11", "00"])
@@ -192,7 +202,7 @@ class TestReducedLogogram:
     def test_budget_exhaustion_carries_frontier(self):
         p = sat_problem(2, 2)
         with pytest.raises(BudgetExceededError) as err:
-            reduced_logogram(p.f_ints, p.slice, Budget(max_strings=10))
+            reduced_logogram(p.slice.ints_of_mask(p.f_mask()), p.slice, Budget(max_strings=10))
         frontier = err.value.partial
         assert frontier.level >= 1
         expected = set(sat_problem(2, 2).logogram().elements)
@@ -204,11 +214,11 @@ class TestReducedLogogram:
         # branches before it are final
         p = sat_problem(2, 2)
         meter = Budget().start("probe")
-        chain = reduced_logogram(p.f_ints, p.slice, meter=meter)
+        chain = reduced_logogram(p.slice.ints_of_mask(p.f_mask()), p.slice, meter=meter)
         used = meter.count
-        assert reduced_logogram(p.f_ints, p.slice, Budget(max_strings=used)) == chain
+        assert reduced_logogram(p.slice.ints_of_mask(p.f_mask()), p.slice, Budget(max_strings=used)) == chain
         with pytest.raises(BudgetExceededError) as err:
-            reduced_logogram(p.f_ints, p.slice, Budget(max_strings=used - 1))
+            reduced_logogram(p.slice.ints_of_mask(p.f_mask()), p.slice, Budget(max_strings=used - 1))
         frontier = err.value.partial
         assert 1 <= frontier.level <= p.slice.length
         assert frontier.live_count < used
@@ -470,7 +480,7 @@ class TestClosures:
 
     def test_sat_1x1_target_closed(self):
         p = sat_problem(1, 1)
-        closed = closure_ba(p.f_ints, p.slice)
+        closed = closure_ba(p.slice.ints_of_mask(p.f_mask()), p.slice)
         assert [w.render(1) for w in closed] == ["1", "2"]
 
     def test_binary_singleton_closed(self):

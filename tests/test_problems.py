@@ -5,7 +5,7 @@ import pytest
 import oracles
 from logogram import (
     BINARY, TERNARY, CnfShape, DegenerateProblemError, PartialString,
-    ProblemFormatError, composite_problem, connectivity_problem, formula_word,
+    ProblemFormatError, ProblemSlice, Slice, composite_problem, connectivity_problem, formula_word,
     gamma, generic_problem, parse_string, predicted_sat_logogram, sat_problem,
 )
 
@@ -77,9 +77,10 @@ class TestSatProblem:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3)])
     def test_target_matches_truth_table_oracle(self, n, m):
         p = sat_problem(n, m)
+        f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
         for i in p.slice.word_ints():
             text = p.slice.text_of_int(i)
-            assert (i in p.f_ints) == oracles.truth_table_satisfiable(text, n, m)
+            assert (i in f_ints) == oracles.truth_table_satisfiable(text, n, m)
 
     def test_clause_decomposition(self):
         # satisfaction is the conjunction of per-clause satisfaction, checked
@@ -95,8 +96,9 @@ class TestSatProblem:
 
     def test_regions_cover_target(self):
         p = sat_problem(2, 2)
-        union = frozenset().union(*(p.region_ints(i) for i in range(p.alpha)))
-        assert union == p.f_ints
+        union = frozenset().union(
+            *(p.slice.ints_of_mask(p.region_mask(i)) for i in range(p.alpha)))
+        assert union == frozenset(p.slice.ints_of_mask(p.f_mask()))
 
 
 class TestRegionMasks:
@@ -209,13 +211,14 @@ class TestComposite:
     def test_matches_sieve(self, width):
         p = composite_problem(width)
         composites = oracles.sieve_composites(2 ** width)
-        assert {int(p.slice.text_of_int(i), 2) for i in p.f_ints} == composites
+        assert {int(p.slice.text_of_int(i), 2) for i in p.slice.ints_of_mask(p.f_mask())} == composites
 
     def test_membership_is_divisor_cover(self):
         p = composite_problem(5)
+        f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
         for i in p.slice.word_ints():
             w = p.slice.word_of_int(i)
-            assert (i in p.f_ints) == any(p.satisfies(w, d) for d in p.solutions)
+            assert (i in f_ints) == any(p.satisfies(w, d) for d in p.solutions)
 
 
 class TestConnectivity:
@@ -242,16 +245,33 @@ class TestConnectivity:
     def test_matches_union_find_oracle(self):
         p = connectivity_problem(4)
         edges = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
         for i in p.slice.word_ints():
             text = p.slice.text_of_int(i)
             present = [edges[k] for k, ch in enumerate(text) if ch == "1"]
-            assert (i in p.f_ints) == oracles.union_find_connected(4, present)
+            assert (i in f_ints) == oracles.union_find_connected(4, present)
 
     def test_connected_iff_tree_included(self):
         p = connectivity_problem(4)
+        f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
         for i in p.slice.word_ints():
             w = p.slice.word_of_int(i)
-            assert (i in p.f_ints) == any(p.satisfies(w, t) for t in p.solutions)
+            assert (i in f_ints) == any(p.satisfies(w, t) for t in p.solutions)
+
+
+class TestProblemSliceMasks:
+    # the universe {00, 01, 11}: bits 0, 1 and 3
+    @pytest.mark.parametrize("regions,target,error,match", [
+        ([0b0010], 0b1010, ProblemFormatError, "do not cover the target exactly"),
+        ([0b0010, 0b0100], None, ProblemFormatError, "outside the slice"),
+        ([0], None, DegenerateProblemError, "empty target"),
+        ([0b0011, 0b1000], 0b1011, DegenerateProblemError, "whole slice"),
+    ])
+    def test_construction_checks(self, regions, target, error, match):
+        slc = Slice(BINARY, 2, ["00", "01", "11"])
+        names = [f"r{i}" for i in range(len(regions))]
+        with pytest.raises(error, match=match):
+            ProblemSlice(slc, names, regions, "masks", target_mask=target)
 
 
 class TestGeneric:
@@ -291,10 +311,10 @@ class TestGeneric:
         original = sat_problem(1, 1)
         back = generic_problem(original.descriptor())
         assert back.slice.word_ints() == original.slice.word_ints()
-        assert back.f_ints == original.f_ints
+        assert back.f_mask() == original.f_mask()
         assert back.alpha == original.alpha
         for i in range(original.alpha):
-            assert back.region_ints(i) == original.region_ints(i)
+            assert back.region_mask(i) == original.region_mask(i)
         for w in map(original.slice.word_of_int, original.slice.word_ints()):
             for y_new, y_old in zip(back.solutions, original.solutions):
                 assert back.satisfies(w, y_new) == original.satisfies(w, y_old)

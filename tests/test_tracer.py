@@ -2,9 +2,10 @@
 
 import pytest
 
+import logogram.budget
 import oracles
 from logogram import (
-    DecisionProgram, MalformedProgramError, ProbeTrace, ProgramFaultError,
+    Budget, BudgetExceededError, DecisionProgram, MalformedProgramError, ProbeTrace, ProgramFaultError,
     Verdict, backward_assignment_scan, built_in_programs, clause_first_scan,
     compare_kernels, forward_assignment_scan, generic_problem, justified,
     kernel, parse_string, run_traced, sat_problem, trace_records, TERNARY,
@@ -89,13 +90,14 @@ class TestJustified:
     def test_accepting_restrictions_never_leave_the_target(self):
         # a justified accept's restriction cannot sit inside a rejected word
         p = sat_problem(2, 2)
+        f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
         for prog in built_in_programs(p):
             for record in trace_records(prog, p):
                 if record["verdict"] != "accept":
                     continue
                 restriction = {pos: ch for pos, ch in record["probes"]}
                 for i in p.slice.word_ints():
-                    if i in p.f_ints:
+                    if i in f_ints:
                         continue
                     text = p.slice.text_of_int(i)
                     assert not all(text[pos - 1] == ch
@@ -178,7 +180,7 @@ def oracle_sweep(program, p):
     texts = [slc.text_of_int(i) for i in slc.word_ints()]
     return oracles.sweep_kernel(
         program.decide, program.name, "".join(slc.alphabet.letters), slc.length,
-        texts, [slc.text_of_int(i) for i in p.f_ints], p.logogram().texts(slc.length))
+        texts, [slc.text_of_int(i) for i in slc.ints_of_mask(p.f_mask())], p.logogram().texts(slc.length))
 
 
 class TestKernelOracle:
@@ -303,6 +305,30 @@ class TestTraceRecords:
         assert accept["certifying_strings"] == ["1"]
         reject = next(r for r in records if r["input"] == "0")
         assert reject["certifying_strings"] == []
+
+    class TickingClock:
+        """Stands in for the budget module's clock: one second per read."""
+
+        def __init__(self):
+            self.now = 0.0
+
+        def monotonic(self):
+            self.now += 1.0
+            return self.now
+
+    def test_out_of_time_between_words(self, monkeypatch):
+        # the logogram is cached before the clock is patched, so every read
+        # after the meter starts comes from the per-word check: the deadline
+        # of 3.5 s passes at the third word, "02"
+        p = sat_problem(1, 2)
+        p.logogram()
+        monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
+        records = trace_records(forward_assignment_scan(p), p, Budget(max_seconds=2.5))
+        assert [r["input"] for r in (next(records), next(records))] == ["00", "01"]
+        with pytest.raises(BudgetExceededError,
+                           match="^trace dump for forward-assignment-scan: "
+                                 "out of time at word '02'$"):
+            next(records)
 
     def test_built_ins_need_clause_shape(self):
         doc = {"alphabet": ["0", "1"], "length": 2, "universe": "all",

@@ -50,6 +50,28 @@ class TestEnumeration:
         assert list(enumerate_words(slc)) == list(enumerate_words(slc))
 
 
+class TestMembership:
+    # each slice with its words, listed directly
+    CASES = [
+        (lambda: full_slice(TERNARY, 2), oracles.all_words("012", 2)),
+        (lambda: Slice(TERNARY, 2, ["21", "00", "12", "21"]), ["00", "12", "21"]),
+        (lambda: Slice(TERNARY, 2, lambda w: w.render(2).count("1") == 1),
+         ["01", "10", "12", "21"]),
+    ]
+
+    @pytest.mark.parametrize("make,words", CASES)
+    def test_views_agree_with_word_list(self, make, words):
+        slc = make()
+        ints = tuple(int(w, 3) for w in words)
+        assert slc.word_ints() == ints
+        assert slc.word_count() == len(words)
+        assert slc.e_mask() == sum(1 << i for i in ints)
+        for i in range(-1, slc.total_words + 1):
+            assert slc.contains_int(i) == (i in ints)
+        for text in oracles.all_words("012", 2):
+            assert slc.contains(slc.word(text)) == (text in words)
+
+
 class TestPacking:
     def test_int_roundtrip(self):
         slc = full_slice(TERNARY, 3)

@@ -94,7 +94,7 @@ class TestWitnessUnion:
         for problem in [sat_problem(2, 2), composite_problem(4)]:
             for i in range(problem.alpha):
                 for s in problem.region_logogram(i).elements:
-                    assert in_logogram(s, problem.f_ints, problem.slice)
+                    assert in_logogram(s, problem.slice.ints_of_mask(problem.f_mask()), problem.slice)
 
     def test_sat(self):
         assert witness_union_complete(sat_problem(2, 1))
@@ -139,7 +139,7 @@ class TestCover:
             problem = sat_problem(n, m)
             log = problem.logogram()
             for i in range(problem.alpha):
-                region = problem.region_ints(i)
+                region = frozenset(problem.slice.ints_of_mask(problem.region_mask(i)))
                 charts_inside = [
                     s for s in log.elements
                     if {problem.slice.int_of_word(w)
