@@ -16,6 +16,14 @@ Programs are deterministic given the letters they observe, so every word
 extending a trace's probed restriction runs through that same trace: the
 kernel sweep runs a program once per distinct probe trace, on the lowest
 word not yet covered, and settles the whole cylinder of the trace at once.
+The trace dump does the same and shares one record body across a cylinder.
+
+One runner per (program, slice) serves the sweep, the dump and single
+runs. Its probe callback enforces the probe discipline and builds the
+trace while probing: it reads each letter from the packed word, ANDs the
+(position, letter) mask into the trace's cylinder and records the letter
+index per position, from which the certifying strings are one AND per
+position over bitsets indexed by letter.
 
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
@@ -73,74 +81,88 @@ class DecisionProgram:
     decide: Callable[[Callable[[int], str]], bool]
 
 
-def _run(program: DecisionProgram, length: int,
-         letter_at: Callable[[int], str]) -> ProbeTrace:
-    """Run the program on the word whose letter at position p is
-    ``letter_at(p)``, enforcing the probe discipline."""
-    record: list[tuple[int, str]] = []
-    seen: set[int] = set()
+def _runner(program: DecisionProgram, slc):
+    """Packed word -> (accepted, cylinder, probed positions, letter indices)
+    of one run of the program on that word of the slice.
 
-    def probe(position: int) -> str:
-        if not isinstance(position, int) or not 1 <= position <= length:
-            raise MalformedProgramError(
-                f"{program.name}: probe outside positions 1..{length}: {position!r}")
-        if position in seen:
-            raise MalformedProgramError(
-                f"{program.name}: position {position} probed twice")
-        seen.add(position)
-        letter = letter_at(position)
-        record.append((position, letter))
-        return letter
-
-    accepted = program.decide(probe)
-    return ProbeTrace(tuple(record), Verdict.ACCEPT if accepted else Verdict.REJECT)
-
-
-def _packed_letters(slc, value: int) -> Callable[[int], str]:
-    """Position -> letter of the packed word ``value``."""
-    letters, k, ww = slc.alphabet.letters, len(slc.alphabet), slc._word_weights
-    return lambda p: letters[value // ww[p - 1] % k]
-
-
-def _trace_cylinder(trace: ProbeTrace, slc) -> int:
-    index = slc.alphabet.letters.index
-    return slc.cylinder(tuple((p, index(ch)) for p, ch in trace.probes))
-
-
-def _justified(trace: ProbeTrace, cyl: int, problem) -> bool:
-    if trace.verdict == Verdict.ACCEPT:
-        return _log_probe(cyl, problem.slice.e_mask() & ~problem.f_mask())
-    else:
-        return not cyl & problem.f_mask()
-
-
-def _certifier(elements: tuple[PartialString, ...],
-               length: int) -> Callable[[ProbeTrace], int]:
-    """Trace -> bitset of the elements included in its probed restriction.
-
-    With one bitset per position of the elements blank there, and one per
-    (position, letter) of those blank there or holding that letter, the
-    elements inside a restriction are one AND per position.
+    The probe callback enforces the discipline and builds the trace as it
+    goes: it reads the letter index straight from the packed word, ANDs the
+    (position, letter) mask into the trace's cylinder within the slice, and
+    records the index per position, with ``k`` (the alphabet size) marking a
+    position not probed.
     """
+    name, length, decide = program.name, slc.length, program.decide
+    letters = slc.alphabet.letters
+    k, weights, masks, e = len(letters), slc._word_weights, slc.position_masks(), slc.e_mask()
+
+    def run(value: int) -> tuple[bool, int, list[int], list[int]]:
+        order: list[int] = []
+        index = [k] * length
+        cyl = e
+
+        def probe(position: int) -> str:
+            nonlocal cyl
+            if not isinstance(position, int) or not 1 <= position <= length:
+                raise MalformedProgramError(
+                    f"{name}: probe outside positions 1..{length}: {position!r}")
+            p = position - 1
+            if index[p] != k:
+                raise MalformedProgramError(f"{name}: position {position} probed twice")
+            d = index[p] = value // weights[p] % k
+            cyl &= masks[p][d]
+            order.append(position)
+            return letters[d]
+
+        accepted = bool(decide(probe))
+        return accepted, cyl, order, index
+
+    return run
+
+
+def _verdict_masks(problem) -> tuple[int, int]:
+    """The masks a justified accept and a justified reject must miss: the
+    slice's words outside the target, and the target."""
+    f = problem.f_mask()
+    return problem.slice.e_mask() & ~f, f
+
+
+def _justified(accepted: bool, cyl: int, off: int, f: int) -> bool:
+    return _log_probe(cyl, off) if accepted else not cyl & f
+
+
+def _certificate_rows(elements: tuple[PartialString, ...], slc) -> list[tuple[int, ...]]:
+    """``rows[p - 1][d]``: the elements blank at position p or holding letter
+    index d there, as a bitset, with ``d = k`` (not probed) for those blank.
+
+    The elements included in a probed restriction are then one AND per
+    position: see :func:`_inside`.
+    """
+    k, index = len(slc.alphabet), slc.alphabet.index
     everyone = (1 << len(elements)) - 1
-    blank = [everyone] * length
-    holding: list[dict[str, int]] = [{} for _ in range(length)]
+    blank = [everyone] * slc.length
+    holding = [[0] * k for _ in range(slc.length)]
     for j, g in enumerate(elements):
         for p, ch in g.pairs:
             blank[p - 1] &= ~(1 << j)
-            holding[p - 1][ch] = holding[p - 1].get(ch, 0) | 1 << j
-    allowed = [{ch: bits | b for ch, bits in row.items()}
-               for row, b in zip(holding, blank)]
+            holding[p - 1][index(ch)] |= 1 << j
+    return [tuple(bits | b for bits in row) + (b,) for row, b in zip(holding, blank)]
 
-    def inside(trace: ProbeTrace) -> int:
-        observed = dict(trace.probes)
-        out = everyone
-        for p in range(length):
-            ch = observed.get(p + 1)
-            out &= blank[p] if ch is None else allowed[p].get(ch, blank[p])
-        return out
 
-    return inside
+def _inside(rows: list[tuple[int, ...]], index: list[int]) -> int:
+    """The bitset of elements included in the restriction whose letter
+    indices per position are ``index``."""
+    out = -1
+    for row, d in zip(rows, index):
+        out &= row[d]
+    return out
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def run_traced(program: DecisionProgram, word: PartialString, problem) -> ProbeTrace:
@@ -148,7 +170,10 @@ def run_traced(program: DecisionProgram, word: PartialString, problem) -> ProbeT
     slc = problem.slice
     if not slc.contains(word):
         raise ValueError(f"{word!r} is not a word of the slice")
-    return _run(program, slc.length, dict(word.pairs).__getitem__)
+    accepted, _, order, index = _runner(program, slc)(slc.int_of_word(word))
+    letters = slc.alphabet.letters
+    return ProbeTrace(tuple((p, letters[index[p - 1]]) for p in order),
+                      Verdict.ACCEPT if accepted else Verdict.REJECT)
 
 
 def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
@@ -157,7 +182,9 @@ def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
     Accepts need the restriction to force the target; rejects need the
     restriction to admit no accepted extension within the slice.
     """
-    return _justified(trace, _trace_cylinder(trace, problem.slice), problem)
+    slc = problem.slice
+    cyl = slc.cylinder(tuple((p, slc.alphabet.index(ch)) for p, ch in trace.probes))
+    return _justified(trace.verdict == Verdict.ACCEPT, cyl, *_verdict_masks(problem))
 
 
 def kernel(program: DecisionProgram, problem,
@@ -177,29 +204,28 @@ def kernel(program: DecisionProgram, problem,
     meter = budget.start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    f = problem.f_mask()
-    inside = _certifier(log.elements, slc.length)
+    off, f = _verdict_masks(problem)
+    run = _runner(program, slc)
+    rows = _certificate_rows(log.elements, slc)
     used = 0
     uncovered = slc.e_mask()
     while uncovered:
         i = (uncovered & -uncovered).bit_length() - 1
         if meter.out_of_time():
             raise BudgetExceededError(
-                f"kernel sweep for {program.name}: out of time at word {i}")
-        trace = _run(program, slc.length, _packed_letters(slc, i))
-        cyl = _trace_cylinder(trace, slc)
+                f"kernel sweep for {program.name}: out of time at word {slc.text_of_int(i)!r}")
+        accepted, cyl, _, index = run(i)
         uncovered &= ~cyl
-        accepted = trace.verdict == Verdict.ACCEPT
         if accepted != bool(f >> i & 1):
             raise ProgramFaultError(slc.text_of_int(i),
                                     f"{program.name} gave the wrong verdict")
-        if not _justified(trace, cyl, problem):
+        if not _justified(accepted, cyl, off, f):
+            verdict = Verdict.ACCEPT if accepted else Verdict.REJECT
             raise ProgramFaultError(slc.text_of_int(i),
-                                    f"{program.name} was not justified in its {trace.verdict.value}")
+                                    f"{program.name} was not justified in its {verdict.value}")
         if accepted:
-            used |= inside(trace)
-    return Antichain.of((g for j, g in enumerate(log.elements) if used >> j & 1),
-                        slc.alphabet)
+            used |= _inside(rows, index)
+    return Antichain.of((log.elements[j] for j in _set_bits(used)), slc.alphabet)
 
 
 @dataclass(frozen=True)
@@ -239,30 +265,40 @@ def compare_kernels(first: DecisionProgram, second: DecisionProgram, problem,
 
 def trace_records(program: DecisionProgram, problem,
                   budget: Budget | None = None) -> Iterator[dict]:
-    """JSON-ready trace dump, one record per input word. The clock is
-    checked once per word."""
+    """JSON-ready trace dump, one record per input word, in word order.
+
+    The program runs once per distinct probe trace, on the trace's lowest
+    word; every word of the trace's cylinder shares that run's record body,
+    so their records hold the same ``probes`` and ``certifying_strings``
+    lists. The clock is checked once per word.
+    """
     budget = budget or Budget.default()
     meter = budget.start(f"trace dump: {program.name}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    inside = _certifier(log.elements, slc.length)
+    letters = slc.alphabet.letters
+    run = _runner(program, slc)
+    rows = _certificate_rows(log.elements, slc)
+    rendered = [g.render(slc.length) for g in log.elements]
+    off, f = _verdict_masks(problem)
+    pending: dict[int, dict] = {}  # covered words not yet dumped -> body
     for i in slc.word_ints():
         if meter.out_of_time():
             raise BudgetExceededError(
                 f"trace dump for {program.name}: out of time at word {slc.text_of_int(i)!r}")
-        trace = _run(program, slc.length, _packed_letters(slc, i))
-        certifying = []
-        if trace.verdict == Verdict.ACCEPT:
-            bits = inside(trace)
-            certifying = [g.render(slc.length) for j, g in enumerate(log.elements)
-                          if bits >> j & 1]
-        yield {
-            "input": slc.text_of_int(i),
-            "probes": [[p, ch] for p, ch in trace.probes],
-            "verdict": trace.verdict.value,
-            "justified": _justified(trace, _trace_cylinder(trace, slc), problem),
-            "certifying_strings": certifying,
-        }
+        body = pending.pop(i, None)
+        if body is None:
+            accepted, cyl, order, index = run(i)
+            bits = _inside(rows, index) if accepted else 0
+            body = {
+                "probes": [[p, letters[index[p - 1]]] for p in order],
+                "verdict": (Verdict.ACCEPT if accepted else Verdict.REJECT).value,
+                "justified": _justified(accepted, cyl, off, f),
+                "certifying_strings": [rendered[j] for j in _set_bits(bits)],
+            }
+            for j in _set_bits(cyl & ~(1 << i)):
+                pending[j] = body
+        yield {"input": slc.text_of_int(i), **body}
 
 
 # -- built-in traced solvers for the clause encoding ----------------------
@@ -279,28 +315,26 @@ def _assignment_scan(problem, name: str, backward: bool) -> DecisionProgram:
     shape = _require_shape(problem)
     n, m = shape.var_count, shape.clause_count
     assignments = tuple(reversed(problem.solutions)) if backward else problem.solutions
+    # per assignment, per clause: each slot's position with the letter that
+    # makes its literal true under the assignment
+    checks = tuple(
+        tuple(tuple((c * n + v + 1, "1" if bits[v] else "2") for v in range(n))
+              for c in range(m))
+        for bits in assignments)
 
     def decide(probe):
-        known: dict[int, str] = {}
-
-        def look(p: int) -> str:
-            ch = known.get(p)
-            if ch is None:
-                ch = known[p] = probe(p)
-            return ch
-
-        for bits in assignments:
-            satisfied = True
-            for c in range(m):
-                base = c * n
-                for v in range(n):
-                    ch = look(base + v + 1)
-                    if (ch == "1" and bits[v]) or (ch == "2" and not bits[v]):
+        known: list[str | None] = [None] * (n * m + 1)
+        for clauses in checks:
+            for clause in clauses:
+                for p, true_letter in clause:
+                    ch = known[p]
+                    if ch is None:
+                        ch = known[p] = probe(p)
+                    if ch == true_letter:
                         break
                 else:
-                    satisfied = False
                     break
-            if satisfied:
+            else:
                 return True
         return False
 

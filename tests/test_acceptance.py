@@ -169,9 +169,9 @@ def test_criterion_galois_laws():
 
 def test_criterion_all_solvers_share_the_kernel():
     with criterion("the three traced solvers are correct and justified on "
-                   "every input up to shape 2x2 and 2x3, with complete, "
+                   "every input up to shapes 2x3, 3x2 and 2x4, with complete, "
                    "identical kernels equal to the full logogram"):
-        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]:
+        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (2, 4)]:
             p = sat_problem(n, m)
             log = p.logogram()
             kernels = []

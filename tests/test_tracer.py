@@ -142,6 +142,18 @@ class TestKernel:
             kernel(psychic, p)
         assert "justified" in err.value.reason
 
+    def test_out_of_time_names_the_word(self, monkeypatch):
+        # the logogram is cached before the clock is patched; the sweep
+        # reads it once per trace, at "00", "10" and then "11", where the
+        # deadline of 3.5 s has passed
+        p = sat_problem(1, 2)
+        p.logogram()
+        monkeypatch.setattr(logogram.budget, "time", TestTraceRecords.TickingClock())
+        with pytest.raises(BudgetExceededError,
+                           match="^kernel sweep for forward-assignment-scan: "
+                                 "out of time at word '11'$"):
+            kernel(forward_assignment_scan(p), p, Budget(max_seconds=2.5))
+
     def test_probe_economy(self):
         p = sat_problem(2, 3)
         for prog in built_in_programs(p):
@@ -217,17 +229,25 @@ class TestKernelOracle:
             kernel(make(), p)
         assert (err.value.word_text, err.value.reason) == fault
 
-    @pytest.mark.parametrize("decide", [
-        lambda probe: probe(1) == probe(1),
-        lambda probe: probe(2) == "1" or probe(7) == "1",
-    ], ids=["revisit", "out-of-range"])
-    def test_probe_discipline(self, decide):
+    @pytest.mark.parametrize("decide,message", [
+        (lambda probe: probe(1) == probe(1), "malformed: position 1 probed twice"),
+        (lambda probe: probe(2) == "1" or probe(7) == "1",
+         "malformed: probe outside positions 1..2: 7"),
+        (lambda probe: probe(1.0) == "1", "malformed: probe outside positions 1..2: 1.0"),
+        (lambda probe: probe("1") == "1", "malformed: probe outside positions 1..2: '1'"),
+    ], ids=["revisit", "out-of-range", "float", "text"])
+    def test_probe_discipline(self, decide, message):
         p = sat_problem(2, 1)
         prog = DecisionProgram("malformed", decide)
-        with pytest.raises(MalformedProgramError):
+        with pytest.raises(MalformedProgramError) as err:
             kernel(prog, p)
-        with pytest.raises(MalformedProgramError):
+        assert str(err.value) == message
+        with pytest.raises(MalformedProgramError) as err:
             list(trace_records(prog, p))
+        assert str(err.value) == message
+        with pytest.raises(MalformedProgramError) as err:
+            run_traced(prog, p.slice.word("00"), p)
+        assert str(err.value) == message
 
     def test_runs_once_per_distinct_trace(self):
         p = sat_problem(2, 3)
@@ -244,6 +264,50 @@ class TestKernelOracle:
         kernel(DecisionProgram(prog.name, counted), p)
         assert calls == len(traces) == 347
         assert p.slice.word_count() == 729
+
+    def test_dump_runs_once_per_distinct_trace(self):
+        p = sat_problem(2, 3)
+        prog = forward_assignment_scan(p)
+        calls = 0
+
+        def counted(probe):
+            nonlocal calls
+            calls += 1
+            return prog.decide(probe)
+
+        records = list(trace_records(DecisionProgram(prog.name, counted), p))
+        assert [r["input"] for r in records] == [
+            p.slice.text_of_int(i) for i in p.slice.word_ints()]
+        assert len(records) == 729
+        assert calls == 347
+
+    @pytest.mark.parametrize("make", [
+        lambda: (sat_problem(2, 3), built_in_programs(sat_problem(2, 3))),
+        lambda: (generic_problem(EVEN4_DOC),
+                 (DecisionProgram("first-position", first_position),
+                  DecisionProgram("odd-tail", odd_tail))),
+    ], ids=["sat-2x3", "even-4"])
+    def test_dump_matches_per_word_runs(self, make):
+        p, programs = make()
+        slc, L = p.slice, p.slice.length
+        log = p.logogram().texts(L)
+        for prog in programs:
+            records = list(trace_records(prog, p))
+            assert len(records) == slc.word_count()
+            for i, record in zip(slc.word_ints(), records):
+                word = slc.word_of_int(i)
+                trace = run_traced(prog, word, p)
+                observed = dict(trace.probes)
+                restriction = "".join(observed.get(pos, "_") for pos in range(1, L + 1))
+                accepted = trace.verdict == Verdict.ACCEPT
+                assert record == {
+                    "input": slc.text_of_int(i),
+                    "probes": [[pos, ch] for pos, ch in trace.probes],
+                    "verdict": trace.verdict.value,
+                    "justified": justified(trace, word, p),
+                    "certifying_strings": [g for g in log if accepted
+                                           and oracles.includes(restriction, g)],
+                }, (prog.name, record["input"])
 
 
 class TestKernelLaws:
