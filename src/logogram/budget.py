@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 DEFAULT_MAX_STRINGS = 5_000_000
 DEFAULT_MAX_SECONDS = 300.0
@@ -30,14 +29,34 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
 class Budget:
-    max_strings: int = DEFAULT_MAX_STRINGS
-    max_seconds: float = DEFAULT_MAX_SECONDS
+    """Limits of one operation: charged steps and wall-clock seconds.
 
-    def __post_init__(self):
-        if self.max_strings <= 0 or self.max_seconds <= 0:
+    Budgets are immutable values, equal when both limits are.
+    """
+
+    def __init__(self, max_strings: int = DEFAULT_MAX_STRINGS,
+                 max_seconds: float = DEFAULT_MAX_SECONDS):
+        if max_strings <= 0 or max_seconds <= 0:
             raise ValueError("budget limits must be positive")
+        object.__setattr__(self, "max_strings", max_strings)
+        object.__setattr__(self, "max_seconds", max_seconds)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Budget.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_strings, self.max_seconds) == (other.max_strings, other.max_seconds)
+
+    def __hash__(self) -> int:
+        return hash((self.max_strings, self.max_seconds))
+
+    def __repr__(self) -> str:
+        return f"Budget(max_strings={self.max_strings!r}, max_seconds={self.max_seconds!r})"
 
     @classmethod
     def default(cls) -> "Budget":

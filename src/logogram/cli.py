@@ -4,28 +4,36 @@ Each subcommand selects a problem (``sat N M``, ``composite WIDTH``,
 ``connectivity V``, or ``generic PATH`` with a JSON descriptor), runs one
 analysis, and writes a deterministic report. Exit codes: 0 success, 1
 validation error, 2 budget exhausted, 3 a checked property failed.
+
+The analysis layers load on a handler's first use, so ``--help`` and each
+subcommand import only what they run. Handlers call them as attributes of
+this module (``_cli.kernel``), which resolve through the package on first
+access and can be replaced, for instance by a test or a tracer.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 from .budget import Budget, BudgetExceededError
-from .engine import internal_independence, irreducibility_report, is_complete, \
-    simple_independence, strong_independence, verify_galois
-from .problems import composite_problem, connectivity_problem, generic_problem, \
-    sat_problem
-from .tracer import ProgramFaultError, built_in_programs, kernel, trace_records
-from .wizardry import classify, cover
+
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
 EXIT_VIOLATION = 3
+
+
+def __getattr__(name: str):
+    """A public name of the package, loaded on first use and kept here."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 _PROBLEM_USAGE = "sat N M | composite WIDTH | connectivity V | generic PATH"
 
@@ -83,15 +91,15 @@ def _resolve_problem(kind: str, args: list[str]):
 
     if kind == "sat":
         n, m = ints(2)
-        return sat_problem(n, m)
+        return _cli.sat_problem(n, m)
     if kind == "composite":
-        return composite_problem(ints(1)[0])
+        return _cli.composite_problem(ints(1)[0])
     if kind == "connectivity":
-        return connectivity_problem(ints(1)[0])
+        return _cli.connectivity_problem(ints(1)[0])
     if len(args) != 1:
         raise ValueError("generic expects one descriptor path")
     with open(args[0], encoding="utf-8") as fh:
-        return generic_problem(json.load(fh))
+        return _cli.generic_problem(json.load(fh))
 
 
 def _antichain_doc(chain, problem, set_label: str) -> dict:
@@ -117,7 +125,7 @@ def cmd_logogram(ns, problem, budget):
 
 
 def cmd_wizards(ns, problem, budget):
-    report = classify(problem, budget)
+    report = _cli.classify(problem, budget)
     doc = report.to_json_dict()
     rows = [("string", "kind", "regions")]
     for e in report.entries:
@@ -131,9 +139,9 @@ def cmd_independence(ns, problem, budget):
     # three metered checks share the subcommand's wall-clock allowance
     share = Budget(budget.max_strings, budget.max_seconds / 3)
     reports = [
-        internal_independence(problem.slice, share),
-        simple_independence(problem, share),
-        strong_independence(problem, share),
+        _cli.internal_independence(problem.slice, share),
+        _cli.simple_independence(problem, share),
+        _cli.strong_independence(problem, share),
     ]
     doc = {"problem": problem.label}
     for rep in reports:
@@ -146,7 +154,7 @@ def cmd_independence(ns, problem, budget):
 
 def cmd_irreducible(ns, problem, budget):
     log = problem.logogram(budget)
-    report = irreducibility_report(log.elements, problem, budget)
+    report = _cli.irreducibility_report(log.elements, problem, budget)
     L = problem.slice.length
     doc = {
         "problem": problem.label,
@@ -162,8 +170,8 @@ def cmd_irreducible(ns, problem, budget):
 
 
 def cmd_galois(ns, problem, budget):
-    report = verify_galois(problem.slice, sample_count=ns.samples,
-                           seed=ns.seed, budget=budget)
+    report = _cli.verify_galois(problem.slice, sample_count=ns.samples,
+                                seed=ns.seed, budget=budget)
     doc = report.to_json_dict()
     rows = [("law", "samples", "verdict")]
     rows += [(c["eq"], c["samples"], c["verdict"]) for c in doc["checks"]]
@@ -173,16 +181,18 @@ def cmd_galois(ns, problem, budget):
 def cmd_kernel(ns, problem, budget):
     log = problem.logogram(budget)
     L = problem.slice.length
-    programs = built_in_programs(problem)
-    # per-program sweeps and the final irreducibility check split the clock
-    share = Budget(budget.max_strings, budget.max_seconds / (len(programs) + 1))
+    programs = _cli.built_in_programs(problem)
+    # per-program sweeps, per-program trace dumps when asked for, and the
+    # final irreducibility check split the clock
+    sweeps = len(programs) * (2 if ns.dump_traces else 1)
+    share = Budget(budget.max_strings, budget.max_seconds / (sweeps + 1))
     entries = []
     fault = None
     kernels = {}
     for prog in programs:
         try:
-            k = kernel(prog, problem, share)
-        except ProgramFaultError as err:
+            k = _cli.kernel(prog, problem, share)
+        except _cli.ProgramFaultError as err:
             fault = str(err)
             break
         kernels[prog.name] = k
@@ -190,20 +200,21 @@ def cmd_kernel(ns, problem, budget):
             "name": prog.name,
             "kernel": k.texts(L),
             "size": len(k),
-            "complete": is_complete(k.elements, problem, share),
+            "complete": _cli.is_complete(k.elements, problem, share),
             "matches_logogram": k.elements == log.elements,
         })
     if ns.dump_traces and fault is None:
         with open(ns.dump_traces, "w", encoding="utf-8") as fh:
             for prog in programs:
-                for record in trace_records(prog, problem, budget):
+                for record in _cli.trace_records(prog, problem, share):
                     fh.write(json.dumps({"program": prog.name, **record},
                                         sort_keys=True) + "\n")
     all_equal = len({tuple(k.elements) for k in kernels.values()}) <= 1
+    irreducible = _cli.irreducibility_report(log.elements, problem, share).irreducible
     doc = {
         "problem": problem.label,
         "logogram_size": len(log),
-        "logogram_irreducible": irreducibility_report(log.elements, problem, share).irreducible,
+        "logogram_irreducible": irreducible,
         "programs": entries,
         "all_equal": all_equal,
     }
@@ -218,7 +229,7 @@ def cmd_kernel(ns, problem, budget):
 
 
 def cmd_cover(ns, problem, budget):
-    report = cover(problem, budget)
+    report = _cli.cover(problem, budget)
     doc = report.to_json_dict()
     rows = [("string", "expansion_size", "containing_regions")] + report.rows()
     return doc, rows, False
@@ -257,6 +268,9 @@ def _emit(doc: dict, rows: list[tuple], ns) -> None:
     if ns.format == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     elif ns.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(rows)
@@ -285,13 +299,13 @@ def main(argv=None) -> int:
             max_seconds=defaults.max_seconds if ns.budget_seconds is None
             else ns.budget_seconds)
         doc, rows, violation = HANDLERS[ns.command](ns, problem, budget)
+        _emit(doc, rows, ns)
     except BudgetExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    _emit(doc, rows, ns)
     return EXIT_VIOLATION if violation else EXIT_OK
 
 

@@ -21,19 +21,16 @@ enumeration, and budgets keep the enumeration honest about its limits.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .budget import Budget, BudgetExceededError, Meter
 from .strings import Alphabet, PartialString, sort_strings
 from .universe import Pairs, Slice, expand_mask
 
 
-@dataclass(frozen=True)
-class Antichain:
+class Antichain(NamedTuple):
     """A canonically ordered set of pairwise incomparable strings."""
 
     elements: tuple[PartialString, ...]
@@ -67,6 +64,10 @@ class Antichain:
     def __iter__(self):
         return iter(self.elements)
 
+    def __reduce__(self):
+        # copy and pickle would rebuild from the iterated elements
+        return Antichain, (self.elements,)
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -77,8 +78,7 @@ class Antichain:
         return [s.render(length) for s in self.elements]
 
 
-@dataclass(frozen=True)
-class SearchFrontier:
+class SearchFrontier(NamedTuple):
     """Partial state attached to a budget error: what the reduced-logogram
     search had established when it ran out.
 
@@ -285,8 +285,7 @@ def is_closed(target_words, slc: Slice, budget: Budget | None = None) -> bool:
 # -- complete and irreducible certificate sets ---------------------------
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     irreducible: bool
     removable: tuple[PartialString, ...]
     unique_witnesses: dict  # string -> the first word only that string covers
@@ -368,8 +367,7 @@ def _unique_coverage(cyls: list[int]) -> Iterator[int]:
 # -- independence ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     kind: str  # "internal" | "simple" | "strong"
     passed: bool
     strings_checked: int
@@ -560,16 +558,14 @@ def strong_independence(problem, budget: Budget | None = None) -> IndependenceRe
 # -- the Galois connection property suite ---------------------------------
 
 
-@dataclass(frozen=True)
-class GaloisCheck:
+class GaloisCheck(NamedTuple):
     law: str
     samples: int
     passed: bool
     counterexample: dict | None = None
 
 
-@dataclass(frozen=True)
-class GaloisReport:
+class GaloisReport(NamedTuple):
     slice_label: str
     seed: int
     sample_count: int
@@ -600,6 +596,8 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
     expansion/logogram pair: antitonicity both ways, extensiveness of both
     closures, and stability of expansion and logogram under one round trip.
     """
+    import random  # only this suite samples; other analyses skip the import
+
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
     budget = budget or Budget.default()

@@ -11,7 +11,6 @@ table-driven problems read from JSON descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import isqrt
@@ -20,7 +19,7 @@ from typing import Callable, Iterable
 
 from .budget import Budget
 from .engine import Antichain, reduced_logogram_of_mask
-from .strings import BINARY, TERNARY, Alphabet, PartialString
+from .strings import BINARY, TERNARY, Alphabet, PartialString, _immutable
 from .universe import Slice, full_slice
 
 
@@ -132,18 +131,30 @@ class ProblemSlice:
 # -- CNF satisfiability ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CnfShape:
     """Instance size of the clause encoding: words of length
     var_count * clause_count over {0,1,2}, one block of var_count codes per
-    clause; 0 = variable absent, 1 = positive literal, 2 = negated."""
+    clause; 0 = variable absent, 1 = positive literal, 2 = negated.
+    Shapes are immutable values, equal when both counts are."""
 
-    var_count: int
-    clause_count: int
-
-    def __post_init__(self):
-        if self.var_count < 1 or self.clause_count < 1:
+    def __init__(self, var_count: int, clause_count: int):
+        if var_count < 1 or clause_count < 1:
             raise ValueError("var_count and clause_count must be >= 1")
+        object.__setattr__(self, "var_count", var_count)
+        object.__setattr__(self, "clause_count", clause_count)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.var_count, self.clause_count) == (other.var_count, other.clause_count)
+
+    def __hash__(self) -> int:
+        return hash((self.var_count, self.clause_count))
+
+    def __repr__(self) -> str:
+        return f"CnfShape(var_count={self.var_count!r}, clause_count={self.clause_count!r})"
 
     @property
     def length(self) -> int:

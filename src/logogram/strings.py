@@ -13,7 +13,6 @@ universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 BLANK = "_"
@@ -27,26 +26,44 @@ class IncompatibleStrings(ValueError):
     """Join requested for strings that disagree on a shared position."""
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the value types: fields are
+    set once, in ``__init__``."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class Alphabet:
     """An ordered set of single-character letters.
 
     The declared order is the canonical one; it drives word enumeration
-    and every deterministic ordering of output.
+    and every deterministic ordering of output. Alphabets are immutable
+    values: equal when their letters are.
     """
 
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.letters:
+    def __init__(self, letters: tuple[str, ...]):
+        if not letters:
             raise ValueError("alphabet must be nonempty")
-        for ch in self.letters:
+        for ch in letters:
             if not isinstance(ch, str) or len(ch) != 1:
                 raise ValueError(f"letters must be single characters, got {ch!r}")
             if ch == BLANK:
                 raise ValueError(f"{BLANK!r} is reserved for blank positions")
-        if len(set(self.letters)) != len(self.letters):
+        if len(set(letters)) != len(letters):
             raise ValueError("letters must be distinct")
+        object.__setattr__(self, "letters", letters)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(letters={self.letters!r})"
 
     @classmethod
     def of(cls, letters: Iterable[str]) -> "Alphabet":
@@ -72,7 +89,6 @@ BINARY = Alphabet.of("01")
 TERNARY = Alphabet.of("012")
 
 
-@dataclass(frozen=True)
 class PartialString:
     """An immutable finite map from positions (>= 1) to letters.
 
@@ -80,10 +96,8 @@ class PartialString:
     that canonical form.
     """
 
-    pairs: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        pairs = tuple(sorted(self.pairs))
+    def __init__(self, pairs: Iterable[tuple[int, str]]):
+        pairs = tuple(sorted(pairs))
         positions = [p for p, _ in pairs]
         if any(not isinstance(p, int) or p < 1 for p in positions):
             raise ValueError("positions must be integers >= 1")
@@ -93,6 +107,16 @@ class PartialString:
             if not isinstance(ch, str) or len(ch) != 1:
                 raise ValueError(f"letters must be single characters, got {ch!r}")
         object.__setattr__(self, "pairs", pairs)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
 
     @classmethod
     def of(cls, assignments: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PartialString":

@@ -31,9 +31,8 @@ lazily and read each position at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .budget import Budget, BudgetExceededError
 from .engine import Antichain, _log_probe, irreducibility_report
@@ -58,8 +57,7 @@ class ProgramFaultError(RuntimeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ProbeTrace:
+class ProbeTrace(NamedTuple):
     """Ordered positions read during one run, with the observed letters and
     the final verdict."""
 
@@ -67,8 +65,7 @@ class ProbeTrace:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class DecisionProgram:
+class DecisionProgram(NamedTuple):
     """A named decision procedure driven through a probe callback.
 
     ``decide`` receives a function position -> letter and returns the
@@ -228,8 +225,7 @@ def kernel(program: DecisionProgram, problem,
     return Antichain.of((log.elements[j] for j in _set_bits(used)), slc.alphabet)
 
 
-@dataclass(frozen=True)
-class KernelComparison:
+class KernelComparison(NamedTuple):
     problem_label: str
     length: int
     names: tuple[str, str]

@@ -20,21 +20,19 @@ expansion fits inside a region is one AND and one comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError
 from .strings import PartialString
 
 
-@dataclass(frozen=True)
-class ClassifiedString:
+class ClassifiedString(NamedTuple):
     string: PartialString
     witness_regions: tuple[int, ...]  # indices into the problem's solutions
     is_wizard: bool
 
 
-@dataclass(frozen=True)
-class ClassifiedLogogram:
+class ClassifiedLogogram(NamedTuple):
     problem_label: str
     length: int
     entries: tuple[ClassifiedString, ...]
@@ -107,15 +105,13 @@ def witness_union_complete(problem, budget: Budget | None = None) -> bool:
     return union == problem.f_mask()
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     string: PartialString
     expansion_size: int
     containing_regions: int
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     problem_label: str
     length: int
     charts: tuple[Chart, ...]

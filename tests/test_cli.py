@@ -163,6 +163,21 @@ class TestKernelCommand:
             "clause-first-scan"}
         assert all(r["justified"] for r in records)
 
+    def test_dump_traces_gets_a_share_of_the_clock(self, capsys, monkeypatch, tmp_path):
+        import logogram.cli
+        budgets = []
+
+        def record(program, problem, budget):
+            budgets.append(budget)
+            return iter(())
+
+        monkeypatch.setattr(logogram.cli, "trace_records", record)
+        code, _ = run_json(capsys, "kernel", "sat", "1", "1", "--budget-seconds", "70",
+                           "--dump-traces", str(tmp_path / "traces.jsonl"))
+        assert code == 0
+        # three kernel sweeps, three dumps and the irreducibility check
+        assert [b.max_seconds for b in budgets] == [10.0] * 3
+
     def test_fault_names_first_faulty_input(self, capsys, monkeypatch):
         import logogram.cli
         from logogram import DecisionProgram
@@ -235,6 +250,17 @@ class TestContract:
         code, out, _ = run(capsys, "logogram", "sat", "1", "1", "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["count"] == 2
+
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "logogram", "sat", "1", "1", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_non_positive_budget_exits_1(self, capsys):
+        code, out, err = run(capsys, "logogram", "sat", "1", "1", "--budget-strings", "0")
+        assert code == 1 and out == ""
+        assert "budget limits must be positive" in err
 
     def test_generic_descriptor_export_reimports(self, capsys, tmp_path):
         from logogram import sat_problem
