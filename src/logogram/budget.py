@@ -81,16 +81,15 @@ class Meter:
         self.count = 0
         self._deadline = time.monotonic() + budget.max_seconds
 
-    def charge(self, partial=None) -> None:
+    def charge(self) -> None:
         self.count += 1
         if self.count > self.budget.max_strings:
             raise BudgetExceededError(
-                f"{self.label}: exceeded {self.budget.max_strings} sub-problems",
-                partial=partial)
+                f"{self.label}: exceeded {self.budget.max_strings} sub-problems")
         if self.count % self._CLOCK_STRIDE == 0 and time.monotonic() > self._deadline:
             raise BudgetExceededError(
                 f"{self.label}: exceeded {self.budget.max_seconds}s "
-                f"after {self.count} sub-problems", partial=partial)
+                f"after {self.count} sub-problems")
 
     def out_of_time(self) -> bool:
         return time.monotonic() > self._deadline

@@ -179,9 +179,9 @@ def cmd_galois(ns, problem, budget):
 
 
 def cmd_kernel(ns, problem, budget):
+    programs = _cli.built_in_programs(problem)  # rejects non-clause problems
     log = problem.logogram(budget)
     L = problem.slice.length
-    programs = _cli.built_in_programs(problem)
     # per-program sweeps, per-program trace dumps when asked for, and the
     # final irreducibility check split the clock
     sweeps = len(programs) * (2 if ns.dump_traces else 1)

@@ -12,8 +12,9 @@ checks the three independence notions a decision problem may enjoy.
 
 Word sets are bitmasks over the slice (see :mod:`logogram.universe`): a
 cofactor is a shift and an AND, and entanglement, expansions,
-irreducibility and the independence checks are unions and differences of
-cylinders, not scans of completions.
+irreducibility, the independence checks and the closure laws are unions
+and differences of cylinders, not scans of completions. Strings are
+(position, letter index) pairs until a result or a report leaves the engine.
 
 Everything here is exhaustive over one slice: correctness comes from
 enumeration, and budgets keep the enumeration honest about its limits.
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .budget import Budget, BudgetExceededError, Meter
 from .strings import Alphabet, PartialString, sort_strings
-from .universe import Pairs, Slice, expand_mask
+from .universe import Pairs, Slice, expand_mask, member_rows, members_inside
 
 
 class Antichain(NamedTuple):
@@ -129,10 +130,7 @@ def in_logogram(string: PartialString, target_words, slc: Slice) -> bool:
     """Does the presence of ``string`` in a word of the slice force
     membership in the target set?"""
     off = slc.e_mask() & ~_target_mask(target_words, slc)
-    pairs = slc.pairs_of(string)
-    if pairs is None:
-        return False
-    return _log_probe(slc.cylinder(pairs), off)
+    return _log_probe(slc.cylinder_of(string), off)
 
 
 def _minimal_pairs(on: int, slc: Slice,
@@ -263,18 +261,19 @@ def closure_ba(target_words, slc: Slice,
 def _closure_mask(on: int, slc: Slice, budget: Budget | None) -> int:
     """The words of the slice extending a member of the target's reduced
     logogram."""
-    found = _minimal_pairs(on, slc, budget, label="closure")
-    return reduce(or_, map(slc.cylinder, found), 0)
+    return _expansion(_minimal_pairs(on, slc, budget, label="closure"), slc)
+
+
+def _expansion(strings: Iterable[Pairs], slc: Slice) -> int:
+    """The union of the cylinders of strings given as pairs."""
+    return reduce(or_, map(slc.cylinder, strings), 0)
 
 
 def closure_ab_contains(string: PartialString, strings, slc: Slice) -> bool:
     """Is ``string`` in the closure of the string set ``strings``, i.e. in
     the logogram of their expansion?"""
-    pairs = slc.pairs_of(string)
-    if pairs is None:
-        return False
     off = slc.e_mask() & ~expand_mask(strings, slc)
-    return _log_probe(slc.cylinder(pairs), off)
+    return _log_probe(slc.cylinder_of(string), off)
 
 
 def is_closed(target_words, slc: Slice, budget: Budget | None = None) -> bool:
@@ -314,7 +313,7 @@ def _cylinders(strings, problem, budget: Budget | None) -> dict[PartialString, i
             s = PartialString.parse(s, slc.alphabet)
         if s not in members:
             raise ValueError(f"{s!r} is not in the reduced logogram")
-        out[s] = slc.cylinder(slc.pairs_of(s))
+        out[s] = slc.cylinder_of(s)
     return out
 
 
@@ -401,36 +400,31 @@ def _first_entailment(pair_list: list[Pairs], slc: Slice, meter: Meter,
     extension order entails it by itself. The clock is checked once per f.
 
     Call a pair (p, d) forced by f when f's cylinder lies inside the mask
-    of (p, d); f entails g exactly when every pair of g is forced. With one
-    bitset of list indices per (p, d), the strings f entails are those
-    holding no pair unforced by f, and the strings f extends are those
-    holding no pair f lacks: each f costs one cylinder and a test per
-    (p, d), not a search for a separating word per g.
+    of (p, d); f entails g exactly when every pair of g is forced. So the
+    strings f entails are the members of the list inside f's restriction of
+    forced letters, and the strings f extends are the members inside f: each
+    f costs one cylinder and a test per position, not a search for a
+    separating word per g. The strings all occur in the slice, so a letter
+    forced at p is that of the lowest word of f's cylinder.
     """
     n = len(pair_list)
-    e = slc.e_mask()
+    k = len(slc.alphabet)
     masks = slc.position_masks()
-    holders: dict[tuple[int, int], int] = {}
-    for j, g in enumerate(pair_list):
-        for pair in g:
-            holders[pair] = holders.get(pair, 0) | 1 << j
-    # (pair, its holders, the words of the slice without it)
-    rows = [(pair, held, e & ~masks[pair[0] - 1][pair[1]])
-            for pair, held in holders.items()]
-    everyone = (1 << n) - 1
+    rows = member_rows(pair_list, slc)
     for i, f in enumerate(pair_list):
         if meter.out_of_time():
             return i * (n - 1), None, True
         cyl = slc.cylinder(f)
-        own = set(f)  # forced by f, and held by f itself
-        unforced = lacked = 0
-        for pair, held, without in rows:
-            if pair not in own:
-                lacked |= held
-                if cyl & without:
-                    unforced |= held
-        entailed = everyone & ~unforced
-        bad = entailed & lacked if excuse_extensions else entailed & ~(1 << i)
+        low = (cyl & -cyl).bit_length() - 1
+        forced, own = [k] * slc.length, [k] * slc.length
+        for p in range(slc.length):
+            d = slc.letter_index(low, p + 1)
+            if cyl & masks[p][d] == cyl:
+                forced[p] = d
+        for p, d in f:
+            own[p - 1] = d
+        entailed = members_inside(rows, forced)
+        bad = entailed & ~(members_inside(rows, own) if excuse_extensions else 1 << i)
         if bad:
             j = (bad & -bad).bit_length() - 1
             return i * (n - 1) + j + (j < i), (i, j), False
@@ -534,7 +528,7 @@ def strong_independence(problem, budget: Budget | None = None) -> IndependenceRe
     meter = budget.start(f"strong independence: {problem.label}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    cyls = [slc.cylinder(slc.pairs_of(s)) for s in log.elements]
+    cyls = [slc.cylinder_of(s) for s in log.elements]
     separators = []
     for i, unique in enumerate(_unique_coverage(cyls)):
         if meter.out_of_time():
@@ -595,6 +589,12 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
     """Sample string sets and word sets and check the laws of the
     expansion/logogram pair: antitonicity both ways, extensiveness of both
     closures, and stability of expansion and logogram under one round trip.
+
+    Each sample draws string sets H and K, K entangling H by construction,
+    and word sets A inside B, held as pairs and masks. A law's first failure
+    keeps the sample's texts as evidence: ``H`` and ``K`` for
+    antitone-expansion, ``A`` and ``B`` for antitone-logogram, ``A`` for
+    word-closure-extensive and logogram-roundtrip-stable, ``H`` otherwise.
     """
     import random  # only this suite samples; other analyses skip the import
 
@@ -604,49 +604,23 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
     meter = budget.start("galois suite")
     rng = random.Random(seed)
     e_ints = slc.word_ints()
-    L = slc.length
+    e = slc.e_mask()
+    positions = range(1, slc.length + 1)
 
-    def sample_word_pairs() -> Pairs:
-        w = rng.choice(e_ints)
-        keep = [p for p in range(1, L + 1) if rng.random() < 0.5]
-        k = len(slc.alphabet)
-        return tuple((p, (w // slc._word_weights[p - 1]) % k) for p in keep)
-
-    def sample_strings(limit: int = 3) -> list[PartialString]:
-        return [slc.string_of_pairs(sample_word_pairs())
-                for _ in range(rng.randint(1, limit))]
-
-    def sample_target() -> list[int]:
-        n = rng.randint(0, len(e_ints))
-        return sorted(rng.sample(e_ints, n))
-
-    def lift(strings: list[PartialString]) -> list[PartialString]:
-        # random extensions of random members: entangled with the source by
-        # construction
-        out = []
-        for _ in range(rng.randint(1, 3)):
-            base = slc.pairs_of(rng.choice(strings))
-            cyl = slc.cylinder(base)
-            w = (cyl & -cyl).bit_length() - 1  # first word of the slice extending base
-            extra = [p for p in range(1, L + 1) if rng.random() < 0.3]
-            fmap = dict(base)
-            k = len(slc.alphabet)
-            for p in extra:
-                fmap.setdefault(p, (w // slc._word_weights[p - 1]) % k)
-            out.append(slc.string_of_pairs(tuple(sorted(fmap.items()))))
-        return out
-
-    def minimal(on: int) -> list[PartialString]:
-        found = _minimal_pairs(on, slc, budget, label="galois sample")
-        return [slc.string_of_pairs(pairs) for pairs in found]
+    def minimal(on: int) -> list[Pairs]:
+        return _minimal_pairs(on, slc, budget, label="galois sample")
 
     tallies: dict[str, int] = {}
     failures: dict[str, dict] = {}
 
-    def record(law: str, ok: bool, evidence: dict) -> None:
+    def record(law: str, ok: bool, **evidence: list) -> None:
+        """Count one sample of the law; render the evidence on its first failure."""
         tallies[law] = tallies.get(law, 0) + 1
         if not ok and law not in failures:
-            failures[law] = evidence
+            failures[law] = {
+                key: [slc.text_of_int(x) if isinstance(x, int)
+                      else slc.render(slc.string_of_pairs(x)) for x in items]
+                for key, items in evidence.items()}
 
     laws = ["antitone-expansion", "antitone-logogram",
             "string-closure-covered", "word-closure-extensive",
@@ -657,50 +631,58 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
             raise BudgetExceededError(
                 f"galois suite: out of time after "
                 f"{max(tallies.values(), default=0)} samples")
-        H = sample_strings()
-        K = lift(H)
-        B = sample_target()
+        H = []
+        for _ in range(rng.randint(1, 3)):
+            w = rng.choice(e_ints)
+            H.append(tuple((p, slc.letter_index(w, p)) for p in positions
+                           if rng.random() < 0.5))
+        # random extensions of random members: entangled with H by construction
+        K = []
+        for _ in range(rng.randint(1, 3)):
+            base = rng.choice(H)
+            cyl = slc.cylinder(base)
+            w = (cyl & -cyl).bit_length() - 1  # first word of the slice extending base
+            fixed = dict(base)
+            for p in positions:
+                if rng.random() < 0.3:
+                    fixed.setdefault(p, slc.letter_index(w, p))
+            K.append(tuple(sorted(fixed.items())))
+        B = sorted(rng.sample(e_ints, rng.randint(0, len(e_ints))))
         A = [w for w in B if rng.random() < 0.6]
-        h_texts = [slc.render(s) for s in H]
-        k_texts = [slc.render(s) for s in K]
-        a_texts = [slc.text_of_int(w) for w in A]
-        b_texts = [slc.text_of_int(w) for w in B]
 
         # forcing one set implies the reverse inclusion of expansions
-        exp_h = expand_mask(H, slc)
-        if entangles(K, H, slc):
-            ok = not expand_mask(K, slc) & ~exp_h
-            record("antitone-expansion", ok, {"H": h_texts, "K": k_texts})
+        cyl_h = [slc.cylinder(h) for h in H]
+        exp_h = reduce(or_, cyl_h)
+        exp_k = _expansion(K, slc)
+        if not exp_k & ~exp_h:  # K entangles H
+            record("antitone-expansion", not exp_k & ~exp_h, H=H, K=K)
 
         # nested targets have nested logograms, hence entangled logograms
         a_mask, b_mask = slc.mask_of_ints(A), slc.mask_of_ints(B)
         min_a, min_b = minimal(a_mask), minimal(b_mask)
-        off_b = slc.e_mask() & ~b_mask
-        closure_a = expand_mask(min_a, slc)
-        ok = all(_log_probe(slc.cylinder(slc.pairs_of(g)), off_b) for g in min_a) \
-            and not closure_a & ~expand_mask(min_b, slc)
-        record("antitone-logogram", ok, {"A": a_texts, "B": b_texts})
+        off_b = e & ~b_mask
+        cyl_a = [slc.cylinder(g) for g in min_a]
+        closure_a = reduce(or_, cyl_a, 0)
+        ok = all(_log_probe(c, off_b) for c in cyl_a) \
+            and not closure_a & ~_expansion(min_b, slc)
+        record("antitone-logogram", ok, A=A, B=B)
 
         # the logogram of the expansion of H is forced back onto H
-        exp_min_exp_h = expand_mask(minimal(exp_h), slc)
-        record("string-closure-covered", not exp_min_exp_h & ~exp_h, {"H": h_texts})
+        exp_min_exp_h = _expansion(minimal(exp_h), slc)
+        record("string-closure-covered", not exp_min_exp_h & ~exp_h, H=H)
 
         # a target is contained in its closure
-        record("word-closure-extensive", not a_mask & ~closure_a, {"A": a_texts})
+        record("word-closure-extensive", not a_mask & ~closure_a, A=A)
 
         # every sampled string lies in the closure of its own set
-        record("string-closure-extensive",
-               all(closure_ab_contains(h, H, slc) for h in H),
-               {"H": h_texts})
+        off_h = e & ~exp_h
+        record("string-closure-extensive", all(_log_probe(c, off_h) for c in cyl_h), H=H)
 
         # one round trip leaves the expansion unchanged
-        record("expansion-roundtrip-stable", exp_min_exp_h == exp_h, {"H": h_texts})
+        record("expansion-roundtrip-stable", exp_min_exp_h == exp_h, H=H)
 
         # and leaves the logogram unchanged
-        min_closure_a = minimal(closure_a)
-        record("logogram-roundtrip-stable",
-               sort_strings(min_a, slc.alphabet) == sort_strings(min_closure_a, slc.alphabet),
-               {"A": a_texts})
+        record("logogram-roundtrip-stable", set(min_a) == set(minimal(closure_a)), A=A)
 
     checks = tuple(
         GaloisCheck(law=law, samples=tallies.get(law, 0),

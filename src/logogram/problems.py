@@ -379,6 +379,13 @@ def generic_problem(doc: dict) -> ProblemSlice:
     The target must lie in the universe and the regions must cover the
     target exactly.
     """
+    try:
+        return _generic_problem(doc)
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ProblemFormatError(f"malformed descriptor: {exc}") from None
+
+
+def _generic_problem(doc: dict) -> ProblemSlice:
     for key in ("alphabet", "length", "universe", "target", "regions"):
         if key not in doc:
             raise ProblemFormatError(f"descriptor is missing {key!r}")

@@ -23,7 +23,8 @@ runs. Its probe callback enforces the probe discipline and builds the
 trace while probing: it reads each letter from the packed word, ANDs the
 (position, letter) mask into the trace's cylinder and records the letter
 index per position, from which the certifying strings are one AND per
-position over bitsets indexed by letter.
+position over the reduced logogram indexed by (position, letter)
+(:func:`logogram.universe.member_rows`).
 
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
@@ -37,6 +38,7 @@ from typing import Callable, Iterator, NamedTuple
 from .budget import Budget, BudgetExceededError
 from .engine import Antichain, _log_probe, irreducibility_report
 from .strings import PartialString
+from .universe import member_rows, members_inside
 
 
 class Verdict(str, Enum):
@@ -127,33 +129,6 @@ def _justified(accepted: bool, cyl: int, off: int, f: int) -> bool:
     return _log_probe(cyl, off) if accepted else not cyl & f
 
 
-def _certificate_rows(elements: tuple[PartialString, ...], slc) -> list[tuple[int, ...]]:
-    """``rows[p - 1][d]``: the elements blank at position p or holding letter
-    index d there, as a bitset, with ``d = k`` (not probed) for those blank.
-
-    The elements included in a probed restriction are then one AND per
-    position: see :func:`_inside`.
-    """
-    k, index = len(slc.alphabet), slc.alphabet.index
-    everyone = (1 << len(elements)) - 1
-    blank = [everyone] * slc.length
-    holding = [[0] * k for _ in range(slc.length)]
-    for j, g in enumerate(elements):
-        for p, ch in g.pairs:
-            blank[p - 1] &= ~(1 << j)
-            holding[p - 1][index(ch)] |= 1 << j
-    return [tuple(bits | b for bits in row) + (b,) for row, b in zip(holding, blank)]
-
-
-def _inside(rows: list[tuple[int, ...]], index: list[int]) -> int:
-    """The bitset of elements included in the restriction whose letter
-    indices per position are ``index``."""
-    out = -1
-    for row, d in zip(rows, index):
-        out &= row[d]
-    return out
-
-
 def _set_bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -203,7 +178,7 @@ def kernel(program: DecisionProgram, problem,
     slc = problem.slice
     off, f = _verdict_masks(problem)
     run = _runner(program, slc)
-    rows = _certificate_rows(log.elements, slc)
+    rows = member_rows([slc.pairs_of(g) for g in log.elements], slc)
     used = 0
     uncovered = slc.e_mask()
     while uncovered:
@@ -221,7 +196,7 @@ def kernel(program: DecisionProgram, problem,
             raise ProgramFaultError(slc.text_of_int(i),
                                     f"{program.name} was not justified in its {verdict.value}")
         if accepted:
-            used |= _inside(rows, index)
+            used |= members_inside(rows, index)
     return Antichain.of((log.elements[j] for j in _set_bits(used)), slc.alphabet)
 
 
@@ -274,7 +249,7 @@ def trace_records(program: DecisionProgram, problem,
     slc = problem.slice
     letters = slc.alphabet.letters
     run = _runner(program, slc)
-    rows = _certificate_rows(log.elements, slc)
+    rows = member_rows([slc.pairs_of(g) for g in log.elements], slc)
     rendered = [g.render(slc.length) for g in log.elements]
     off, f = _verdict_masks(problem)
     pending: dict[int, dict] = {}  # covered words not yet dumped -> body
@@ -285,7 +260,7 @@ def trace_records(program: DecisionProgram, problem,
         body = pending.pop(i, None)
         if body is None:
             accepted, cyl, order, index = run(i)
-            bits = _inside(rows, index) if accepted else 0
+            bits = members_inside(rows, index) if accepted else 0
             body = {
                 "probes": [[p, letters[index[p - 1]]] for p in order],
                 "verdict": (Verdict.ACCEPT if accepted else Verdict.REJECT).value,

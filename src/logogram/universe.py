@@ -14,7 +14,7 @@ are decoded from a mask only where a caller lists words.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .strings import Alphabet, PartialString
 
@@ -100,6 +100,10 @@ class Slice:
             value, d = divmod(value, k)
             cells.append((p, letters[d]))
         return PartialString(tuple(reversed(cells)))
+
+    def letter_index(self, value: int, position: int) -> int:
+        """The letter index at ``position`` of the packed word ``value``."""
+        return value // self._word_weights[position - 1] % len(self.alphabet)
 
     def text_of_int(self, value: int) -> str:
         letters = self.alphabet.letters
@@ -209,6 +213,12 @@ class Slice:
             out.append((p, self.alphabet.index(ch)))
         return tuple(out)
 
+    def cylinder_of(self, string: PartialString) -> int:
+        """The words of the slice extending the string, as a mask: 0 when
+        the string cannot occur in any word of this length."""
+        pairs = self.pairs_of(string)
+        return 0 if pairs is None else self.cylinder(pairs)
+
     def string_of_pairs(self, pairs: Pairs) -> PartialString:
         letters = self.alphabet.letters
         return PartialString(tuple((p, letters[d]) for p, d in pairs))
@@ -259,20 +269,14 @@ def enumerate_words(slc: Slice) -> Iterator[PartialString]:
 
 def in_sigma_infinity(string: PartialString, slc: Slice) -> bool:
     """True when at least one word of the slice extends the string."""
-    pairs = slc.pairs_of(string)
-    if pairs is None:
-        return False
-    return slc.cylinder(pairs) != 0
+    return slc.cylinder_of(string) != 0
 
 
 def extensions_in_e(string: PartialString, slc: Slice) -> Iterator[PartialString]:
     """The words of the slice extending the string, canonical order."""
     if string.size > slc.length:
         raise ValueError(f"string of size {string.size} exceeds slice length {slc.length}")
-    pairs = slc.pairs_of(string)
-    if pairs is None:
-        return
-    for i in slc.ints_of_mask(slc.cylinder(pairs)):
+    for i in slc.ints_of_mask(slc.cylinder_of(string)):
         yield slc.word_of_int(i)
 
 
@@ -282,9 +286,7 @@ def expand_mask(strings: Iterable[PartialString], slc: Slice) -> int:
     slice contribute nothing."""
     out = 0
     for s in strings:
-        pairs = slc.pairs_of(s)
-        if pairs is not None:
-            out |= slc.cylinder(pairs)
+        out |= slc.cylinder_of(s)
     return out
 
 
@@ -293,3 +295,34 @@ def expand(strings: Iterable[PartialString], slc: Slice) -> tuple[PartialString,
     extends some member. Strings that cannot occur in the slice contribute
     nothing."""
     return tuple(slc.word_of_int(i) for i in slc.ints_of_mask(expand_mask(strings, slc)))
+
+
+# -- members indexed by (position, letter) --------------------------------
+
+
+def member_rows(members: Sequence[Pairs], slc: Slice) -> list[tuple[int, ...]]:
+    """``rows[p - 1][d]``: the members blank at position p or holding letter
+    index d there, as a bitset over the list, with ``d = k`` (the alphabet
+    size, for a position left open) holding those blank at p.
+
+    The members included in a restriction are then one AND per position:
+    see :func:`members_inside`.
+    """
+    k = len(slc.alphabet)
+    everyone = (1 << len(members)) - 1
+    blank = [everyone] * slc.length
+    holding = [[0] * k for _ in range(slc.length)]
+    for j, g in enumerate(members):
+        for p, d in g:
+            blank[p - 1] &= ~(1 << j)
+            holding[p - 1][d] |= 1 << j
+    return [tuple(bits | b for bits in row) + (b,) for row, b in zip(holding, blank)]
+
+
+def members_inside(rows: list[tuple[int, ...]], index: Sequence[int]) -> int:
+    """The bitset of members included in the restriction whose letter index
+    per position is ``index``, with ``k`` for a position left open."""
+    out = -1
+    for row, d in zip(rows, index):
+        out &= row[d]
+    return out

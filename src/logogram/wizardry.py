@@ -14,7 +14,7 @@ regions are reported as computed, including the cases where a chart fits
 in several regions or the cover is smaller than the region count.
 
 Regions are masks over the slice (:meth:`ProblemSlice.region_mask`) and a
-string's expansion is its cylinder (:meth:`Slice.cylinder`), so whether an
+string's expansion is its cylinder (:meth:`Slice.cylinder_of`), so whether an
 expansion fits inside a region is one AND and one comparison.
 """
 
@@ -73,7 +73,7 @@ def _charts(problem, budget: Budget | None, label: str):
         if meter.out_of_time():
             raise BudgetExceededError(
                 f"{meter.label}: out of time after {n} of {len(log)} strings")
-        cyl = slc.cylinder(slc.pairs_of(s))
+        cyl = slc.cylinder_of(s)
         yield s, cyl, tuple(i for i, m in enumerate(masks) if cyl & m == cyl)
 
 
@@ -101,7 +101,7 @@ def witness_union_complete(problem, budget: Budget | None = None) -> bool:
     union = 0
     for i in range(problem.alpha):
         for s in problem.region_logogram(i, meter=meter).elements:
-            union |= slc.cylinder(slc.pairs_of(s))
+            union |= slc.cylinder_of(s)
     return union == problem.f_mask()
 
 

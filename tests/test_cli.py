@@ -193,6 +193,25 @@ class TestKernelCommand:
         assert code == 1
         assert "clause" in err
 
+    def test_non_clause_problem_rejected_before_the_search(self, capsys, monkeypatch):
+        import logogram.cli
+        import logogram.problems
+        from logogram import composite_problem
+        search = logogram.problems.reduced_logogram_of_mask
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(logogram.problems, "reduced_logogram_of_mask", counted)
+        # an uncached problem, whose logogram no earlier test has computed
+        monkeypatch.setattr(logogram.cli, "composite_problem", composite_problem.__wrapped__)
+        code, _, err = run(capsys, "kernel", "composite", "4")
+        assert code == 1
+        assert "clause" in err
+        assert calls == []
+
 
 class TestCoverCommand:
     def test_sat_2x1_flags_multiplicity(self, capsys):
@@ -261,6 +280,18 @@ class TestContract:
         code, out, err = run(capsys, "logogram", "sat", "1", "1", "--budget-strings", "0")
         assert code == 1 and out == ""
         assert "budget limits must be positive" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("length", None), ("alphabet", 5), ("universe", 5), ("target", 5), ("regions", [5])])
+    def test_malformed_generic_descriptor_exits_1(self, capsys, tmp_path, key, value):
+        doc = {"alphabet": ["0", "1"], "length": 2, "universe": "all",
+               "target": ["11"], "regions": [["11"]]}
+        doc[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "logogram", "generic", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
 
     def test_generic_descriptor_export_reimports(self, capsys, tmp_path):
         from logogram import sat_problem

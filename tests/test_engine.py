@@ -710,6 +710,31 @@ class TestGalois:
         b = verify_galois(slc, sample_count=60, seed=9)
         assert a == b
 
+    def test_failure_carries_evidence(self, monkeypatch):
+        # a search that drops one member breaks the closure laws; each
+        # failing law must report the sample it failed on
+        import logogram.engine
+        search = logogram.engine._minimal_pairs
+        monkeypatch.setattr(logogram.engine, "_minimal_pairs",
+                            lambda *args, **kwargs: search(*args, **kwargs)[1:])
+        keys = {"antitone-expansion": {"H", "K"}, "antitone-logogram": {"A", "B"},
+                "word-closure-extensive": {"A"}, "logogram-roundtrip-stable": {"A"}}
+        for slc in [full_slice(BINARY, 3), full_slice(TERNARY, 2),
+                    Slice(BINARY, 4, lambda w: w.render(4).count("1") % 2 == 0)]:
+            report = verify_galois(slc, sample_count=60, seed=3)
+            failed = [c for c in report.checks if not c.passed]
+            assert failed and not report.passed
+            words = {slc.text_of_int(i) for i in slc.word_ints()}
+            for check in failed:
+                evidence = check.counterexample
+                assert set(evidence) == keys.get(check.law, {"H"}), check.law
+                for key, texts in evidence.items():
+                    assert all(len(t) == slc.length for t in texts)
+                    if key in ("A", "B"):
+                        assert set(texts) <= words
+                if "B" in evidence:
+                    assert set(evidence["A"]) <= set(evidence["B"])
+
     def test_nested_logograms_in_report(self):
         report = verify_galois(full_slice(BINARY, 2), sample_count=50, seed=1)
         doc = report.to_json_dict()

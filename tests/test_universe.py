@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from logogram import (
-    BINARY, TERNARY, VOID, DegenerateSliceError, PartialString, Slice,
+    BINARY, TERNARY, VOID, Alphabet, DegenerateSliceError, PartialString, Slice,
     enumerate_words, expand, extensions_in_e, full_slice, in_sigma_infinity,
     parse_string,
 )
@@ -162,6 +162,50 @@ class TestCylinder:
             mask = slc.cylinder(slc.pairs_of(g))
             direct = {slc.int_of_word(w) for w in enumerate_words(slc) if g <= w}
             assert {i for i in range(slc.total_words) if mask >> i & 1} == direct
+
+
+class TestCylinderOfAndLetterIndex:
+    """``Slice.cylinder_of`` against ``cylinder(pairs_of(...))`` and
+    ``letter_index`` against ``word_of_int`` on random slices."""
+
+    @staticmethod
+    def random_slices(rng):
+        for _ in range(30):
+            alphabet = (BINARY, TERNARY, Alphabet.of("abcd"))[rng.randrange(3)]
+            length = rng.randint(1, 4)
+            cube = [w.render(length) for w in enumerate_words(full_slice(alphabet, length))]
+            if rng.random() < 0.5:
+                yield Slice(alphabet, length, rng.sample(cube, rng.randint(1, len(cube))))
+            else:
+                keep = set(rng.sample(cube, rng.randint(1, len(cube))))
+                yield Slice(alphabet, length, lambda w, keep=keep, n=length: w.render(n) in keep)
+
+    def test_cylinder_of_matches_pairs_then_cylinder(self):
+        rng = random.Random(41)
+        for slc in self.random_slices(rng):
+            letters = list(slc.alphabet.letters) + ["z"]  # "z" is in no alphabet here
+            for _ in range(40):
+                g = PartialString.of({p: rng.choice(letters)
+                                      for p in range(1, slc.length + 3) if rng.random() < 0.4})
+                pairs = slc.pairs_of(g)
+                if pairs is None:  # a position past the length or a foreign letter
+                    assert slc.cylinder_of(g) == 0
+                else:
+                    assert slc.cylinder_of(g) == slc.cylinder(pairs)
+
+    def test_foreign_strings_have_empty_cylinders(self):
+        slc = full_slice(BINARY, 3)
+        assert slc.cylinder_of(PartialString.of({4: "1"})) == 0
+        assert slc.cylinder_of(PartialString.of({1: "2"})) == 0
+        assert slc.cylinder_of(VOID) == slc.e_mask()
+
+    def test_letter_index_matches_word_of_int(self):
+        rng = random.Random(42)
+        for slc in self.random_slices(rng):
+            for i in range(slc.total_words):
+                word = slc.word_of_int(i)
+                assert [slc.letter_index(i, p) for p in range(1, slc.length + 1)] == [
+                    slc.alphabet.index(word.get(p)) for p in range(1, slc.length + 1)]
 
 
 class TestExpand:
