@@ -304,11 +304,22 @@ def composite_problem(width: int) -> ProblemSlice:
         return v >= 4 and any(v % d == 0 for d in range(2, isqrt(v) + 1))
 
     # a word's packed index is its value, so the target is the composite
-    # values and d's region is the multiples of d from 2d up
-    divisors = range(2, 2 ** width)
-    regions = (slc.mask_of_ints(range(2 * d, 2 ** width, d)) for d in divisors)
-    return ProblemSlice(slc, divisors, regions, label=f"composite:{width}",
-                        target_mask=slc.mask_of_ints(filter(is_composite, range(2 ** width))))
+    # values and d's region is the multiples of d from 2d up: one bit
+    # doubled by shifts of d, 2d, 4d, ... until it spans the cube, then
+    # shifted up by 2d (the periodic patterns of Slice.position_masks)
+    n = slc.total_words
+    full = (1 << n) - 1
+
+    def multiples(d: int) -> int:
+        pattern, span = 1, d
+        while span < n:
+            pattern |= pattern << span
+            span *= 2
+        return (pattern << 2 * d) & full
+
+    divisors = range(2, n)
+    return ProblemSlice(slc, divisors, map(multiples, divisors), label=f"composite:{width}",
+                        target_mask=slc.mask_of_ints(filter(is_composite, range(n))))
 
 
 # -- graph connectivity ------------------------------------------------------
@@ -342,16 +353,22 @@ def connectivity_problem(vertices: int) -> ProblemSlice:
                     stack.append(u)
         return len(seen) == vertices
 
-    # edge e is position e + 1, the digit of weight 2^(L-1-e) in a packed word
-    bits = [(e, 1 << (len(edges) - 1 - e)) for e in range(len(edges))]
-
-    def connected(value: int) -> bool:
-        return reaches_all(e for e, bit in bits if value & bit)
-
     trees = tuple(combo for combo in combinations(range(len(edges)), vertices - 1)
                   if reaches_all(combo))
 
-    present = [row[1] for row in slc.position_masks()]
+    absent, present = zip(*slc.position_masks())
+
+    # a graph is disconnected when some vertex set S holding vertex 1 but
+    # not every vertex has no edge leaving it: the target is the slice
+    # minus the OR over such S (bit v - 1 for vertex v) of the AND of the
+    # absent masks of the edges crossing S
+    disconnected = 0
+    for s in range(1, (1 << vertices) - 1, 2):
+        cut = slc.e_mask()
+        for e, (a, b) in enumerate(edges):
+            if (s >> (a - 1) ^ s >> (b - 1)) & 1:
+                cut &= absent[e]
+        disconnected |= cut
 
     def region(tree: tuple[int, ...]) -> int:
         out = slc.e_mask()
@@ -363,8 +380,7 @@ def connectivity_problem(vertices: int) -> ProblemSlice:
         return "+".join(f"{edges[e][0]}-{edges[e][1]}" for e in tree)
 
     return ProblemSlice(slc, trees, map(region, trees), label=f"connectivity:{vertices}",
-                        target_mask=slc.mask_of_ints(filter(connected, range(slc.total_words))),
-                        solution_text=tree_text)
+                        target_mask=slc.e_mask() ^ disconnected, solution_text=tree_text)
 
 
 # -- table-driven problems ---------------------------------------------------
@@ -389,9 +405,11 @@ def _generic_problem(doc: dict) -> ProblemSlice:
     for key in ("alphabet", "length", "universe", "target", "regions"):
         if key not in doc:
             raise ProblemFormatError(f"descriptor is missing {key!r}")
+    length = doc["length"]
+    if type(length) is not int:  # not 2.5 read as 2, nor "2" or true
+        raise ProblemFormatError(f"length must be an integer, got {length!r}")
     try:
         alphabet = Alphabet.of(doc["alphabet"])
-        length = int(doc["length"])
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
     label = doc.get("label") or "generic"

@@ -15,7 +15,12 @@ in several regions or the cover is smaller than the region count.
 
 Regions are masks over the slice (:meth:`ProblemSlice.region_mask`) and a
 string's expansion is its cylinder (:meth:`Slice.cylinder_of`), so whether an
-expansion fits inside a region is one AND and one comparison.
+expansion fits inside a region is one AND and one comparison. A region that
+holds a cylinder holds the cylinder's lowest word, so each string makes that
+test only against the regions holding its lowest word; one AND per region
+with the OR of all lowest words lists them. The work is one AND per region
+plus one test per (string, candidate region) pair, not one test per
+(string, region) pair.
 """
 
 from __future__ import annotations
@@ -60,21 +65,35 @@ class ClassifiedLogogram(NamedTuple):
 
 def _charts(problem, budget: Budget | None, label: str):
     """(string, cylinder, indices of the regions containing the cylinder)
-    for each reduced-logogram string, in canonical order.
+    for each reduced-logogram string, in canonical order, the indices
+    ascending.
 
-    The search and the region tests run on one meter, whose clock is
-    checked once per string.
+    The candidates for a string are the regions holding its lowest word
+    (its cylinder is non-empty, being in the target's logogram), indexed
+    by that word's bit position. The search and the region tests run on
+    one meter, whose clock is checked once per string.
     """
     meter = (budget or Budget.default()).start(f"{label}: {problem.label}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
+    cyls = [slc.cylinder_of(s) for s in log.elements]
+    lows = 0
+    for cyl in cyls:
+        lows |= cyl & -cyl
     masks = [problem.region_mask(i) for i in range(problem.alpha)]
-    for n, s in enumerate(log.elements):
+    holding: dict[int, list[int]] = {}  # bit of a lowest word -> regions holding it
+    for i, m in enumerate(masks):
+        hit = m & lows
+        while hit:
+            top = hit.bit_length() - 1
+            holding.setdefault(top, []).append(i)
+            hit ^= 1 << top
+    for n, (s, cyl) in enumerate(zip(log.elements, cyls)):
         if meter.out_of_time():
             raise BudgetExceededError(
                 f"{meter.label}: out of time after {n} of {len(log)} strings")
-        cyl = slc.cylinder_of(s)
-        yield s, cyl, tuple(i for i, m in enumerate(masks) if cyl & m == cyl)
+        regions = holding.get((cyl & -cyl).bit_length() - 1, ())
+        yield s, cyl, tuple(i for i in regions if cyl & masks[i] == cyl)
 
 
 def classify(problem, budget: Budget | None = None) -> ClassifiedLogogram:

@@ -159,6 +159,21 @@ def completions(string: str, alphabet: str) -> list[str]:
     return out
 
 
+def containing_regions(e_words, alphabet: str, strings,
+                       regions) -> list[tuple[tuple[int, ...], int]]:
+    """For each padded string: the indices of the regions (word lists) that
+    hold every word of E extending it, and how many words of E extend it.
+    Every string is tested against every region, on sets of word texts."""
+    e = set(e_words)
+    region_sets = [set(r) for r in regions]
+    out = []
+    for s in strings:
+        expansion = {w for w in completions(s, alphabet) if w in e}
+        out.append((tuple(i for i, r in enumerate(region_sets) if expansion <= r),
+                    len(expansion)))
+    return out
+
+
 def sweep_kernel(decide, name: str, alphabet: str, length: int,
                  e_words, a_words, minimal) -> tuple[list[str] | None, tuple[str, str] | None]:
     """A decision program's kernel by running it on every word of E.

@@ -231,6 +231,18 @@ class TestCoverCommand:
         assert code == 0
         assert out.splitlines()[0] == "string,expansion_size,containing_regions"
 
+    def test_composite_14_within_ten_seconds(self, capsys):
+        # 15,378 strings and 16,382 regions: each string is tested only
+        # against the regions holding its lowest word
+        from logogram import composite_problem
+        composite_problem.cache_clear()
+        try:
+            code, doc = run_json(capsys, "cover", "composite", "14", "--budget-seconds", "10")
+        finally:
+            composite_problem.cache_clear()
+        assert code == 0
+        assert doc["total_charts"] == 15378
+
 
 class TestContract:
     def test_bad_arguments_exit_1(self, capsys):
@@ -282,7 +294,8 @@ class TestContract:
         assert "budget limits must be positive" in err
 
     @pytest.mark.parametrize("key,value", [
-        ("length", None), ("alphabet", 5), ("universe", 5), ("target", 5), ("regions", [5])])
+        ("length", None), ("alphabet", 5), ("universe", 5), ("target", 5), ("regions", [5]),
+        ("length", 2.5), ("length", "2"), ("length", True)])
     def test_malformed_generic_descriptor_exits_1(self, capsys, tmp_path, key, value):
         doc = {"alphabet": ["0", "1"], "length": 2, "universe": "all",
                "target": ["11"], "regions": [["11"]]}

@@ -132,6 +132,12 @@ class TestRegionMasks:
                 text = p.slice.text_of_int(w)
                 assert (mask >> w & 1) == all(text[e] == "1" for e in tree)
 
+    @pytest.mark.parametrize("width", range(3, 11))
+    def test_composite_regions_are_the_multiples_from_2d(self, width):
+        p = composite_problem(width)
+        for i, d in enumerate(p.solutions):
+            assert p.slice.ints_of_mask(p.region_mask(i)) == tuple(range(2 * d, 2 ** width, d))
+
     def test_satisfies_reads_the_mask(self):
         p = composite_problem(5)
         for i, d in enumerate(p.solutions):
@@ -250,6 +256,19 @@ class TestConnectivity:
             text = p.slice.text_of_int(i)
             present = [edges[k] for k, ch in enumerate(text) if ch == "1"]
             assert (i in f_ints) == oracles.union_find_connected(4, present)
+
+    def test_cut_target_matches_union_find_at_five_vertices(self):
+        p = connectivity_problem(5)
+        edges = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+        f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
+        for i in p.slice.word_ints():
+            present = [edges[k] for k, ch in enumerate(p.slice.text_of_int(i)) if ch == "1"]
+            assert (i in f_ints) == oracles.union_find_connected(5, present)
+
+    def test_connected_graph_counts(self):
+        # labelled connected graphs on V vertices: OEIS A001187
+        counts = [connectivity_problem(v).f_mask().bit_count() for v in range(2, 7)]
+        assert counts == [1, 4, 38, 728, 26704]
 
     def test_connected_iff_tree_included(self):
         p = connectivity_problem(4)

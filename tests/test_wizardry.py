@@ -3,6 +3,7 @@
 import pytest
 
 import logogram.budget
+import oracles
 from logogram import (
     Budget, BudgetExceededError, classify, composite_problem,
     connectivity_problem, cover, expand, generic_problem, in_logogram,
@@ -149,6 +150,70 @@ class TestCover:
     def test_rows_for_csv(self):
         rows = cover(sat_problem(1, 1)).rows()
         assert rows == [("1", 1, 1), ("2", 1, 1)]
+
+
+def _doc(label, alphabet, length, in_universe, in_regions):
+    universe = [w for w in oracles.all_words(alphabet, length) if in_universe(w)]
+    regions = [[w for w in universe if r(w)] for r in in_regions]
+    return {"label": label, "alphabet": list(alphabet), "length": length,
+            "universe": universe, "target": sorted(set().union(*regions)),
+            "regions": regions}
+
+
+# explicit universes (not the whole cube) with duplicated and nested regions
+GENERIC_DOCS = [
+    _doc("nested", "abc", 3, lambda w: not w.startswith("cc"), [
+        lambda w: w[0] == "a",
+        lambda w: w[0] == "a",  # the same region again
+        lambda w: w[:2] == "ab",  # inside the first
+        lambda w: w[2] == "b",
+        lambda w: w == "aab",  # inside the first and the fourth
+    ]),
+    _doc("even-split", "01", 4, lambda w: w.count("1") % 2 == 0, [
+        lambda w: w[:2] == "11",
+        lambda w: w[:2] == "10",
+        lambda w: w[:2] == "11",  # the same region again
+        lambda w: w[:3] == "111",  # inside the first
+    ]),
+]
+
+ORACLE_CASES = {
+    **{f"composite {w}": (composite_problem, w) for w in range(4, 13)},
+    **{f"connectivity {v}": (connectivity_problem, v) for v in range(3, 7)},
+    **{f"sat {n} {m}": (sat_problem, n, m) for n, m in [(2, 4), (4, 2), (3, 3)]},
+    **{f"generic {d['label']}": (generic_problem, d) for d in GENERIC_DOCS},
+}
+
+
+class TestChartsAgainstRegionScan:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_classify_and_cover_match_the_oracle(self, case):
+        build, *args = ORACLE_CASES[case]
+        problem = build(*args)
+        slc = problem.slice
+        alphabet, length = "".join(slc.alphabet.letters), slc.length
+        cube = oracles.all_words(alphabet, length)  # bit i of a mask is cube[i]
+
+        def texts(mask):
+            return [cube[i] for i in slc.ints_of_mask(mask)]
+
+        strings = problem.logogram().texts(length)
+        expected = oracles.containing_regions(
+            texts(slc.e_mask()), alphabet, strings,
+            [texts(problem.region_mask(i)) for i in range(problem.alpha)])
+        entries = classify(problem).entries
+        assert [e.string.render(length) for e in entries] == strings
+        assert [(e.witness_regions, e.is_wizard) for e in entries] == [
+            (regions, not regions) for regions, _ in expected]
+        assert [(c.expansion_size, c.containing_regions) for c in cover(problem).charts] == [
+            (size, len(regions)) for regions, size in expected]
+
+    def test_generic_cases_hold_wizards_and_shared_witnesses(self):
+        # the descriptors exercise both outcomes: a string in no region, and
+        # one in a duplicated or nested region
+        entries = [e for d in GENERIC_DOCS for e in classify(generic_problem(d)).entries]
+        assert any(e.is_wizard for e in entries)
+        assert any(len(e.witness_regions) > 1 for e in entries)
 
 
 class TestRegionTestBudget:
