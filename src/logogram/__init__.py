@@ -30,8 +30,7 @@ _EXPORTS = {
         "generic_problem", "predicted_sat_logogram", "sat_problem"),
     "strings": (
         "BINARY", "BLANK", "TERNARY", "VOID", "Alphabet", "FormatError",
-        "IncompatibleStrings", "PartialString", "canonical_key", "parse_string",
-        "sort_strings"),
+        "IncompatibleStrings", "PartialString", "parse_string"),
     "tracer": (
         "DecisionProgram", "KernelComparison", "MalformedProgramError", "ProbeTrace",
         "ProgramFaultError", "Verdict", "backward_assignment_scan", "built_in_programs",

@@ -201,7 +201,7 @@ def cmd_kernel(ns, problem, budget):
             "kernel": k.texts(L),
             "size": len(k),
             "complete": _cli.is_complete(k.elements, problem, share),
-            "matches_logogram": k.elements == log.elements,
+            "matches_logogram": k.pairs == log.pairs,
         })
     if ns.dump_traces and fault is None:
         with open(ns.dump_traces, "w", encoding="utf-8") as fh:
@@ -209,7 +209,7 @@ def cmd_kernel(ns, problem, budget):
                 for record in _cli.trace_records(prog, problem, share):
                     fh.write(json.dumps({"program": prog.name, **record},
                                         sort_keys=True) + "\n")
-    all_equal = len({tuple(k.elements) for k in kernels.values()}) <= 1
+    all_equal = len({k.pairs for k in kernels.values()}) <= 1
     irreducible = _cli.irreducibility_report(log.elements, problem, share).irreducible
     doc = {
         "problem": problem.label,

@@ -14,7 +14,7 @@ Word sets are bitmasks over the slice (see :mod:`logogram.universe`): a
 cofactor is a shift and an AND, and entanglement, expansions,
 irreducibility, the independence checks and the closure laws are unions
 and differences of cylinders, not scans of completions. Strings are
-(position, letter index) pairs until a result or a report leaves the engine.
+(position, letter index) pairs, kept by :class:`Antichain` up to the report.
 
 Everything here is exhaustive over one slice: correctness comes from
 enumeration, and budgets keep the enumeration honest about its limits.
@@ -24,59 +24,83 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError, Meter
-from .strings import Alphabet, PartialString, sort_strings
+from .strings import BLANK, Alphabet, PartialString
 from .universe import Pairs, Slice, expand_mask, member_rows, members_inside
 
 
 class Antichain(NamedTuple):
-    """A canonically ordered set of pairwise incomparable strings."""
+    """Pairwise incomparable strings over one alphabet, as (position, letter
+    index) pairs in canonical order; ``elements`` builds the strings."""
 
-    elements: tuple[PartialString, ...]
+    pairs: tuple[Pairs, ...]
+    alphabet: Alphabet
 
     @classmethod
-    def of(cls, strings: Iterable[PartialString],
-           alphabet: Alphabet | None = None) -> "Antichain":
-        """Canonically order the strings, rejecting any comparable pair.
+    def of(cls, strings: Iterable[PartialString], alphabet: Alphabet) -> "Antichain":
+        """Canonically order outside strings, rejecting any comparable pair.
 
-        With one bitset of elements per (position, letter), the elements
+        With one bitset of members per (position, letter), the members
         extending f are the AND of the bitsets of f's pairs (all of them for
         the void string); the set is an antichain when each such AND holds f
         alone.
         """
-        elems = sort_strings(strings, alphabet)
-        holders: dict[tuple[int, str], int] = {}
-        for i, f in enumerate(elems):
-            for pair in f.pairs:
+        given = {tuple((p, alphabet.index(ch)) for p, ch in s.pairs): s for s in strings}
+        members = _canonical(given)
+        holders: dict[tuple[int, int], int] = {}
+        for i, f in enumerate(members):
+            for pair in f:
                 holders[pair] = holders.get(pair, 0) | 1 << i
-        everyone = (1 << len(elems)) - 1
-        for i, f in enumerate(elems):
+        everyone = (1 << len(members)) - 1
+        for i, f in enumerate(members):
             above = everyone
-            for pair in f.pairs:
+            for pair in f:
                 above &= holders[pair]
             above ^= 1 << i  # f itself
             if above:
-                g = elems[(above & -above).bit_length() - 1]
-                raise ValueError(f"not an antichain: {f!r} and {g!r} are comparable")
-        return cls(elems)
+                g = members[(above & -above).bit_length() - 1]
+                raise ValueError(
+                    f"not an antichain: {given[f]!r} and {given[g]!r} are comparable")
+        return cls(members, alphabet)
+
+    @property
+    def elements(self) -> tuple[PartialString, ...]:
+        letters = self.alphabet.letters
+        return tuple(PartialString(tuple((p, letters[d]) for p, d in x)) for x in self.pairs)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __reduce__(self):
         # copy and pickle would rebuild from the iterated elements
-        return Antichain, (self.elements,)
+        return Antichain, (self.pairs, self.alphabet)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.pairs)
 
     def __contains__(self, string: PartialString) -> bool:
-        return string in self.elements
+        letters = self.alphabet.letters
+        return all(ch in letters for _, ch in string.pairs) and tuple(
+            (p, letters.index(ch)) for p, ch in string.pairs) in self.pairs
 
     def texts(self, length: int) -> list[str]:
-        return [s.render(length) for s in self.elements]
+        return [_text(x, length, self.alphabet.letters) for x in self.pairs]
+
+
+def _canonical(members: Iterable[Pairs]) -> tuple[Pairs, ...]:
+    """Members in canonical order: domain size first, then the pairs, whose
+    letter indices follow the alphabet's order."""
+    return tuple(sorted(members, key=lambda x: (len(x), x)))
+
+
+def _text(pairs: Pairs, length: int, letters: tuple[str, ...]) -> str:
+    """The text of a string given as pairs, padded with blanks to ``length``."""
+    cells = [BLANK] * length
+    for p, d in pairs:
+        cells[p - 1] = letters[d]
+    return "".join(cells)
 
 
 class SearchFrontier(NamedTuple):
@@ -202,7 +226,7 @@ def _minimal_pairs(on: int, slc: Slice,
         return rl(1, on, slc.e_mask() & ~on)
     except BudgetExceededError as err:
         err.partial = SearchFrontier(
-            minimal_so_far=sort_strings(map(slc.string_of_pairs, found), slc.alphabet),
+            minimal_so_far=Antichain(_canonical(found), slc.alphabet).elements,
             level=deepest, live_count=len(memo))
         raise
     finally:
@@ -221,9 +245,9 @@ def reduced_logogram_of_mask(on: int, slc: Slice, budget: Budget | None = None,
                              meter: Meter | None = None) -> Antichain:
     """The reduced logogram of a target given as a mask of words of the
     slice (:meth:`Slice.mask_of_ints`), which the caller guarantees lies
-    inside :meth:`Slice.e_mask`."""
-    found = _minimal_pairs(on, slc, budget, meter=meter)
-    return Antichain.of(map(slc.string_of_pairs, found), slc.alphabet)
+    inside :meth:`Slice.e_mask`. The search returns prime implicants,
+    pairwise incomparable by construction, so they are not checked again."""
+    return Antichain(_canonical(_minimal_pairs(on, slc, budget, meter=meter)), slc.alphabet)
 
 
 # -- entanglement -------------------------------------------------------
@@ -302,19 +326,19 @@ def is_complete(strings, problem, budget: Budget | None = None) -> bool:
     return reduce(or_, _cylinders(strings, problem, budget).values(), 0) == problem.f_mask()
 
 
-def _cylinders(strings, problem, budget: Budget | None) -> dict[PartialString, int]:
-    """Each string, checked to be in the reduced logogram, with its
-    cylinder."""
-    members = set(problem.logogram(budget).elements)
+def _cylinders(strings, problem, budget: Budget | None) -> dict[Pairs, int]:
+    """The cylinder of each string, keyed by its pairs in logogram order;
+    every string must be in the reduced logogram."""
     slc = problem.slice
-    out = {}
+    chosen = dict.fromkeys(problem.logogram(budget).pairs, False)
     for s in strings:
         if not isinstance(s, PartialString):
             s = PartialString.parse(s, slc.alphabet)
-        if s not in members:
+        pairs = slc.pairs_of(s)
+        if pairs not in chosen:
             raise ValueError(f"{s!r} is not in the reduced logogram")
-        out[s] = slc.cylinder_of(s)
-    return out
+        chosen[pairs] = True
+    return {x: slc.cylinder(x) for x, picked in chosen.items() if picked}
 
 
 def irreducibility_report(strings, problem,
@@ -330,10 +354,10 @@ def irreducibility_report(strings, problem,
     cyls = _cylinders(strings, problem, budget)
     if reduce(or_, cyls.values(), 0) != problem.f_mask():
         raise ValueError("irreducibility is only defined for complete sets")
-    chosen = sort_strings(cyls, slc.alphabet)
+    chosen = Antichain(tuple(cyls), slc.alphabet).elements
     removable = []
     witnesses = {}
-    for s, unique in zip(chosen, _unique_coverage([cyls[s] for s in chosen])):
+    for s, unique in zip(chosen, _unique_coverage(list(cyls.values()))):
         if unique:
             witnesses[s] = slc.word_of_int((unique & -unique).bit_length() - 1)
         else:
@@ -390,7 +414,7 @@ class IndependenceReport(NamedTuple):
         return doc
 
 
-def _first_entailment(pair_list: list[Pairs], slc: Slice, meter: Meter,
+def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
                       excuse_extensions: bool) -> tuple[int, tuple[int, int] | None, bool]:
     """The first ordered pair (f, g) of distinct strings, rows f in list
     order, where every word of the slice extending f also extends g.
@@ -448,9 +472,8 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
                                                  excuse_extensions=True)
     counterexample = None
     if hit is not None:
-        f, g = (slc.string_of_pairs(pair_list[x]) for x in hit)
-        counterexample = {"f": slc.render(f), "g": slc.render(g),
-                          "entangled": True, "extends": False}
+        f, g = (_text(pair_list[x], slc.length, slc.alphabet.letters) for x in hit)
+        counterexample = {"f": f, "g": g, "entangled": True, "extends": False}
     return IndependenceReport(
         kind="internal", passed=hit is None, strings_checked=len(pair_list),
         pairs_checked=pairs_checked, budget_exhausted=late or not saw_all,
@@ -499,18 +522,17 @@ def simple_independence(problem, budget: Budget | None = None) -> IndependenceRe
     meter = budget.start(f"simple independence: {problem.label}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    pair_list = [slc.pairs_of(s) for s in log.elements]
-    pairs_checked, hit, late = _first_entailment(pair_list, slc, meter,
+    pairs_checked, hit, late = _first_entailment(log.pairs, slc, meter,
                                                  excuse_extensions=False)
     if late:
         raise BudgetExceededError(
             f"simple independence: out of time after {pairs_checked} pairs")
     counterexample = None
     if hit is not None:
-        f, g = (log.elements[x] for x in hit)
-        counterexample = {"f": slc.render(f), "g": slc.render(g), "entangled": True}
+        f, g = (_text(log.pairs[x], slc.length, slc.alphabet.letters) for x in hit)
+        counterexample = {"f": f, "g": g, "entangled": True}
     return IndependenceReport(
-        kind="simple", passed=hit is None, strings_checked=len(pair_list),
+        kind="simple", passed=hit is None, strings_checked=len(log),
         pairs_checked=pairs_checked, budget_exhausted=False,
         counterexample=counterexample)
 
@@ -528,13 +550,12 @@ def strong_independence(problem, budget: Budget | None = None) -> IndependenceRe
     meter = budget.start(f"strong independence: {problem.label}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    cyls = [slc.cylinder_of(s) for s in log.elements]
+    cyls = [slc.cylinder(x) for x in log.pairs]
     separators = []
-    for i, unique in enumerate(_unique_coverage(cyls)):
+    for i, (unique, text) in enumerate(zip(_unique_coverage(cyls), log.texts(slc.length))):
         if meter.out_of_time():
             raise BudgetExceededError(
                 f"strong independence: out of time after {i} strings")
-        text = slc.render(log.elements[i])
         if not unique:
             return IndependenceReport(
                 kind="strong", passed=False,
@@ -605,6 +626,7 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
     rng = random.Random(seed)
     e_ints = slc.word_ints()
     e = slc.e_mask()
+    k = len(slc.alphabet)
     positions = range(1, slc.length + 1)
 
     def minimal(on: int) -> list[Pairs]:
@@ -619,7 +641,7 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         if not ok and law not in failures:
             failures[law] = {
                 key: [slc.text_of_int(x) if isinstance(x, int)
-                      else slc.render(slc.string_of_pairs(x)) for x in items]
+                      else _text(x, slc.length, slc.alphabet.letters) for x in items]
                 for key, items in evidence.items()}
 
     laws = ["antitone-expansion", "antitone-logogram",
@@ -650,12 +672,10 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         B = sorted(rng.sample(e_ints, rng.randint(0, len(e_ints))))
         A = [w for w in B if rng.random() < 0.6]
 
-        # forcing one set implies the reverse inclusion of expansions
-        cyl_h = [slc.cylinder(h) for h in H]
-        exp_h = reduce(or_, cyl_h)
+        # K extends members of H, so it forces H: its expansion lies inside H's
+        exp_h = _expansion(H, slc)
         exp_k = _expansion(K, slc)
-        if not exp_k & ~exp_h:  # K entangles H
-            record("antitone-expansion", not exp_k & ~exp_h, H=H, K=K)
+        record("antitone-expansion", not exp_k & ~exp_h, H=H, K=K)
 
         # nested targets have nested logograms, hence entangled logograms
         a_mask, b_mask = slc.mask_of_ints(A), slc.mask_of_ints(B)
@@ -668,15 +688,19 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         record("antitone-logogram", ok, A=A, B=B)
 
         # the logogram of the expansion of H is forced back onto H
-        exp_min_exp_h = _expansion(minimal(exp_h), slc)
+        min_exp_h = minimal(exp_h)
+        exp_min_exp_h = _expansion(min_exp_h, slc)
         record("string-closure-covered", not exp_min_exp_h & ~exp_h, H=H)
 
         # a target is contained in its closure
         record("word-closure-extensive", not a_mask & ~closure_a, A=A)
 
-        # every sampled string lies in the closure of its own set
-        off_h = e & ~exp_h
-        record("string-closure-extensive", all(_log_probe(c, off_h) for c in cyl_h), H=H)
+        # every sampled string lies in the closure of its own set: it
+        # extends a member of the reduced logogram of the set's expansion
+        rows = member_rows(min_exp_h, slc)
+        record("string-closure-extensive",
+               all(members_inside(rows, [dict(h).get(p, k) for p in positions]) for h in H),
+               H=H)
 
         # one round trip leaves the expansion unchanged
         record("expansion-roundtrip-stable", exp_min_exp_h == exp_h, H=H)

@@ -237,18 +237,3 @@ VOID = PartialString(())
 
 def parse_string(text: str, alphabet: Alphabet) -> PartialString:
     return PartialString.parse(text, alphabet)
-
-
-def canonical_key(string: PartialString, alphabet: Alphabet | None = None):
-    """Sort key for deterministic output: domain size first, then the
-    (position, letter) pairs with letters in alphabet order."""
-    if alphabet is None:
-        return (len(string.pairs), string.pairs)
-    return (len(string.pairs),
-            tuple((p, alphabet.index(ch)) for p, ch in string.pairs))
-
-
-def sort_strings(strings: Iterable[PartialString],
-                 alphabet: Alphabet | None = None) -> tuple[PartialString, ...]:
-    """Canonically ordered, de-duplicated tuple of strings."""
-    return tuple(sorted(set(strings), key=lambda s: canonical_key(s, alphabet)))

@@ -178,7 +178,7 @@ def kernel(program: DecisionProgram, problem,
     slc = problem.slice
     off, f = _verdict_masks(problem)
     run = _runner(program, slc)
-    rows = member_rows([slc.pairs_of(g) for g in log.elements], slc)
+    rows = member_rows(log.pairs, slc)
     used = 0
     uncovered = slc.e_mask()
     while uncovered:
@@ -197,7 +197,7 @@ def kernel(program: DecisionProgram, problem,
                                     f"{program.name} was not justified in its {verdict.value}")
         if accepted:
             used |= members_inside(rows, index)
-    return Antichain.of((log.elements[j] for j in _set_bits(used)), slc.alphabet)
+    return Antichain(tuple(log.pairs[j] for j in _set_bits(used)), log.alphabet)
 
 
 class KernelComparison(NamedTuple):
@@ -230,7 +230,7 @@ def compare_kernels(first: DecisionProgram, second: DecisionProgram, problem,
     return KernelComparison(
         problem_label=problem.label, length=problem.slice.length,
         names=(first.name, second.name), kernels=(ka, kb),
-        equal=ka.elements == kb.elements,
+        equal=ka.pairs == kb.pairs,
         logogram_irreducible=report.irreducible)
 
 
@@ -249,8 +249,8 @@ def trace_records(program: DecisionProgram, problem,
     slc = problem.slice
     letters = slc.alphabet.letters
     run = _runner(program, slc)
-    rows = member_rows([slc.pairs_of(g) for g in log.elements], slc)
-    rendered = [g.render(slc.length) for g in log.elements]
+    rows = member_rows(log.pairs, slc)
+    rendered = log.texts(slc.length)
     off, f = _verdict_masks(problem)
     pending: dict[int, dict] = {}  # covered words not yet dumped -> body
     for i in slc.word_ints():

@@ -5,11 +5,13 @@ alphabet, which makes every quantifier in the calculus exhaustively
 checkable. Words are packed into integers (base k, position 1 most
 significant) so that ascending integer order is exactly the canonical
 lexicographic order. A partial string restricted to a slice is a tuple of
-(position, letter index) pairs. A set of words is held as a bitmask, bit
-i standing for packed word i, and this is the only form a word set takes:
-the slice's own membership is one mask, and the words extending a string
-(its cylinder) are that mask ANDed with per-position masks. Word tuples
-are decoded from a mask only where a caller lists words.
+(position, letter index) pairs, the form the engine keeps reduced-logogram
+members in; :meth:`Slice.cylinder_of` takes strings from outside it. A set
+of words is held as a bitmask, bit i standing for packed word i, and this
+is the only form a word set takes: the slice's own membership is one mask,
+and the words extending a string (its cylinder) are that mask ANDed with
+per-position masks. Word tuples are decoded from a mask only where a
+caller lists words.
 """
 
 from __future__ import annotations
@@ -218,13 +220,6 @@ class Slice:
         the string cannot occur in any word of this length."""
         pairs = self.pairs_of(string)
         return 0 if pairs is None else self.cylinder(pairs)
-
-    def string_of_pairs(self, pairs: Pairs) -> PartialString:
-        letters = self.alphabet.letters
-        return PartialString(tuple((p, letters[d]) for p, d in pairs))
-
-    def render(self, string: PartialString) -> str:
-        return string.render(self.length)
 
     # -- serialization ----------------------------------------------------
 

@@ -14,13 +14,13 @@ regions are reported as computed, including the cases where a chart fits
 in several regions or the cover is smaller than the region count.
 
 Regions are masks over the slice (:meth:`ProblemSlice.region_mask`) and a
-string's expansion is its cylinder (:meth:`Slice.cylinder_of`), so whether an
-expansion fits inside a region is one AND and one comparison. A region that
-holds a cylinder holds the cylinder's lowest word, so each string makes that
-test only against the regions holding its lowest word; one AND per region
-with the OR of all lowest words lists them. The work is one AND per region
-plus one test per (string, candidate region) pair, not one test per
-(string, region) pair.
+string's expansion is the cylinder of its pairs (:meth:`Slice.cylinder`),
+so whether an expansion fits inside a region is one AND and one comparison.
+A region that holds a cylinder holds the cylinder's lowest word, so each
+string makes that test only against the regions holding its lowest word;
+one AND per region with the OR of all lowest words lists them. The work is
+one AND per region plus one test per (string, candidate region) pair, not
+one test per (string, region) pair.
 """
 
 from __future__ import annotations
@@ -71,12 +71,20 @@ def _charts(problem, budget: Budget | None, label: str):
     The candidates for a string are the regions holding its lowest word
     (its cylinder is non-empty, being in the target's logogram), indexed
     by that word's bit position. The search and the region tests run on
-    one meter, whose clock is checked once per string.
+    one meter, whose clock is checked after the search, before the
+    cylinders and the index are built, and then once per string.
     """
     meter = (budget or Budget.default()).start(f"{label}: {problem.label}")
     log = problem.logogram(meter=meter)
+
+    def check_clock(done: int) -> None:
+        if meter.out_of_time():
+            raise BudgetExceededError(
+                f"{meter.label}: out of time after {done} of {len(log)} strings")
+
+    check_clock(0)
     slc = problem.slice
-    cyls = [slc.cylinder_of(s) for s in log.elements]
+    cyls = [slc.cylinder(x) for x in log.pairs]
     lows = 0
     for cyl in cyls:
         lows |= cyl & -cyl
@@ -89,9 +97,7 @@ def _charts(problem, budget: Budget | None, label: str):
             holding.setdefault(top, []).append(i)
             hit ^= 1 << top
     for n, (s, cyl) in enumerate(zip(log.elements, cyls)):
-        if meter.out_of_time():
-            raise BudgetExceededError(
-                f"{meter.label}: out of time after {n} of {len(log)} strings")
+        check_clock(n)
         regions = holding.get((cyl & -cyl).bit_length() - 1, ())
         yield s, cyl, tuple(i for i in regions if cyl & masks[i] == cyl)
 
@@ -119,8 +125,8 @@ def witness_union_complete(problem, budget: Budget | None = None) -> bool:
     slc = problem.slice
     union = 0
     for i in range(problem.alpha):
-        for s in problem.region_logogram(i, meter=meter).elements:
-            union |= slc.cylinder_of(s)
+        for x in problem.region_logogram(i, meter=meter).pairs:
+            union |= slc.cylinder(x)
     return union == problem.f_mask()
 
 

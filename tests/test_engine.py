@@ -15,7 +15,7 @@ from logogram import (
     irreducibility_report, is_closed, is_complete, is_irreducible,
     isoexpansive, parse_string, reduced_logogram, simple_independence,
     strong_independence, verify_galois, generic_problem, predicted_sat_logogram,
-    sat_problem, sort_strings,
+    sat_problem, composite_problem,
 )
 
 
@@ -50,6 +50,12 @@ class TestAntichainOf:
             with pytest.raises(ValueError):
                 Antichain.of([ps(text), VOID], TERNARY)
 
+    def test_membership_reads_the_pairs(self):
+        chain = Antichain.of([ps("1_"), ps("_2")], TERNARY)
+        assert ps("1_") in chain and ps("_2") in chain
+        assert all(s not in chain for s in [VOID, ps("2_"), ps("12"), ps("__2")])
+        assert parse_string("3", Alphabet.of("0123")) not in chain
+
     def test_agrees_with_pairwise_definition(self):
         rng = random.Random(20081)
         verdicts = {True: 0, False: 0}
@@ -60,12 +66,35 @@ class TestAntichainOf:
             expected = not any(f <= g for f in distinct for g in distinct if f != g)
             verdicts[expected] += 1
             if expected:
+                # TERNARY's letters sort as characters in alphabet order
                 chain = Antichain.of(strings, TERNARY)
-                assert chain.elements == sort_strings(strings, TERNARY)
+                assert chain.elements == tuple(sorted(distinct, key=lambda s: (len(s), s.pairs)))
             else:
                 with pytest.raises(ValueError):
                     Antichain.of(strings, TERNARY)
         assert min(verdicts.values()) > 200
+
+
+class TestCanonicalOrder:
+    def test_domain_size_first(self):
+        out = Antichain.of([ps("12"), ps("_0"), ps("2")], TERNARY)
+        assert out.elements == (ps("2"), ps("_0"), ps("12"))
+        assert out.pairs == (((1, 2),), ((2, 0),), ((1, 1), (2, 2)))
+        assert Antichain.of([VOID], TERNARY).pairs == ((),)
+
+    def test_letter_order_follows_alphabet(self):
+        weird = Alphabet.of("ba")
+        a = PartialString.of({1: "a"})
+        b = PartialString.of({1: "b"})
+        chain = Antichain.of([a, b], weird)
+        assert chain.elements == (b, a)
+        assert chain.pairs == (((1, 0),), ((1, 1),))
+        assert chain.texts(2) == ["b_", "a_"]
+
+    def test_deduplicates(self):
+        chain = Antichain.of([ps("1"), ps("1")], TERNARY)
+        assert chain.elements == (ps("1"),)
+        assert len(chain) == 1
 
 
 class TestInLogogram:
@@ -734,6 +763,19 @@ class TestGalois:
                         assert set(texts) <= words
                 if "B" in evidence:
                     assert set(evidence["A"]) <= set(evidence["B"])
+
+    def test_dropped_member_breaks_string_closure_extensive(self, monkeypatch):
+        # every sampled string extends a member of the reduced logogram of
+        # its set's expansion, which a search that drops a member breaks
+        import logogram.engine
+        search = logogram.engine._minimal_pairs
+        monkeypatch.setattr(logogram.engine, "_minimal_pairs",
+                            lambda *args, **kwargs: search(*args, **kwargs)[1:])
+        for problem in [composite_problem(4), composite_problem(6), sat_problem(2, 2)]:
+            report = verify_galois(problem.slice, sample_count=120, seed=0)
+            law = next(c for c in report.checks if c.law == "string-closure-extensive")
+            assert (law.samples, law.passed) == (120, False), problem.label
+            assert set(law.counterexample) == {"H"}
 
     def test_nested_logograms_in_report(self):
         report = verify_galois(full_slice(BINARY, 2), sample_count=50, seed=1)

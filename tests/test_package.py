@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import logogram
-from logogram import Alphabet, Budget, CnfShape, PartialString, sat_problem
+from logogram import Alphabet, Antichain, Budget, CnfShape, PartialString, sat_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ANALYSIS_LAYERS = {"logogram.engine", "logogram.problems", "logogram.tracer",
@@ -105,10 +105,20 @@ class TestValueTypes:
         assert getattr(value, field) == before
 
     def test_antichain_copies_and_pickles_whole(self):
-        # a record that iterates its elements must still copy as one field
+        # a record that iterates its elements must still copy both fields
         chain = sat_problem(2, 1).logogram()
-        assert copy.copy(chain) == chain
-        assert pickle.loads(pickle.dumps(chain)) == chain
+        for twin in (copy.copy(chain), copy.deepcopy(chain),
+                     pickle.loads(pickle.dumps(chain))):
+            assert twin == chain
+            assert (twin.pairs, twin.alphabet) == (chain.pairs, chain.alphabet)
+            assert twin.elements == chain.elements
+
+    def test_antichain_equality_reads_pairs_and_alphabet(self):
+        chain = sat_problem(2, 1).logogram()
+        assert chain == Antichain(chain.pairs, Alphabet.of("012"))
+        assert hash(chain) == hash(Antichain(chain.pairs, Alphabet.of("012")))
+        assert chain != Antichain(chain.pairs, Alphabet.of("021"))
+        assert chain != Antichain(chain.pairs[1:], chain.alphabet)
 
     @pytest.mark.parametrize("build, message", [
         (lambda: PartialString(((0, "1"),)), "positions must be integers >= 1"),

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from logogram import (
     BLANK, TERNARY, VOID, Alphabet, FormatError, IncompatibleStrings,
-    PartialString, canonical_key, parse_string, sort_strings,
+    PartialString, parse_string,
 )
 
 strings = st.dictionaries(
@@ -183,19 +183,3 @@ class TestRestrictions:
         for r in g.immediate_restrictions():
             assert r < g
             assert len(r) == len(g) - 1
-
-
-class TestCanonicalOrder:
-    def test_domain_size_first(self):
-        out = sort_strings([ps("12"), ps("1"), VOID, ps("_2")], TERNARY)
-        assert out == (VOID, ps("1"), ps("_2"), ps("12"))
-
-    def test_letter_order_follows_alphabet(self):
-        weird = Alphabet.of("ba")
-        a = PartialString.of({1: "a"})
-        b = PartialString.of({1: "b"})
-        assert sort_strings([a, b], weird) == (b, a)
-        assert canonical_key(b, weird) < canonical_key(a, weird)
-
-    def test_deduplicates(self):
-        assert sort_strings([ps("1"), ps("1")]) == (ps("1"),)

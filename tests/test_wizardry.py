@@ -5,7 +5,7 @@ import pytest
 import logogram.budget
 import oracles
 from logogram import (
-    Budget, BudgetExceededError, classify, composite_problem,
+    Antichain, Budget, BudgetExceededError, classify, composite_problem,
     connectivity_problem, cover, expand, generic_problem, in_logogram,
     reduced_logogram, sat_problem, witness_union_complete,
 )
@@ -216,6 +216,18 @@ class TestChartsAgainstRegionScan:
         assert any(len(e.witness_regions) > 1 for e in entries)
 
 
+class TestEngineOutputIsAnAntichain:
+    # the search returns prime implicants, pairwise incomparable by
+    # construction, so the engine skips Antichain.of's check; run it here
+    @pytest.mark.parametrize("case", [*ORACLE_CASES, "sat 3 4"])
+    def test_logograms_pass_the_antichain_check(self, case):
+        build, *args = ORACLE_CASES.get(case, (sat_problem, 3, 4))
+        problem = build(*args)
+        alphabet = problem.slice.alphabet
+        for log in [problem.logogram(), *map(problem.region_logogram, range(problem.alpha))]:
+            assert Antichain.of(log.elements, alphabet) == log
+
+
 class TestRegionTestBudget:
     class TickingClock:
         """Stands in for the budget module's clock: one second per read."""
@@ -230,15 +242,32 @@ class TestRegionTestBudget:
     @pytest.mark.parametrize("run,what", [(classify, "wizards"), (cover, "cover")])
     def test_out_of_time_between_strings(self, monkeypatch, run, what):
         # the search is done (cached) before the clock is patched, so every
-        # read after the meter starts comes from the per-string check: the
-        # deadline of 3.5 s passes at the third string
+        # read after the meter starts comes from the check after the search
+        # and the per-string checks: the deadline of 4.5 s passes at the
+        # third string
         problem = composite_problem(6)
         problem.logogram()
         assert len(problem.logogram()) > 3
         monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
         with pytest.raises(BudgetExceededError,
                            match=f"^{what}: composite:6: out of time after 2 of "):
-            run(problem, Budget(max_seconds=2.5))
+            run(problem, Budget(max_seconds=3.5))
+
+    @pytest.mark.parametrize("run,what", [(classify, "wizards"), (cover, "cover")])
+    def test_out_of_time_after_the_search_builds_nothing(self, monkeypatch, run, what):
+        # a meter already past its deadline when the search ends stops
+        # before any cylinder, index or region mask is built
+        problem = composite_problem(6)
+        problem.logogram()
+
+        def unread(index):
+            raise AssertionError(f"region {index} read after the deadline")
+
+        monkeypatch.setattr(problem, "region_mask", unread)
+        monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{what}: composite:6: out of time after 0 of 14 strings"):
+            run(problem, Budget(max_seconds=0.5))
 
     @pytest.mark.parametrize("run", [classify, cover])
     def test_report_unchanged_while_time_remains(self, monkeypatch, run):
