@@ -32,10 +32,9 @@ _EXPORTS = {
         "BINARY", "BLANK", "TERNARY", "VOID", "Alphabet", "FormatError",
         "IncompatibleStrings", "PartialString", "parse_string"),
     "tracer": (
-        "DecisionProgram", "KernelComparison", "MalformedProgramError", "ProbeTrace",
-        "ProgramFaultError", "Verdict", "backward_assignment_scan", "built_in_programs",
-        "clause_first_scan", "compare_kernels", "forward_assignment_scan", "justified",
-        "kernel", "run_traced", "trace_records"),
+        "DecisionProgram", "MalformedProgramError", "ProbeTrace", "ProgramFaultError",
+        "Verdict", "backward_assignment_scan", "built_in_programs", "clause_first_scan",
+        "forward_assignment_scan", "justified", "kernel", "run_traced", "trace_records"),
     "universe": (
         "DegenerateSliceError", "Slice", "enumerate_words", "expand", "extensions_in_e",
         "full_slice", "in_sigma_infinity"),

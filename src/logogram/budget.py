@@ -37,7 +37,7 @@ class Budget:
 
     def __init__(self, max_strings: int = DEFAULT_MAX_STRINGS,
                  max_seconds: float = DEFAULT_MAX_SECONDS):
-        if max_strings <= 0 or max_seconds <= 0:
+        if not (max_strings > 0 and max_seconds > 0):  # also rejects NaN
             raise ValueError("budget limits must be positive")
         object.__setattr__(self, "max_strings", max_strings)
         object.__setattr__(self, "max_seconds", max_seconds)

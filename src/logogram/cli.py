@@ -154,7 +154,7 @@ def cmd_independence(ns, problem, budget):
 
 def cmd_irreducible(ns, problem, budget):
     log = problem.logogram(budget)
-    report = _cli.irreducibility_report(log.elements, problem, budget)
+    report = _cli.irreducibility_report(log, problem, budget)
     L = problem.slice.length
     doc = {
         "problem": problem.label,
@@ -200,7 +200,7 @@ def cmd_kernel(ns, problem, budget):
             "name": prog.name,
             "kernel": k.texts(L),
             "size": len(k),
-            "complete": _cli.is_complete(k.elements, problem, share),
+            "complete": _cli.is_complete(k, problem, share),
             "matches_logogram": k.pairs == log.pairs,
         })
     if ns.dump_traces and fault is None:
@@ -210,7 +210,7 @@ def cmd_kernel(ns, problem, budget):
                     fh.write(json.dumps({"program": prog.name, **record},
                                         sort_keys=True) + "\n")
     all_equal = len({k.pairs for k in kernels.values()}) <= 1
-    irreducible = _cli.irreducibility_report(log.elements, problem, share).irreducible
+    irreducible = _cli.irreducibility_report(log, problem, share).irreducible
     doc = {
         "problem": problem.label,
         "logogram_size": len(log),

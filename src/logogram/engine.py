@@ -321,23 +321,28 @@ class IrreducibilityReport(NamedTuple):
 def is_complete(strings, problem, budget: Budget | None = None) -> bool:
     """Does the subset of the reduced logogram decide the target exactly?
 
-    ``strings`` must be a subset of the problem's reduced logogram.
+    ``strings`` is an :class:`Antichain` or an iterable of strings or their
+    texts, and must be a subset of the problem's reduced logogram.
     """
     return reduce(or_, _cylinders(strings, problem, budget).values(), 0) == problem.f_mask()
 
 
 def _cylinders(strings, problem, budget: Budget | None) -> dict[Pairs, int]:
     """The cylinder of each string, keyed by its pairs in logogram order;
-    every string must be in the reduced logogram."""
+    every string must be in the reduced logogram. An antichain over the
+    slice's alphabet is read by its pairs; other strings are ordered by
+    :meth:`Antichain.of` first."""
     slc = problem.slice
+    if not (isinstance(strings, Antichain) and strings.alphabet == slc.alphabet):
+        strings = Antichain.of(
+            (s if isinstance(s, PartialString) else PartialString.parse(s, slc.alphabet)
+             for s in strings), slc.alphabet)
     chosen = dict.fromkeys(problem.logogram(budget).pairs, False)
-    for s in strings:
-        if not isinstance(s, PartialString):
-            s = PartialString.parse(s, slc.alphabet)
-        pairs = slc.pairs_of(s)
-        if pairs not in chosen:
+    for x in strings.pairs:
+        if x not in chosen:
+            s = Antichain((x,), slc.alphabet).elements[0]
             raise ValueError(f"{s!r} is not in the reduced logogram")
-        chosen[pairs] = True
+        chosen[x] = True
     return {x: slc.cylinder(x) for x, picked in chosen.items() if picked}
 
 
@@ -696,10 +701,13 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         record("word-closure-extensive", not a_mask & ~closure_a, A=A)
 
         # every sampled string lies in the closure of its own set: it
-        # extends a member of the reduced logogram of the set's expansion
+        # extends a member of the reduced logogram of the set's expansion,
+        # and each member is minimal there: it extends no other member
         rows = member_rows(min_exp_h, slc)
         record("string-closure-extensive",
-               all(members_inside(rows, [dict(h).get(p, k) for p in positions]) for h in H),
+               all(members_inside(rows, [dict(h).get(p, k) for p in positions]) for h in H)
+               and all(members_inside(rows, [dict(g).get(p, k) for p in positions]) == 1 << j
+                       for j, g in enumerate(min_exp_h)),
                H=H)
 
         # one round trip leaves the expansion unchanged

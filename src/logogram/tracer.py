@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
 from .budget import Budget, BudgetExceededError
-from .engine import Antichain, _log_probe, irreducibility_report
+from .engine import Antichain, _log_probe
 from .strings import PartialString
 from .universe import member_rows, members_inside
 
@@ -198,40 +198,6 @@ def kernel(program: DecisionProgram, problem,
         if accepted:
             used |= members_inside(rows, index)
     return Antichain(tuple(log.pairs[j] for j in _set_bits(used)), log.alphabet)
-
-
-class KernelComparison(NamedTuple):
-    problem_label: str
-    length: int
-    names: tuple[str, str]
-    kernels: tuple[Antichain, Antichain]
-    equal: bool
-    logogram_irreducible: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem_label,
-            "programs": list(self.names),
-            "kernels": {name: k.texts(self.length)
-                        for name, k in zip(self.names, self.kernels)},
-            "equal": self.equal,
-            "logogram_irreducible": self.logogram_irreducible,
-        }
-
-
-def compare_kernels(first: DecisionProgram, second: DecisionProgram, problem,
-                    budget: Budget | None = None) -> KernelComparison:
-    """Kernels of two programs side by side, with the irreducibility of the
-    reduced logogram (the hypothesis under which they must coincide)."""
-    ka = kernel(first, problem, budget)
-    kb = kernel(second, problem, budget)
-    log = problem.logogram(budget)
-    report = irreducibility_report(log.elements, problem, budget)
-    return KernelComparison(
-        problem_label=problem.label, length=problem.slice.length,
-        names=(first.name, second.name), kernels=(ka, kb),
-        equal=ka.pairs == kb.pairs,
-        logogram_irreducible=report.irreducible)
 
 
 def trace_records(program: DecisionProgram, problem,

@@ -1,7 +1,9 @@
 """CLI subcommands: reports, formats, exit codes, determinism."""
 
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +246,47 @@ class TestCoverCommand:
         assert doc["total_charts"] == 15378
 
 
+# the analyses bench/run.py wraps in spans, by the subcommands calling them
+TRACED_SEAMS = {
+    ("wizards",): {"classify"},
+    ("cover",): {"cover"},
+    ("kernel",): {"kernel", "irreducibility_report"},
+    ("irreducible",): {"irreducibility_report"},
+    ("independence",): {"internal_independence", "simple_independence",
+                        "strong_independence"},
+    ("galois", "--samples", "5"): {"verify_galois"},
+}
+
+
+class TestTracedSeams:
+    def test_seams_are_the_benchmarks(self):
+        path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+        spec = importlib.util.spec_from_file_location("bench_run", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert set().union(*TRACED_SEAMS.values()) == set(bench.TRACED_CALLS)
+
+    @pytest.mark.parametrize("command", list(TRACED_SEAMS), ids=lambda c: c[0])
+    def test_handler_calls_its_analyses_through_the_module(self, capsys, monkeypatch,
+                                                           command):
+        # a handler that bypassed logogram.cli.<name> would leave the
+        # benchmark's spans and counters for that layer at zero
+        import logogram.cli
+        called = set()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in set().union(*TRACED_SEAMS.values()):
+            monkeypatch.setattr(logogram.cli, name, counting(name, getattr(logogram.cli, name)))
+        code, _ = run_json(capsys, command[0], "sat", "2", "1", *command[1:])
+        assert code == 0
+        assert called == TRACED_SEAMS[command]
+
+
 class TestContract:
     def test_bad_arguments_exit_1(self, capsys):
         assert run(capsys, "logogram", "sat", "1")[0] == 1
@@ -288,8 +331,10 @@ class TestContract:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
-    def test_non_positive_budget_exits_1(self, capsys):
-        code, out, err = run(capsys, "logogram", "sat", "1", "1", "--budget-strings", "0")
+    @pytest.mark.parametrize("limit", [("--budget-strings", "0"), ("--budget-seconds", "nan")],
+                             ids=["strings-0", "seconds-nan"])
+    def test_non_positive_budget_exits_1(self, capsys, limit):
+        code, out, err = run(capsys, "logogram", "sat", "1", "1", *limit)
         assert code == 1 and out == ""
         assert "budget limits must be positive" in err
 

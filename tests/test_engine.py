@@ -568,10 +568,29 @@ class TestCompleteness:
     def test_empty_subset_incomplete(self):
         assert not is_complete([], sat_problem(1, 1))
 
-    def test_non_member_rejected(self):
+    @pytest.mark.parametrize("strings", [
+        [ps("0")],
+        Antichain((((1, 0),),), TERNARY),
+        Antichain.of([parse_string("a", Alphabet.of("ab"))], Alphabet.of("ab")),
+    ], ids=["string", "antichain", "foreign-alphabet"])
+    def test_non_member_rejected(self, strings):
         p = sat_problem(1, 1)
         with pytest.raises(ValueError):
-            is_complete([ps("0")], p)
+            is_complete(strings, p)
+        with pytest.raises(ValueError):
+            irreducibility_report(strings, p)
+
+    def test_non_member_named(self):
+        with pytest.raises(ValueError, match=r"PartialString\('0'\) is not in the reduced"):
+            is_complete(Antichain((((1, 0),),), TERNARY), sat_problem(1, 1))
+
+    def test_other_alphabet_read_by_letters(self):
+        # the same strings indexed by another alphabet are the same members
+        p = sat_problem(2, 1)
+        chain = Antichain.of(p.logogram().elements, Alphabet.of("210"))
+        assert chain.pairs != p.logogram().pairs
+        assert is_complete(chain, p)
+        assert irreducibility_report(chain, p) == irreducibility_report(p.logogram(), p)
 
     def test_monotone_under_superset(self):
         # every superset (within the logogram) of a complete subset stays
@@ -593,7 +612,31 @@ def _subsets(items):
         yield [items[i] for i in range(len(items)) if mask >> i & 1]
 
 
+TWIN = {"alphabet": ["0", "1"], "length": 2, "universe": ["00", "11"],
+        "target": ["11"], "regions": [["11"]], "label": "twin"}
+MIXED = {"alphabet": ["0", "1"], "length": 3, "universe": "all",
+         "target": ["100", "101", "110", "011"],
+         "regions": [["100", "101"], ["110", "011"]], "label": "mixed"}
+
+
 class TestIrreducibility:
+    @pytest.mark.parametrize("build", [
+        *(lambda n=n, m=m: sat_problem(n, m) for n in (1, 2, 3) for m in (1, 2)),
+        lambda: composite_problem(4), lambda: composite_problem(6),
+        lambda: generic_problem(TWIN), lambda: generic_problem(MIXED),
+    ], ids=["sat-1-1", "sat-1-2", "sat-2-1", "sat-2-2", "sat-3-1", "sat-3-2",
+            "composite-4", "composite-6", "twin", "mixed"])
+    def test_antichain_and_strings_agree(self, build):
+        # the verdicts read an antichain by its pairs and strings or texts
+        # by their letters, with the same result
+        p = build()
+        log = p.logogram()
+        for strings in (log.elements, log.texts(p.slice.length)):
+            assert is_complete(strings, p) == is_complete(log, p)
+            assert irreducibility_report(strings, p) == irreducibility_report(log, p)
+        half = log.elements[::2]
+        assert is_complete(half, p) == is_complete(Antichain.of(half, log.alphabet), p)
+
     def test_sat_2x1(self):
         p = sat_problem(2, 1)
         report = irreducibility_report(p.logogram().elements, p)
@@ -608,9 +651,7 @@ class TestIrreducibility:
         assert report.witness_texts(1) == {"1": "1", "2": "2"}
 
     def test_duplicate_cover_reducible(self):
-        doc = {"alphabet": ["0", "1"], "length": 2, "universe": ["00", "11"],
-               "target": ["11"], "regions": [["11"]], "label": "twin"}
-        p = generic_problem(doc)
+        p = generic_problem(TWIN)
         assert p.logogram().texts(2) == ["1_", "_1"]
         report = irreducibility_report(p.logogram().elements, p)
         assert not report.irreducible
@@ -622,12 +663,7 @@ class TestIrreducibility:
             is_irreducible([ps("1")], p)
 
     @pytest.mark.parametrize("doc", [
-        {"sat": (2, 2)}, {"sat": (2, 3)}, {"sat": (3, 2)},
-        {"alphabet": ["0", "1"], "length": 2, "universe": ["00", "11"],
-         "target": ["11"], "regions": [["11"]], "label": "twin"},
-        {"alphabet": ["0", "1"], "length": 3, "universe": "all",
-         "target": ["100", "101", "110", "011"],
-         "regions": [["100", "101"], ["110", "011"]], "label": "mixed"},
+        {"sat": (2, 2)}, {"sat": (2, 3)}, {"sat": (3, 2)}, TWIN, MIXED,
     ], ids=["sat-2-2", "sat-2-3", "sat-3-2", "twin", "mixed"])
     def test_witnesses_match_word_counts(self, doc):
         # a member's witness is the first word, in canonical order, that it
@@ -725,6 +761,25 @@ class TestStrongIndependence:
         assert "string" in report.counterexample
 
 
+EVEN4_WORDS = [w for w in (format(i, "04b") for i in range(16)) if w.count("1") % 2 == 0]
+EVEN4 = {"label": "even:4", "alphabet": ["0", "1"], "length": 4, "universe": EVEN4_WORDS,
+         "target": [w for w in EVEN4_WORDS if w[0] == "1"],
+         "regions": [[w for w in EVEN4_WORDS if w[0] == "1"]]}
+
+# an injected fault -> the closure laws it breaks on composite 4 and 6 and
+# sat 2 2 (even:4 differs in one law for two of them)
+FAULT_TABLE = {
+    "drop-member": {"antitone-logogram", "expansion-roundtrip-stable",
+                    "logogram-roundtrip-stable", "string-closure-extensive",
+                    "word-closure-extensive"},
+    "append-outside-word": {"antitone-logogram", "expansion-roundtrip-stable",
+                            "logogram-roundtrip-stable", "string-closure-covered"},
+    "append-extension": {"string-closure-extensive"},
+    "expand-first-only": {"antitone-expansion", "antitone-logogram",
+                          "string-closure-extensive"},
+}
+
+
 class TestGalois:
     def test_small_slices_pass(self):
         for slc in [full_slice(BINARY, 3), full_slice(TERNARY, 2),
@@ -764,18 +819,53 @@ class TestGalois:
                 if "B" in evidence:
                     assert set(evidence["A"]) <= set(evidence["B"])
 
-    def test_dropped_member_breaks_string_closure_extensive(self, monkeypatch):
-        # every sampled string extends a member of the reduced logogram of
-        # its set's expansion, which a search that drops a member breaks
+    @pytest.mark.parametrize("fault", list(FAULT_TABLE))
+    def test_fault_table(self, monkeypatch, fault):
+        # each injected fault in the search or the expansion must break the
+        # laws of its row on the four sampled slices of the benchmark
         import logogram.engine
-        search = logogram.engine._minimal_pairs
-        monkeypatch.setattr(logogram.engine, "_minimal_pairs",
-                            lambda *args, **kwargs: search(*args, **kwargs)[1:])
-        for problem in [composite_problem(4), composite_problem(6), sat_problem(2, 2)]:
+        search, expansion = logogram.engine._minimal_pairs, logogram.engine._expansion
+
+        def word(slc, i):
+            return tuple((p, slc.letter_index(i, p)) for p in range(1, slc.length + 1))
+
+        def faulty(on, slc, *args, **kwargs):
+            out = search(on, slc, *args, **kwargs)
+            if fault == "drop-member":
+                return out[1:]
+            if fault == "append-outside-word":
+                off = slc.e_mask() & ~on
+                return out + [word(slc, (off & -off).bit_length() - 1)] if off else out
+            # append-extension: a member with a blank position, filled from
+            # the lowest word extending it
+            g = next((g for g in out if len(g) < slc.length), None)
+            if g is None:
+                return out
+            cyl = slc.cylinder(g)
+            free = next(x for x in word(slc, (cyl & -cyl).bit_length() - 1)
+                        if x[0] not in dict(g))
+            return out + [tuple(sorted(g + (free,)))]
+
+        if fault == "expand-first-only":
+            monkeypatch.setattr(logogram.engine, "_expansion",
+                                lambda strings, slc: expansion(list(strings)[:1], slc))
+        else:
+            monkeypatch.setattr(logogram.engine, "_minimal_pairs", faulty)
+        laws = FAULT_TABLE[fault]
+        # on even:4 a dropped member leaves the logogram round trip stable,
+        # and the first string alone changes the expansion's
+        per_slice = {("drop-member", "even:4"): laws - {"logogram-roundtrip-stable"},
+                     ("expand-first-only", "even:4"): laws | {"expansion-roundtrip-stable"}}
+        for problem in [composite_problem(4), composite_problem(6), sat_problem(2, 2),
+                        generic_problem(EVEN4)]:
             report = verify_galois(problem.slice, sample_count=120, seed=0)
-            law = next(c for c in report.checks if c.law == "string-closure-extensive")
-            assert (law.samples, law.passed) == (120, False), problem.label
-            assert set(law.counterexample) == {"H"}
+            assert all(c.samples == 120 for c in report.checks)
+            failed = {c.law for c in report.checks if not c.passed}
+            assert failed == per_slice.get((fault, problem.label), laws), problem.label
+
+    def test_fault_table_breaks_every_law(self):
+        laws = {c.law for c in verify_galois(full_slice(BINARY, 2), sample_count=1).checks}
+        assert set().union(*FAULT_TABLE.values()) == laws
 
     def test_nested_logograms_in_report(self):
         report = verify_galois(full_slice(BINARY, 2), sample_count=50, seed=1)

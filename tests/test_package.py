@@ -131,6 +131,7 @@ class TestValueTypes:
         (lambda: CnfShape(1, 0), "must be >= 1"),
         (lambda: Budget(max_strings=0), "budget limits must be positive"),
         (lambda: Budget(max_seconds=-1.0), "budget limits must be positive"),
+        (lambda: Budget(max_seconds=float("nan")), "budget limits must be positive"),
     ])
     def test_validation_still_fires(self, build, message):
         with pytest.raises(ValueError, match=message):
