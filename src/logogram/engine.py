@@ -330,17 +330,16 @@ def is_complete(strings, problem, budget: Budget | None = None) -> bool:
 def _cylinders(strings, problem, budget: Budget | None) -> dict[Pairs, int]:
     """The cylinder of each string, keyed by its pairs in logogram order;
     every string must be in the reduced logogram. An antichain over the
-    slice's alphabet is read by its pairs; other strings are ordered by
-    :meth:`Antichain.of` first."""
+    slice's alphabet is read by its pairs, other strings by their letters."""
     slc = problem.slice
-    if not (isinstance(strings, Antichain) and strings.alphabet == slc.alphabet):
-        strings = Antichain.of(
-            (s if isinstance(s, PartialString) else PartialString.parse(s, slc.alphabet)
-             for s in strings), slc.alphabet)
     chosen = dict.fromkeys(problem.logogram(budget).pairs, False)
-    for x in strings.pairs:
+    own = isinstance(strings, Antichain) and strings.alphabet == slc.alphabet
+    for s in strings.pairs if own else strings:
+        if not (own or isinstance(s, PartialString)):
+            s = PartialString.parse(s, slc.alphabet)
+        x = s if own else slc.pairs_of(s)
         if x not in chosen:
-            s = Antichain((x,), slc.alphabet).elements[0]
+            s = Antichain((x,), slc.alphabet).elements[0] if own else s
             raise ValueError(f"{s!r} is not in the reduced logogram")
         chosen[x] = True
     return {x: slc.cylinder(x) for x, picked in chosen.items() if picked}

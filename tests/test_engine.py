@@ -575,9 +575,9 @@ class TestCompleteness:
     ], ids=["string", "antichain", "foreign-alphabet"])
     def test_non_member_rejected(self, strings):
         p = sat_problem(1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not in the reduced logogram"):
             is_complete(strings, p)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not in the reduced logogram"):
             irreducibility_report(strings, p)
 
     def test_non_member_named(self):
