@@ -6,9 +6,10 @@ elements form the reduced logogram, the irredundant certificate set of the
 target. They are the prime implicants, among those meeting A, of the
 function that is on over A, off over the rest of the slice and free outside
 it, and this module computes them by the classical recursion for primes on
-Shannon cofactors, memoized within one call. It also decides entanglement
-between string sets, exposes the expansion/logogram closure pair, and
-checks the three independence notions a decision problem may enjoy.
+Shannon cofactors, memoized per call or across the calls of one suite. It
+also decides entanglement between string sets, exposes the
+expansion/logogram closure pair, and checks the three independence notions
+a decision problem may enjoy.
 
 Word sets are bitmasks over the slice (see :mod:`logogram.universe`): a
 cofactor is a shift and an AND, and entanglement, expansions,
@@ -67,11 +68,13 @@ class Antichain(NamedTuple):
 
     @property
     def elements(self) -> tuple[PartialString, ...]:
-        letters = self.alphabet.letters
-        return tuple(PartialString(tuple((p, letters[d]) for p, d in x)) for x in self.pairs)
+        return tuple(self)
 
     def __iter__(self):
-        return iter(self.elements)
+        # one string at a time, so a metered loop over them reads its clock
+        # between strings, not after building them all
+        letters = self.alphabet.letters
+        return (PartialString(tuple((p, letters[d]) for p, d in x)) for x in self.pairs)
 
     def __reduce__(self):
         # copy and pickle would rebuild from the iterated elements
@@ -110,7 +113,8 @@ class SearchFrontier(NamedTuple):
     ``minimal_so_far`` holds the members already final at the top level of
     the recursion (whole branches of position 1 that finished), ``level``
     the deepest position a sub-problem reached, and ``live_count`` the
-    number of sub-problems solved and memoized.
+    number of sub-problems solved and memoized, by this search and by any
+    earlier one sharing its memo.
     """
 
     minimal_so_far: tuple[PartialString, ...]
@@ -160,7 +164,9 @@ def in_logogram(string: PartialString, target_words, slc: Slice) -> bool:
 def _minimal_pairs(on: int, slc: Slice,
                    budget: Budget | None = None,
                    label: str = "reduced logogram",
-                   meter: Meter | None = None) -> list[Pairs]:
+                   meter: Meter | None = None,
+                   memo: dict[tuple[int, int, int], list[Pairs]] | None = None,
+                   ) -> list[Pairs]:
     """The reduced logogram of the target mask ``on``, as pairs, by
     memoized recursion on Shannon cofactors.
 
@@ -180,14 +186,23 @@ def _minimal_pairs(on: int, slc: Slice,
       letter, else t with p blank would be a member already. Since t misses
       the off cofactor of d, the test is against the OR of them all.
 
-    Each distinct (p, on, off) is solved once per call, and each one solved
-    is one charge to the meter. Operations that run several searches pass
-    one shared meter so their total work stays within a single budget.
+    ``rl`` depends only on k, L and its arguments (the position masks are
+    the full cube's; the slice's words enter only through ``off``), so one
+    memo may serve every search over slices of one alphabet and length. A
+    caller running several searches passes a ``memo`` it owns; without one
+    the call keeps its own, freed on return. Each distinct (p, on, off) is
+    solved and charged to the meter once per memo, and callers running
+    several searches pass one shared meter too, so that their total work
+    stays within one budget. A shared memo's caller gets a copy of the
+    top-level list, which is itself a memo value; on a budget error the
+    frontier's ``live_count`` counts the whole memo.
     """
     meter = meter or (budget or Budget.default()).start(label)
     k = len(slc.alphabet)
     masks = slc.position_masks()
-    memo: dict[tuple[int, int, int], list[Pairs]] = {}
+    shared = memo is not None
+    if not shared:
+        memo = {}
     found: list[Pairs] = []
     deepest = 0
 
@@ -223,15 +238,17 @@ def _minimal_pairs(on: int, slc: Slice,
         return out
 
     try:
-        return rl(1, on, slc.e_mask() & ~on)
+        members = rl(1, on, slc.e_mask() & ~on)
+        # a memo value; copied only when the memo outlives this call
+        return list(members) if shared else members
     except BudgetExceededError as err:
         err.partial = SearchFrontier(
             minimal_so_far=Antichain(_canonical(found), slc.alphabet).elements,
             level=deepest, live_count=len(memo))
         raise
     finally:
-        # rl refers to itself through its closure: unbinding it frees the
-        # memo now, not at the next cyclic garbage collection
+        # rl refers to itself through its closure: unbinding it frees a
+        # call's own memo now, not at the next cyclic garbage collection
         del rl
 
 
@@ -620,6 +637,10 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
     keeps the sample's texts as evidence: ``H`` and ``K`` for
     antitone-expansion, ``A`` and ``B`` for antitone-logogram, ``A`` for
     word-closure-extensive and logogram-roundtrip-stable, ``H`` otherwise.
+
+    The suite is one budgeted operation: its four searches per sample share
+    one meter, and one cofactor memo that lives for this call, so
+    ``max_strings`` bounds the distinct sub-problems of the whole suite.
     """
     import random  # only this suite samples; other analyses skip the import
 
@@ -633,8 +654,10 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
     k = len(slc.alphabet)
     positions = range(1, slc.length + 1)
 
+    memo: dict[tuple[int, int, int], list[Pairs]] = {}
+
     def minimal(on: int) -> list[Pairs]:
-        return _minimal_pairs(on, slc, budget, label="galois sample")
+        return _minimal_pairs(on, slc, meter=meter, memo=memo)
 
     tallies: dict[str, int] = {}
     failures: dict[str, dict] = {}

@@ -63,6 +63,9 @@ class ClassifiedLogogram(NamedTuple):
         }
 
 
+_CLOCK_STRIDE = 256  # cylinders or regions built between clock reads
+
+
 def _charts(problem, budget: Budget | None, label: str):
     """(string, cylinder, indices of the regions containing the cylinder)
     for each reduced-logogram string, in canonical order, the indices
@@ -71,8 +74,9 @@ def _charts(problem, budget: Budget | None, label: str):
     The candidates for a string are the regions holding its lowest word
     (its cylinder is non-empty, being in the target's logogram), indexed
     by that word's bit position. The search and the region tests run on
-    one meter, whose clock is checked after the search, before the
-    cylinders and the index are built, and then once per string.
+    one meter, whose clock is checked after the search, every
+    ``_CLOCK_STRIDE`` cylinders and regions while the cylinders and the
+    index are built, and then once per string.
     """
     meter = (budget or Budget.default()).start(f"{label}: {problem.label}")
     log = problem.logogram(meter=meter)
@@ -84,19 +88,27 @@ def _charts(problem, budget: Budget | None, label: str):
 
     check_clock(0)
     slc = problem.slice
-    cyls = [slc.cylinder(x) for x in log.pairs]
+    cyls = []
     lows = 0
-    for cyl in cyls:
+    for n, x in enumerate(log.pairs, 1):
+        cyl = slc.cylinder(x)
+        cyls.append(cyl)
         lows |= cyl & -cyl
-    masks = [problem.region_mask(i) for i in range(problem.alpha)]
+        if not n % _CLOCK_STRIDE:
+            check_clock(0)
+    masks = []
     holding: dict[int, list[int]] = {}  # bit of a lowest word -> regions holding it
-    for i, m in enumerate(masks):
+    for i in range(problem.alpha):
+        m = problem.region_mask(i)
+        masks.append(m)
         hit = m & lows
         while hit:
             top = hit.bit_length() - 1
             holding.setdefault(top, []).append(i)
             hit ^= 1 << top
-    for n, (s, cyl) in enumerate(zip(log.elements, cyls)):
+        if not (i + 1) % _CLOCK_STRIDE:
+            check_clock(0)
+    for n, (s, cyl) in enumerate(zip(log, cyls)):
         check_clock(n)
         regions = holding.get((cyl & -cyl).bit_length() - 1, ())
         yield s, cyl, tuple(i for i in regions if cyl & masks[i] == cyl)

@@ -1,5 +1,6 @@
 """CLI subcommands: reports, formats, exit codes, determinism."""
 
+import hashlib
 import importlib.util
 import json
 import time
@@ -143,6 +144,51 @@ class TestGaloisCommand:
         assert code == 1
         assert out == ""
         assert "sample count must be >= 1" in err
+
+
+    @pytest.mark.parametrize("limit,expected", [("1000", 2), ("2116", 2), ("2117", 0)])
+    def test_budget_strings_bounds_the_whole_suite(self, capsys, limit, expected):
+        # the run's searches share one meter and one memo: together they
+        # solve 2,117 distinct sub-problems, though none alone solves over 70
+        code, out, err = run(capsys, "galois", "composite", "6", "--samples", "50",
+                             "--seed", "0", "--budget-strings", limit)
+        assert code == expected
+        if expected == 2:
+            assert out == ""
+            assert err == f"budget exhausted: galois suite: exceeded {limit} sub-problems\n"
+
+    def test_reports_keep_their_bytes(self, capsys, tmp_path):
+        # the sha256 of the JSON reports of the four sampled slices of the
+        # benchmark, --samples 120, recorded before the searches of a suite
+        # shared one memo
+        even4 = [w for w in (format(i, "04b") for i in range(16)) if w.count("1") % 2 == 0]
+        path = tmp_path / "even4.json"
+        path.write_text(json.dumps({
+            "label": "even:4", "alphabet": ["0", "1"], "length": 4, "universe": even4,
+            "target": [w for w in even4 if w[0] == "1"],
+            "regions": [[w for w in even4 if w[0] == "1"]]}))
+        problems = [("composite", "4"), ("composite", "6"), ("sat", "2", "2"),
+                    ("generic", str(path))]
+        expected = {
+            0: ["defb7b16c64db957af71d79085cba94d47e80382d27e19beea40271b499b4e82",
+                "4345848ccc7f3292ced555285ee10ac1c695d8a99bcd9b79c4735bdb57e1bdec",
+                "a316513a6ea4e87aa70ae480864f7dd0d97cf9cb16664de13ec3de5017ca19b5",
+                "0ac132d9405f9e417d5b7db374c447ac3d1462ae58d407ce9c1fed2afeafe007"],
+            7: ["c417131e4936a5624b3584e2a3be259f6b40b10fc4f6dbc2da63c486d3398138",
+                "9378a45ab5724edea9bd53dca0b49b60dcc68b79caab2d6cae0c413fda062f81",
+                "c02f14748e0f816db932870831f78fb37ce82d859f1ad6d12796080317e07f20",
+                "27bcd8487bad2536ee4db3dabc5ee3ae9ace6d38e956d4d81e53fa725501ca44"],
+            12345: ["57054122b3b13e2a676b1040c34d36f84f5904179286a8d6f367a1be48fb4ce8",
+                    "2797769a358cb2d0d9b6d60487a6be36f5281bac8ca86c57a3349a02e535e1e8",
+                    "97db2dad3290acf7669a2d18946148011f287fe833754b362d49e0839e10014d",
+                    "2750fa22773f006e9f961ef172700f99f37936be5f758cb3448b55aad65b226e"],
+        }
+        for seed, digests in expected.items():
+            for problem, digest in zip(problems, digests):
+                code, out, err = run(capsys, "galois", *problem, "--samples", "120",
+                                     "--seed", str(seed))
+                assert code == 0, err
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (seed, problem)
 
 
 class TestKernelCommand:

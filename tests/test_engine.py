@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logogram.engine
 import oracles
 from logogram import (
     BINARY, TERNARY, VOID, Alphabet, Antichain, Budget, BudgetExceededError,
@@ -287,6 +288,75 @@ class TestReducedLogogram:
         # 3^12 words each; built outside the adapter's cache
         p = sat_problem.__wrapped__(n, m)
         assert p.logogram() == predicted_sat_logogram(p.cnf_shape)
+
+
+class TestSharedMemo:
+    """Searches that share one cofactor memo, as those of the Galois suite
+    do, against fresh searches and the oracle."""
+
+    @staticmethod
+    def run_through_one_memo(queries):
+        """Search each (slice, slice words, target words) with one memo and
+        one meter; the meter must charge each distinct sub-problem once."""
+        memo = {}
+        meter = Budget().start("shared")
+        distinct = set()
+        for slc, e, a in queries:
+            on = logogram.engine._target_mask(a, slc)
+            shared = logogram.engine._minimal_pairs(on, slc, meter=meter, memo=memo)
+            own = {}
+            fresh = logogram.engine._minimal_pairs(on, slc, memo=own)
+            distinct |= own.keys()
+            assert sorted(shared) == sorted(fresh)
+            letters = "".join(slc.alphabet.letters)
+            expected = oracles.canonical_order(oracles.brute_reduced_logogram(e, a), letters)
+            chain = Antichain(logogram.engine._canonical(shared), slc.alphabet)
+            assert chain.texts(slc.length) == expected, (e, a)
+            shared.clear()  # the caller's list is its own, not the memo's
+        assert set(memo) == distinct
+        assert meter.count == len(distinct)
+
+    @staticmethod
+    def random_slice(rng, alphabet, length, explicit):
+        words = oracles.all_words("".join(alphabet.letters), length)
+        e = sorted(rng.sample(words, rng.randint(1, len(words))))
+        if explicit:
+            return Slice(alphabet, length, e), e
+        keep = frozenset(e)
+        return Slice(alphabet, length, lambda w: w.render(length) in keep), e
+
+    @staticmethod
+    def random_targets(rng, e, count):
+        # repeats, the empty target and the whole slice included
+        targets = [[], e] + [[w for w in e if rng.random() < rng.random()]
+                             for _ in range(count - 2)]
+        targets += rng.sample(targets, len(targets) // 2)
+        rng.shuffle(targets)
+        return targets
+
+    SHAPES = [("a", 3), ("01", 1), ("01", 3), ("01", 4), ("012", 2), ("012", 3)]
+
+    @pytest.mark.parametrize("letters,length", SHAPES)
+    def test_target_sequences_on_one_slice(self, letters, length):
+        rng = random.Random(f"{letters}{length}")
+        for trial in range(6):
+            slc, e = self.random_slice(rng, Alphabet.of(letters), length, trial % 2)
+            self.run_through_one_memo(
+                [(slc, e, a) for a in self.random_targets(rng, e, 10)])
+
+    @pytest.mark.parametrize("letters,length", SHAPES)
+    def test_same_shape_slices_interleaved(self, letters, length):
+        # the memo's sub-problems depend on the alphabet size and the length,
+        # not on the slice, so two slices of one shape may share it
+        rng = random.Random(f"{letters}{length}")
+        alphabet = Alphabet.of(letters)
+        for trial in range(4):
+            slices = [self.random_slice(rng, alphabet, length, explicit)
+                      for explicit in (trial % 2, not trial % 2)]
+            queries = [(slc, e, a) for slc, e in slices
+                       for a in self.random_targets(rng, e, 8)]
+            rng.shuffle(queries)
+            self.run_through_one_memo(queries)
 
 
 class TestEntanglement:

@@ -3,11 +3,12 @@
 import pytest
 
 import logogram.budget
+import logogram.engine
 import oracles
 from logogram import (
-    Antichain, Budget, BudgetExceededError, classify, composite_problem,
-    connectivity_problem, cover, expand, generic_problem, in_logogram,
-    reduced_logogram, sat_problem, witness_union_complete,
+    Antichain, Budget, BudgetExceededError, PartialString, classify,
+    composite_problem, connectivity_problem, cover, expand, generic_problem,
+    in_logogram, reduced_logogram, sat_problem, witness_union_complete,
 )
 
 SINGLE_REGION = {
@@ -268,6 +269,56 @@ class TestRegionTestBudget:
         with pytest.raises(BudgetExceededError,
                            match=f"^{what}: composite:6: out of time after 0 of 14 strings"):
             run(problem, Budget(max_seconds=0.5))
+
+    def test_out_of_time_between_strings_builds_no_later_string(self, monkeypatch):
+        # the strings are built one at a time, so the deadline that stops the
+        # charts at the third string leaves the other eleven unbuilt
+        problem = composite_problem(6)
+        problem.logogram()
+        built = []
+
+        class Counted(PartialString):
+            def __init__(self, pairs):
+                built.append(pairs)
+                super().__init__(pairs)
+
+        monkeypatch.setattr(logogram.engine, "PartialString", Counted)
+        monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
+        with pytest.raises(BudgetExceededError, match="out of time after 2 of 14 strings"):
+            cover(problem, Budget(max_seconds=3.5))
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("run,what", [(classify, "wizards"), (cover, "cover")])
+    def test_out_of_time_while_building_cylinders(self, monkeypatch, run, what):
+        # 406 strings: the clock is read again after the 256th cylinder,
+        # past the deadline of 2.5 s, before any region mask is read
+        problem = composite_problem(10)
+        problem.logogram()
+
+        def unread(index):
+            raise AssertionError(f"region {index} read after the deadline")
+
+        monkeypatch.setattr(problem, "region_mask", unread)
+        monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{what}: composite:10: out of time after 0 of 406 strings"):
+            run(problem, Budget(max_seconds=1.5))
+
+    @pytest.mark.parametrize("run,what", [(classify, "wizards"), (cover, "cover")])
+    def test_out_of_time_while_indexing_regions(self, monkeypatch, run, what):
+        # 180 strings and 510 regions: the clock is read again after the
+        # 256th region, past the deadline, and no later region is read
+        problem = composite_problem(9)
+        problem.logogram()
+        read = []
+        region_mask = problem.region_mask
+        monkeypatch.setattr(problem, "region_mask",
+                            lambda index: read.append(index) or region_mask(index))
+        monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{what}: composite:9: out of time after 0 of 180 strings"):
+            run(problem, Budget(max_seconds=1.5))
+        assert read == list(range(256))
 
     @pytest.mark.parametrize("run", [classify, cover])
     def test_report_unchanged_while_time_remains(self, monkeypatch, run):
