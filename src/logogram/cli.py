@@ -47,8 +47,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--budget-seconds", type=float, default=None, metavar="S",
                     help="max wall-clock seconds per search")
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    sp.add_argument("--seed", type=int, default=0, metavar="K",
-                    help="seed for sampled checks")
     sp.add_argument("--out", default=None, metavar="PATH",
                     help="write the report here instead of stdout")
 
@@ -76,6 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sp)
         if name == "galois":
             sp.add_argument("--samples", type=int, default=1000, metavar="N")
+            sp.add_argument("--seed", type=int, default=0, metavar="K",
+                            help="seed for sampled checks")
         if name == "kernel":
             sp.add_argument("--dump-traces", default=None, metavar="PATH",
                             help="write per-input probe traces as JSON lines")

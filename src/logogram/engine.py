@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError, Meter
 from .strings import BLANK, Alphabet, PartialString
-from .universe import Pairs, Slice, expand_mask, member_rows, members_inside
+from .universe import Pairs, Slice, expand_mask, letter_row, member_rows, members_inside
 
 
 class Antichain(NamedTuple):
@@ -43,27 +43,22 @@ class Antichain(NamedTuple):
     def of(cls, strings: Iterable[PartialString], alphabet: Alphabet) -> "Antichain":
         """Canonically order outside strings, rejecting any comparable pair.
 
-        With one bitset of members per (position, letter), the members
-        extending f are the AND of the bitsets of f's pairs (all of them for
-        the void string); the set is an antichain when each such AND holds f
-        alone.
+        The members f extends are those included in f's restriction
+        (:func:`~logogram.universe.members_inside`); the set is an antichain
+        when each f includes itself alone.
         """
         given = {tuple((p, alphabet.index(ch)) for p, ch in s.pairs): s for s in strings}
         members = _canonical(given)
-        holders: dict[tuple[int, int], int] = {}
+        k = len(alphabet)
+        # at least one position, so that the void string alone has a row
+        length = max((p for f in members for p, _ in f), default=1)
+        rows = member_rows(members, k, length)
         for i, f in enumerate(members):
-            for pair in f:
-                holders[pair] = holders.get(pair, 0) | 1 << i
-        everyone = (1 << len(members)) - 1
-        for i, f in enumerate(members):
-            above = everyone
-            for pair in f:
-                above &= holders[pair]
-            above ^= 1 << i  # f itself
-            if above:
-                g = members[(above & -above).bit_length() - 1]
+            below = members_inside(rows, letter_row(f, k, length)) ^ 1 << i  # f itself
+            if below:
+                g = members[(below & -below).bit_length() - 1]
                 raise ValueError(
-                    f"not an antichain: {given[f]!r} and {given[g]!r} are comparable")
+                    f"not an antichain: {given[g]!r} and {given[f]!r} are comparable")
         return cls(members, alphabet)
 
     @property
@@ -110,14 +105,15 @@ class SearchFrontier(NamedTuple):
     """Partial state attached to a budget error: what the reduced-logogram
     search had established when it ran out.
 
-    ``minimal_so_far`` holds the members already final at the top level of
-    the recursion (whole branches of position 1 that finished), ``level``
-    the deepest position a sub-problem reached, and ``live_count`` the
-    number of sub-problems solved and memoized, by this search and by any
-    earlier one sharing its memo.
+    ``minimal_so_far`` is the :class:`Antichain` of the members already
+    final at the top level of the recursion (whole branches of position 1
+    that finished), whose strings are built only when it is iterated;
+    ``level`` the deepest position a sub-problem reached, and
+    ``live_count`` the number of sub-problems solved and memoized, by this
+    search and by any earlier one sharing its memo.
     """
 
-    minimal_so_far: tuple[PartialString, ...]
+    minimal_so_far: Antichain
     level: int
     live_count: int
 
@@ -161,10 +157,7 @@ def in_logogram(string: PartialString, target_words, slc: Slice) -> bool:
     return _log_probe(slc.cylinder_of(string), off)
 
 
-def _minimal_pairs(on: int, slc: Slice,
-                   budget: Budget | None = None,
-                   label: str = "reduced logogram",
-                   meter: Meter | None = None,
+def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
                    memo: dict[tuple[int, int, int], list[Pairs]] | None = None,
                    ) -> list[Pairs]:
     """The reduced logogram of the target mask ``on``, as pairs, by
@@ -188,20 +181,18 @@ def _minimal_pairs(on: int, slc: Slice,
 
     ``rl`` depends only on k, L and its arguments (the position masks are
     the full cube's; the slice's words enter only through ``off``), so one
-    memo may serve every search over slices of one alphabet and length. A
-    caller running several searches passes a ``memo`` it owns; without one
-    the call keeps its own, freed on return. Each distinct (p, on, off) is
-    solved and charged to the meter once per memo, and callers running
-    several searches pass one shared meter too, so that their total work
-    stays within one budget. A shared memo's caller gets a copy of the
-    top-level list, which is itself a memo value; on a budget error the
-    frontier's ``live_count`` counts the whole memo.
+    memo may serve every search over slices of one alphabet and length. The
+    search works in the caller's ``memo``, or in a fresh one freed on
+    return, and returns a copy of the top-level list, which is itself a
+    memo value. Each distinct (p, on, off) is solved and charged to the
+    meter once per memo, and callers running several searches pass one
+    meter too, so that their total work stays within one budget; on a
+    budget error the frontier's ``live_count`` counts the whole memo.
     """
-    meter = meter or (budget or Budget.default()).start(label)
+    meter = meter or Budget.default().start("reduced logogram")
     k = len(slc.alphabet)
     masks = slc.position_masks()
-    shared = memo is not None
-    if not shared:
+    if memo is None:
         memo = {}
     found: list[Pairs] = []
     deepest = 0
@@ -238,17 +229,15 @@ def _minimal_pairs(on: int, slc: Slice,
         return out
 
     try:
-        members = rl(1, on, slc.e_mask() & ~on)
-        # a memo value; copied only when the memo outlives this call
-        return list(members) if shared else members
+        return list(rl(1, on, slc.e_mask() & ~on))
     except BudgetExceededError as err:
         err.partial = SearchFrontier(
-            minimal_so_far=Antichain(_canonical(found), slc.alphabet).elements,
+            minimal_so_far=Antichain(_canonical(found), slc.alphabet),
             level=deepest, live_count=len(memo))
         raise
     finally:
         # rl refers to itself through its closure: unbinding it frees a
-        # call's own memo now, not at the next cyclic garbage collection
+        # fresh memo now, not at the next cyclic garbage collection
         del rl
 
 
@@ -264,7 +253,8 @@ def reduced_logogram_of_mask(on: int, slc: Slice, budget: Budget | None = None,
     slice (:meth:`Slice.mask_of_ints`), which the caller guarantees lies
     inside :meth:`Slice.e_mask`. The search returns prime implicants,
     pairwise incomparable by construction, so they are not checked again."""
-    return Antichain(_canonical(_minimal_pairs(on, slc, budget, meter=meter)), slc.alphabet)
+    meter = meter or (budget or Budget.default()).start("reduced logogram")
+    return Antichain(_canonical(_minimal_pairs(on, slc, meter)), slc.alphabet)
 
 
 # -- entanglement -------------------------------------------------------
@@ -302,7 +292,8 @@ def closure_ba(target_words, slc: Slice,
 def _closure_mask(on: int, slc: Slice, budget: Budget | None) -> int:
     """The words of the slice extending a member of the target's reduced
     logogram."""
-    return _expansion(_minimal_pairs(on, slc, budget, label="closure"), slc)
+    meter = (budget or Budget.default()).start("closure")
+    return _expansion(_minimal_pairs(on, slc, meter), slc)
 
 
 def _expansion(strings: Iterable[Pairs], slc: Slice) -> int:
@@ -455,21 +446,20 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
     n = len(pair_list)
     k = len(slc.alphabet)
     masks = slc.position_masks()
-    rows = member_rows(pair_list, slc)
+    rows = member_rows(pair_list, k, slc.length)
     for i, f in enumerate(pair_list):
         if meter.out_of_time():
             return i * (n - 1), None, True
         cyl = slc.cylinder(f)
         low = (cyl & -cyl).bit_length() - 1
-        forced, own = [k] * slc.length, [k] * slc.length
+        forced = [k] * slc.length
         for p in range(slc.length):
             d = slc.letter_index(low, p + 1)
             if cyl & masks[p][d] == cyl:
                 forced[p] = d
-        for p, d in f:
-            own[p - 1] = d
         entailed = members_inside(rows, forced)
-        bad = entailed & ~(members_inside(rows, own) if excuse_extensions else 1 << i)
+        bad = entailed & ~(members_inside(rows, letter_row(f, k, slc.length))
+                           if excuse_extensions else 1 << i)
         if bad:
             j = (bad & -bad).bit_length() - 1
             return i * (n - 1) + j + (j < i), (i, j), False
@@ -725,10 +715,10 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         # every sampled string lies in the closure of its own set: it
         # extends a member of the reduced logogram of the set's expansion,
         # and each member is minimal there: it extends no other member
-        rows = member_rows(min_exp_h, slc)
+        rows = member_rows(min_exp_h, k, slc.length)
         record("string-closure-extensive",
-               all(members_inside(rows, [dict(h).get(p, k) for p in positions]) for h in H)
-               and all(members_inside(rows, [dict(g).get(p, k) for p in positions]) == 1 << j
+               all(members_inside(rows, letter_row(h, k, slc.length)) for h in H)
+               and all(members_inside(rows, letter_row(g, k, slc.length)) == 1 << j
                        for j, g in enumerate(min_exp_h)),
                H=H)
 

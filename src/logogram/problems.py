@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 from .budget import Budget
 from .engine import Antichain, reduced_logogram_of_mask
 from .strings import BINARY, TERNARY, Alphabet, PartialString, _immutable
-from .universe import Slice, full_slice
+from .universe import Slice, full_slice, repeat_bits
 
 
 class ProblemFormatError(ValueError):
@@ -305,17 +305,12 @@ def composite_problem(width: int) -> ProblemSlice:
 
     # a word's packed index is its value, so the target is the composite
     # values and d's region is the multiples of d from 2d up: one bit
-    # doubled by shifts of d, 2d, 4d, ... until it spans the cube, then
-    # shifted up by 2d (the periodic patterns of Slice.position_masks)
+    # repeated every d bits across the cube, then shifted up by 2d
     n = slc.total_words
     full = (1 << n) - 1
 
     def multiples(d: int) -> int:
-        pattern, span = 1, d
-        while span < n:
-            pattern |= pattern << span
-            span *= 2
-        return (pattern << 2 * d) & full
+        return (repeat_bits(1, d, n) << 2 * d) & full
 
     divisors = range(2, n)
     return ProblemSlice(slc, divisors, map(multiples, divisors), label=f"composite:{width}",

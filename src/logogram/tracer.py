@@ -38,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple
 from .budget import Budget, BudgetExceededError
 from .engine import Antichain, _log_probe
 from .strings import PartialString
-from .universe import member_rows, members_inside
+from .universe import member_rows, members_inside, set_bits
 
 
 class Verdict(str, Enum):
@@ -129,14 +129,6 @@ def _justified(accepted: bool, cyl: int, off: int, f: int) -> bool:
     return _log_probe(cyl, off) if accepted else not cyl & f
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def run_traced(program: DecisionProgram, word: PartialString, problem) -> ProbeTrace:
     """Run the program on one word of the slice and record its trace."""
     slc = problem.slice
@@ -178,7 +170,7 @@ def kernel(program: DecisionProgram, problem,
     slc = problem.slice
     off, f = _verdict_masks(problem)
     run = _runner(program, slc)
-    rows = member_rows(log.pairs, slc)
+    rows = member_rows(log.pairs, len(slc.alphabet), slc.length)
     used = 0
     uncovered = slc.e_mask()
     while uncovered:
@@ -197,7 +189,7 @@ def kernel(program: DecisionProgram, problem,
                                     f"{program.name} was not justified in its {verdict.value}")
         if accepted:
             used |= members_inside(rows, index)
-    return Antichain(tuple(log.pairs[j] for j in _set_bits(used)), log.alphabet)
+    return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
 
 
 def trace_records(program: DecisionProgram, problem,
@@ -215,7 +207,7 @@ def trace_records(program: DecisionProgram, problem,
     slc = problem.slice
     letters = slc.alphabet.letters
     run = _runner(program, slc)
-    rows = member_rows(log.pairs, slc)
+    rows = member_rows(log.pairs, len(letters), slc.length)
     rendered = log.texts(slc.length)
     off, f = _verdict_masks(problem)
     pending: dict[int, dict] = {}  # covered words not yet dumped -> body
@@ -231,9 +223,9 @@ def trace_records(program: DecisionProgram, problem,
                 "probes": [[p, letters[index[p - 1]]] for p in order],
                 "verdict": (Verdict.ACCEPT if accepted else Verdict.REJECT).value,
                 "justified": _justified(accepted, cyl, off, f),
-                "certifying_strings": [rendered[j] for j in _set_bits(bits)],
+                "certifying_strings": [rendered[j] for j in set_bits(bits)],
             }
-            for j in _set_bits(cyl & ~(1 << i)):
+            for j in set_bits(cyl & ~(1 << i)):
                 pending[j] = body
         yield {"input": slc.text_of_int(i), **body}
 

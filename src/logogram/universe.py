@@ -12,6 +12,11 @@ is the only form a word set takes: the slice's own membership is one mask,
 and the words extending a string (its cylinder) are that mask ANDed with
 per-position masks. Word tuples are decoded from a mask only where a
 caller lists words.
+
+It owns the bitset helpers the layers share: :func:`repeat_bits` builds
+periodic masks, :func:`set_bits` walks a mask's set bits, and
+:func:`member_rows`, :func:`letter_row` and :func:`members_inside` find
+the members of a list of strings that a restriction includes.
 """
 
 from __future__ import annotations
@@ -95,13 +100,7 @@ class Slice:
         return value
 
     def word_of_int(self, value: int) -> PartialString:
-        letters = self.alphabet.letters
-        k = len(letters)
-        cells = []
-        for p in range(self.length, 0, -1):
-            value, d = divmod(value, k)
-            cells.append((p, letters[d]))
-        return PartialString(tuple(reversed(cells)))
+        return PartialString(tuple(enumerate(self.text_of_int(value), 1)))
 
     def letter_index(self, value: int, position: int) -> int:
         """The letter index at ``position`` of the packed word ``value``."""
@@ -177,7 +176,7 @@ class Slice:
 
         Position p holds one letter on runs of k^(L-p) consecutive words,
         cycling through the alphabet, so each mask is a periodic pattern:
-        one run is doubled by shifts until it covers the cube, and the other
+        one run repeated every k runs across the cube, and the other
         letters' masks are that pattern shifted by whole runs.
         """
         if self._position_masks is None:
@@ -186,10 +185,7 @@ class Slice:
             full = (1 << n) - 1
             rows = []
             for run in self._word_weights:
-                pattern, span = (1 << run) - 1, k * run
-                while span < n:
-                    pattern |= pattern << span
-                    span *= 2
+                pattern = repeat_bits((1 << run) - 1, k * run, n)
                 rows.append(tuple((pattern << (d * run)) & full for d in range(k)))
             self._position_masks = tuple(rows)
         return self._position_masks
@@ -292,26 +288,51 @@ def expand(strings: Iterable[PartialString], slc: Slice) -> tuple[PartialString,
     return tuple(slc.word_of_int(i) for i in slc.ints_of_mask(expand_mask(strings, slc)))
 
 
-# -- members indexed by (position, letter) --------------------------------
+# -- bitset helpers, and members indexed by (position, letter) -------------
 
 
-def member_rows(members: Sequence[Pairs], slc: Slice) -> list[tuple[int, ...]]:
-    """``rows[p - 1][d]``: the members blank at position p or holding letter
-    index d there, as a bitset over the list, with ``d = k`` (the alphabet
-    size, for a position left open) holding those blank at p.
+def repeat_bits(pattern: int, span: int, n: int) -> int:
+    """``pattern`` repeated every ``span`` bits up to at least bit ``n``,
+    by doubling shifts; bits past ``n`` are left for the caller to mask."""
+    while span < n:
+        pattern |= pattern << span
+        span *= 2
+    return pattern
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def member_rows(members: Sequence[Pairs], k: int, length: int) -> list[tuple[int, ...]]:
+    """``rows[p - 1][d]``, p in 1..``length``: the members blank at p or
+    holding letter index d there, as a bitset over the list, with ``d = k``
+    (the alphabet size, for a position left open) holding those blank at p.
 
     The members included in a restriction are then one AND per position:
     see :func:`members_inside`.
     """
-    k = len(slc.alphabet)
     everyone = (1 << len(members)) - 1
-    blank = [everyone] * slc.length
-    holding = [[0] * k for _ in range(slc.length)]
+    blank = [everyone] * length
+    holding = [[0] * k for _ in range(length)]
     for j, g in enumerate(members):
         for p, d in g:
             blank[p - 1] &= ~(1 << j)
             holding[p - 1][d] |= 1 << j
     return [tuple(bits | b for bits in row) + (b,) for row, b in zip(holding, blank)]
+
+
+def letter_row(pairs: Pairs, k: int, length: int) -> list[int]:
+    """The letter index per position 1..``length`` of a string given as
+    pairs, ``k`` where it is blank: its restriction for :func:`members_inside`."""
+    row = [k] * length
+    for p, d in pairs:
+        row[p - 1] = d
+    return row
 
 
 def members_inside(rows: list[tuple[int, ...]], index: Sequence[int]) -> int:

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError
 from .strings import PartialString
+from .universe import set_bits
 
 
 class ClassifiedString(NamedTuple):
@@ -101,11 +102,8 @@ def _charts(problem, budget: Budget | None, label: str):
     for i in range(problem.alpha):
         m = problem.region_mask(i)
         masks.append(m)
-        hit = m & lows
-        while hit:
-            top = hit.bit_length() - 1
-            holding.setdefault(top, []).append(i)
-            hit ^= 1 << top
+        for low in set_bits(m & lows):
+            holding.setdefault(low, []).append(i)
         if not (i + 1) % _CLOCK_STRIDE:
             check_clock(0)
     for n, (s, cyl) in enumerate(zip(log, cyls)):

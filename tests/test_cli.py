@@ -304,6 +304,26 @@ TRACED_SEAMS = {
 }
 
 
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+
+def golden_argv(path: Path) -> list[str]:
+    """The analysis a benchmark golden records, read back from its file
+    name: the argv joined by underscores, flags without their dashes."""
+    command, problem, *rest = path.stem.split("_")
+    return [command, problem, *(a if a.isdigit() else f"--{a}" for a in rest)]
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+    def test_report_matches_golden(self, capsys, path):
+        # the benchmark compares each analysis with its golden byte for
+        # byte; this catches drift without running the benchmark
+        code, out, err = run(capsys, *golden_argv(path))
+        assert code == 0, err
+        assert out.encode() == path.read_bytes()
+
+
 class TestTracedSeams:
     def test_seams_are_the_benchmarks(self):
         path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -340,6 +360,14 @@ class TestContract:
         assert run(capsys, "logogram", "generic", "/nonexistent.json")[0] == 1
         assert run(capsys, "logogram", "sat", "1", "1", "--no-such-flag")[0] == 1
         assert run(capsys, "no-such-command", "sat", "1", "1")[0] == 1
+
+    @pytest.mark.parametrize("command", ["logogram", "wizards", "independence",
+                                         "irreducible", "kernel", "cover"])
+    def test_seed_only_on_galois(self, capsys, command):
+        # only the sampled suite reads a seed; elsewhere it is a usage error
+        code, out, err = run(capsys, command, "sat", "1", "1", "--seed", "3")
+        assert code == 1 and out == ""
+        assert "--seed" in err
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -255,6 +255,38 @@ class TestReducedLogogram:
         assert frontier.minimal_so_far
         assert set(frontier.minimal_so_far) < set(chain.elements)
 
+    def test_frontier_builds_no_string_between_raise_and_catch(self, monkeypatch):
+        # the frontier holds the finished members as pairs, so a search out
+        # of budget reaches its caller without building their strings
+        from logogram.budget import Meter
+        p = sat_problem(2, 2)
+        words = p.slice.ints_of_mask(p.f_mask())
+        meter = Budget().start("probe")
+        reduced_logogram(words, p.slice, meter=meter)
+        built, at_raise = [], []
+        init, charge = PartialString.__init__, Meter.charge
+
+        def counting_init(self, pairs):
+            built.append(pairs)
+            init(self, pairs)
+
+        def noting_charge(self):
+            try:
+                charge(self)
+            except BudgetExceededError:
+                at_raise.append(len(built))
+                raise
+
+        monkeypatch.setattr(PartialString, "__init__", counting_init)
+        monkeypatch.setattr(Meter, "charge", noting_charge)
+        with pytest.raises(BudgetExceededError) as err:
+            reduced_logogram(words, p.slice, Budget(max_strings=meter.count - 1))
+        assert at_raise == [len(built)]
+        frontier = err.value.partial
+        assert isinstance(frontier.minimal_so_far, Antichain)
+        strings = list(frontier.minimal_so_far)  # built now, on iteration
+        assert strings and len(built) == at_raise[0] + len(strings)
+
     def test_matches_oracle_on_random_slices(self):
         # explicit and predicate slices over 1 to 4 letters; targets empty,
         # the whole slice, and random subsets
