@@ -43,7 +43,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help=_PROBLEM_USAGE)
     sp.add_argument("args", nargs="*", help="problem arguments")
     sp.add_argument("--budget-strings", type=int, default=None, metavar="N",
-                    help="max distinct sub-problems per search (per suite for galois)")
+                    help="max distinct sub-problems per search (per suite for galois; "
+                         "--regions adds each distinct region sub-problem once)")
     sp.add_argument("--budget-seconds", type=float, default=None, metavar="S",
                     help="max wall-clock seconds per search")
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -118,20 +119,18 @@ def cmd_logogram(ns, problem, budget):
     rows = [("string",)] + [(t,) for t in doc["strings"]]
     if ns.regions:
         doc["regions"] = [
-            _antichain_doc(problem.region_logogram(i, meter=meter), problem,
+            _antichain_doc(region, problem,
                            f"region:{i}:{problem.solution_text(problem.solutions[i])}")
-            for i in range(problem.alpha)]
+            for i, region in enumerate(problem.region_logograms(meter=meter))]
     return doc, rows, False
 
 
 def cmd_wizards(ns, problem, budget):
     report = _cli.classify(problem, budget)
     doc = report.to_json_dict()
-    rows = [("string", "kind", "regions")]
-    for e in report.entries:
-        rows.append((e.string.render(problem.slice.length),
-                     "wizard" if e.is_wizard else "witness",
-                     " ".join(map(str, e.witness_regions))))
+    rows = [("string", "kind", "regions")] + [
+        (e.string, "wizard" if e.is_wizard else "witness", " ".join(map(str, e.witness_regions)))
+        for e in report.entries]
     return doc, rows, False
 
 
@@ -155,13 +154,12 @@ def cmd_independence(ns, problem, budget):
 def cmd_irreducible(ns, problem, budget):
     log = problem.logogram(budget)
     report = _cli.irreducibility_report(log, problem, budget)
-    L = problem.slice.length
     doc = {
         "problem": problem.label,
         "logogram_size": len(log),
         "irreducible": report.irreducible,
-        "removable": [s.render(L) for s in report.removable],
-        "removal_witnesses": report.witness_texts(L),
+        "removable": list(report.removable),
+        "removal_witnesses": report.unique_witnesses,
     }
     rows = [("string", "removal_witness")]
     rows += sorted(doc["removal_witnesses"].items())

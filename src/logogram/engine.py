@@ -248,13 +248,15 @@ def reduced_logogram(target_words, slc: Slice, budget: Budget | None = None,
 
 
 def reduced_logogram_of_mask(on: int, slc: Slice, budget: Budget | None = None,
-                             meter: Meter | None = None) -> Antichain:
+                             meter: Meter | None = None,
+                             memo: dict | None = None) -> Antichain:
     """The reduced logogram of a target given as a mask of words of the
     slice (:meth:`Slice.mask_of_ints`), which the caller guarantees lies
     inside :meth:`Slice.e_mask`. The search returns prime implicants,
-    pairwise incomparable by construction, so they are not checked again."""
+    pairwise incomparable by construction, so they are not checked again.
+    A ``memo`` shared by several calls is passed to :func:`_minimal_pairs`."""
     meter = meter or (budget or Budget.default()).start("reduced logogram")
-    return Antichain(_canonical(_minimal_pairs(on, slc, meter)), slc.alphabet)
+    return Antichain(_canonical(_minimal_pairs(on, slc, meter, memo)), slc.alphabet)
 
 
 # -- entanglement -------------------------------------------------------
@@ -317,13 +319,12 @@ def is_closed(target_words, slc: Slice, budget: Budget | None = None) -> bool:
 
 
 class IrreducibilityReport(NamedTuple):
-    irreducible: bool
-    removable: tuple[PartialString, ...]
-    unique_witnesses: dict  # string -> the first word only that string covers
+    """Members of a complete set as texts at the slice length: the removable
+    ones, and each other one mapped to the lowest word that only it covers."""
 
-    def witness_texts(self, length: int) -> dict[str, str]:
-        return {s.render(length): w.render(length)
-                for s, w in self.unique_witnesses.items()}
+    irreducible: bool
+    removable: tuple[str, ...]
+    unique_witnesses: dict[str, str]
 
 
 def is_complete(strings, problem, budget: Budget | None = None) -> bool:
@@ -366,18 +367,15 @@ def irreducibility_report(strings, problem,
     cyls = _cylinders(strings, problem, budget)
     if reduce(or_, cyls.values(), 0) != problem.f_mask():
         raise ValueError("irreducibility is only defined for complete sets")
-    chosen = Antichain(tuple(cyls), slc.alphabet).elements
     removable = []
     witnesses = {}
-    for s, unique in zip(chosen, _unique_coverage(list(cyls.values()))):
+    for x, unique in zip(cyls, _unique_coverage(list(cyls.values()))):
+        text = _text(x, slc.length, slc.alphabet.letters)
         if unique:
-            witnesses[s] = slc.word_of_int((unique & -unique).bit_length() - 1)
+            witnesses[text] = slc.text_of_int((unique & -unique).bit_length() - 1)
         else:
-            removable.append(s)
-    return IrreducibilityReport(
-        irreducible=not removable,
-        removable=tuple(removable),
-        unique_witnesses=witnesses)
+            removable.append(text)
+    return IrreducibilityReport(not removable, tuple(removable), witnesses)
 
 
 def is_irreducible(strings, problem, budget: Budget | None = None) -> bool:

@@ -69,7 +69,7 @@ class ProblemSlice:
         if union == slc.e_mask():
             raise DegenerateProblemError(f"{label}: target set is the whole slice")
         self._logogram: Antichain | None = None
-        self._region_logograms: dict[int, Antichain] = {}
+        self._region_logograms: tuple[Antichain, ...] | None = None
 
     @property
     def alpha(self) -> int:
@@ -104,12 +104,16 @@ class ProblemSlice:
                                                       meter=meter)
         return self._logogram
 
-    def region_logogram(self, index: int, budget: Budget | None = None,
-                        meter=None) -> Antichain:
-        if index not in self._region_logograms:
-            self._region_logograms[index] = reduced_logogram_of_mask(
-                self._region_masks[index], self.slice, budget, meter=meter)
-        return self._region_logograms[index]
+    def region_logograms(self, budget: Budget | None = None, meter=None) -> tuple[Antichain, ...]:
+        """Every region's reduced logogram, in solution order, by searches sharing one
+        meter and one cofactor memo: each distinct sub-problem is charged once."""
+        if self._region_logograms is None:
+            meter = meter or (budget or Budget.default()).start("region logograms")
+            memo: dict = {}
+            self._region_logograms = tuple(
+                reduced_logogram_of_mask(m, self.slice, meter=meter, memo=memo)
+                for m in self._region_masks)
+        return self._region_logograms
 
     def descriptor(self) -> dict:
         slc = self.slice
@@ -396,6 +400,13 @@ def generic_problem(doc: dict) -> ProblemSlice:
         raise ProblemFormatError(f"malformed descriptor: {exc}") from None
 
 
+def _typed(value, kind: type, what: str):
+    """Check a descriptor value's JSON type: a string read as a list splits into letters."""
+    if not isinstance(value, kind):
+        raise ProblemFormatError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _generic_problem(doc: dict) -> ProblemSlice:
     for key in ("alphabet", "length", "universe", "target", "regions"):
         if key not in doc:
@@ -404,15 +415,17 @@ def _generic_problem(doc: dict) -> ProblemSlice:
     if type(length) is not int:  # not 2.5 read as 2, nor "2" or true
         raise ProblemFormatError(f"length must be an integer, got {length!r}")
     try:
-        alphabet = Alphabet.of(doc["alphabet"])
+        alphabet = Alphabet.of(_typed(doc["alphabet"], list, "alphabet"))
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
-    label = doc.get("label") or "generic"
+    label = _typed(doc.get("label", ""), str, "label") or "generic"
+    if doc["universe"] != "all":
+        _typed(doc["universe"], list, "universe")
     slc = Slice(alphabet, length, doc["universe"], label=f"{label}:universe")
 
     def words_of(texts, what: str) -> int:
         ints = []
-        for t in texts:
+        for t in _typed(texts, list, what):
             i = slc.int_of_word(slc.word(t))
             if not slc.contains_int(i):
                 raise ProblemFormatError(f"{what} word {t!r} is outside the universe")
@@ -421,7 +434,8 @@ def _generic_problem(doc: dict) -> ProblemSlice:
 
     target = words_of(doc["target"], "target")
     regions = [words_of(r, f"region {i + 1}") for i, r in enumerate(doc["regions"])]
-    names = doc.get("solutions") or [f"region-{i + 1}" for i in range(len(regions))]
+    names = _typed(doc.get("solutions", []), list, "solutions") or [
+        f"region-{i + 1}" for i in range(len(regions))]
     if len(names) != len(regions):
         raise ProblemFormatError("one solution name per region is required")
     if len(set(names)) != len(names):

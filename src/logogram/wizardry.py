@@ -28,19 +28,18 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError
-from .strings import PartialString
+from .engine import _expansion, _text
 from .universe import set_bits
 
 
 class ClassifiedString(NamedTuple):
-    string: PartialString
+    string: str  # the member's text at the slice length
     witness_regions: tuple[int, ...]  # indices into the problem's solutions
     is_wizard: bool
 
 
 class ClassifiedLogogram(NamedTuple):
     problem_label: str
-    length: int
     entries: tuple[ClassifiedString, ...]
 
     @property
@@ -55,12 +54,9 @@ class ClassifiedLogogram(NamedTuple):
         return {
             "problem": self.problem_label,
             "logogram_size": len(self.entries),
-            "wizards": [e.string.render(self.length) for e in self.wizards],
-            "witnesses": [
-                {"string": e.string.render(self.length),
-                 "regions": list(e.witness_regions)}
-                for e in self.witnesses
-            ],
+            "wizards": [e.string for e in self.wizards],
+            "witnesses": [{"string": e.string, "regions": list(e.witness_regions)}
+                          for e in self.witnesses],
         }
 
 
@@ -68,9 +64,9 @@ _CLOCK_STRIDE = 256  # cylinders or regions built between clock reads
 
 
 def _charts(problem, budget: Budget | None, label: str):
-    """(string, cylinder, indices of the regions containing the cylinder)
+    """(text, cylinder, indices of the regions containing the cylinder)
     for each reduced-logogram string, in canonical order, the indices
-    ascending.
+    ascending; each text is rendered after its clock read.
 
     The candidates for a string are the regions holding its lowest word
     (its cylinder is non-empty, being in the target's logogram), indexed
@@ -106,10 +102,11 @@ def _charts(problem, budget: Budget | None, label: str):
             holding.setdefault(low, []).append(i)
         if not (i + 1) % _CLOCK_STRIDE:
             check_clock(0)
-    for n, (s, cyl) in enumerate(zip(log, cyls)):
+    for n, (x, cyl) in enumerate(zip(log.pairs, cyls)):
         check_clock(n)
         regions = holding.get((cyl & -cyl).bit_length() - 1, ())
-        yield s, cyl, tuple(i for i in regions if cyl & masks[i] == cyl)
+        yield (_text(x, slc.length, log.alphabet.letters), cyl,
+               tuple(i for i in regions if cyl & masks[i] == cyl))
 
 
 def classify(problem, budget: Budget | None = None) -> ClassifiedLogogram:
@@ -121,34 +118,32 @@ def classify(problem, budget: Budget | None = None) -> ClassifiedLogogram:
     entries = tuple(
         ClassifiedString(string=s, witness_regions=regions, is_wizard=not regions)
         for s, _cyl, regions in _charts(problem, budget, "wizards"))
-    return ClassifiedLogogram(problem.label, problem.slice.length, entries)
+    return ClassifiedLogogram(problem.label, entries)
 
 
 def witness_union_complete(problem, budget: Budget | None = None) -> bool:
     """Does the union of the region logograms decide the target?
 
     True is the expected outcome whenever the regions cover the target; a
-    False return signals a fault in an adapter or in the search. All the
-    region searches run against one shared budget meter.
+    False return signals a fault in an adapter or in the search. The region
+    searches (:meth:`ProblemSlice.region_logograms`) run on one meter and
+    one cofactor memo, so the budget bounds their distinct sub-problems.
     """
     meter = (budget or Budget.default()).start(f"witness union: {problem.label}")
-    slc = problem.slice
     union = 0
-    for i in range(problem.alpha):
-        for x in problem.region_logogram(i, meter=meter).pairs:
-            union |= slc.cylinder(x)
+    for log in problem.region_logograms(meter=meter):
+        union |= _expansion(log.pairs, problem.slice)
     return union == problem.f_mask()
 
 
 class Chart(NamedTuple):
-    string: PartialString
+    string: str  # the member's text at the slice length
     expansion_size: int
     containing_regions: int
 
 
 class CoverReport(NamedTuple):
     problem_label: str
-    length: int
     charts: tuple[Chart, ...]
     region_count: int
 
@@ -175,17 +170,11 @@ class CoverReport(NamedTuple):
                 "multiple_containing_regions": self.multiple_containing_regions,
                 "fewer_charts_than_regions": self.fewer_charts_than_regions,
             },
-            "cover": [
-                {"string": c.string.render(self.length),
-                 "expansion_size": c.expansion_size,
-                 "containing_regions": c.containing_regions}
-                for c in self.charts
-            ],
+            "cover": [c._asdict() for c in self.charts],
         }
 
     def rows(self) -> list[tuple]:
-        return [(c.string.render(self.length), c.expansion_size, c.containing_regions)
-                for c in self.charts]
+        return list(self.charts)
 
 
 def cover(problem, budget: Budget | None = None) -> CoverReport:
@@ -195,4 +184,4 @@ def cover(problem, budget: Budget | None = None) -> CoverReport:
     charts = tuple(
         Chart(string=s, expansion_size=cyl.bit_count(), containing_regions=len(regions))
         for s, cyl, regions in _charts(problem, budget, "cover"))
-    return CoverReport(problem.label, problem.slice.length, charts, problem.alpha)
+    return CoverReport(problem.label, charts, problem.alpha)

@@ -57,6 +57,22 @@ class TestLogogramCommand:
         assert len(doc["regions"]) == 2
         assert doc["regions"][1]["strings"] == ["1"]  # x1=1 region
 
+    @pytest.mark.parametrize("problem,least", [("composite 9", 1906), ("connectivity 5", 713)])
+    def test_regions_charge_each_distinct_sub_problem_once(self, capsys, problem, least):
+        # the target search, then one memo for all the region searches: the
+        # least passing budget is the target's sub-problems plus the distinct
+        # ones of the regions (5,782 and 1,314 with a memo per region)
+        from logogram import composite_problem, connectivity_problem
+        codes = []
+        for limit in (least, least - 1):
+            composite_problem.cache_clear()
+            connectivity_problem.cache_clear()
+            codes.append(run(capsys, "logogram", *problem.split(), "--regions",
+                             "--budget-strings", str(limit))[0])
+        composite_problem.cache_clear()
+        connectivity_problem.cache_clear()
+        assert codes == [0, 2]
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "logogram", "sat", "1", "1", "--format", "csv")
         assert code == 0
@@ -324,6 +340,36 @@ class TestGoldens:
         assert out.encode() == path.read_bytes()
 
 
+class TestStringsOnlyAtTheEdge:
+    # reports hold the texts they print, rendered from (position, letter
+    # index) pairs: no analysis builds a PartialString on the way
+    @pytest.mark.parametrize("argv", [
+        *(f"{c} sat 3 3" for c in ("logogram", "wizards", "cover", "irreducible")),
+        "independence sat 3 3 --budget-strings 250000",
+        "kernel sat 2 4",
+        "galois composite 6 --samples 120",
+        *(f"{c} composite 10" for c in ("wizards", "cover", "irreducible")),
+        "logogram composite 9 --regions",
+    ])
+    def test_analysis_builds_no_partial_string(self, capsys, monkeypatch, argv):
+        from logogram import PartialString, composite_problem, sat_problem
+        sat_problem.cache_clear()  # count the construction and search too
+        composite_problem.cache_clear()
+        built = []
+        init = PartialString.__init__
+
+        def counted(self, pairs):
+            built.append(pairs)
+            init(self, pairs)
+
+        monkeypatch.setattr(PartialString, "__init__", counted)
+        code, _, err = run(capsys, *argv.split())
+        sat_problem.cache_clear()
+        composite_problem.cache_clear()
+        assert code in (0, 3), err
+        assert built == []
+
+
 class TestTracedSeams:
     def test_seams_are_the_benchmarks(self):
         path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -351,6 +397,27 @@ class TestTracedSeams:
         code, _ = run_json(capsys, command[0], "sat", "2", "1", *command[1:])
         assert code == 0
         assert called == TRACED_SEAMS[command]
+
+
+# id -> (descriptor length, key, value); at length 1 a JSON string where a
+# word list belongs reads letter by letter as a list of words
+MALFORMED_DESCRIPTORS = {
+    "length-None": (2, "length", None),
+    "alphabet-5": (2, "alphabet", 5),
+    "universe-5": (2, "universe", 5),
+    "target-5": (2, "target", 5),
+    "regions-value4": (2, "regions", [5]),
+    "length-2.5": (2, "length", 2.5),
+    "length-2": (2, "length", "2"),
+    "length-True": (2, "length", True),
+    "alphabet-string": (2, "alphabet", "01"),
+    "solutions-string": (2, "solutions", "x"),
+    "label-5": (2, "label", 5),
+    "label-list": (2, "label", ["x"]),
+    "universe-string-length-1": (1, "universe", "01"),
+    "target-string-length-1": (1, "target", "1"),
+    "region-string-length-1": (1, "regions", ["1"]),
+}
 
 
 class TestContract:
@@ -412,12 +479,11 @@ class TestContract:
         assert code == 1 and out == ""
         assert "budget limits must be positive" in err
 
-    @pytest.mark.parametrize("key,value", [
-        ("length", None), ("alphabet", 5), ("universe", 5), ("target", 5), ("regions", [5]),
-        ("length", 2.5), ("length", "2"), ("length", True)])
-    def test_malformed_generic_descriptor_exits_1(self, capsys, tmp_path, key, value):
-        doc = {"alphabet": ["0", "1"], "length": 2, "universe": "all",
-               "target": ["11"], "regions": [["11"]]}
+    @pytest.mark.parametrize("length,key,value", list(MALFORMED_DESCRIPTORS.values()),
+                             ids=list(MALFORMED_DESCRIPTORS))
+    def test_malformed_generic_descriptor_exits_1(self, capsys, tmp_path, length, key, value):
+        doc = {"alphabet": ["0", "1"], "length": length, "universe": "all",
+               "target": ["1" * length], "regions": [["1" * length]]}
         doc[key] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))

@@ -744,13 +744,13 @@ class TestIrreducibility:
         report = irreducibility_report(p.logogram().elements, p)
         assert report.irreducible
         # dropping the first-variable positive literal would uncover "10"
-        assert report.unique_witnesses[ps("1_")].render(2) == "10"
+        assert report.unique_witnesses["1_"] == "10"
 
     def test_sat_1x1(self):
         p = sat_problem(1, 1)
         report = irreducibility_report(p.logogram().elements, p)
         assert report.irreducible
-        assert report.witness_texts(1) == {"1": "1", "2": "2"}
+        assert report.unique_witnesses == {"1": "1", "2": "2"}
 
     def test_duplicate_cover_reducible(self):
         p = generic_problem(TWIN)
@@ -781,9 +781,8 @@ class TestIrreducibility:
         expected = {s: next(w for w in ws if counts[w] == 1)
                     for s, ws in covers.items() if any(counts[w] == 1 for w in ws)}
         report = irreducibility_report(p.logogram().elements, p)
-        assert report.witness_texts(L) == expected
-        assert [s.render(L) for s in report.removable] == \
-            [s for s in texts if s not in expected]
+        assert report.unique_witnesses == expected
+        assert list(report.removable) == [s for s in texts if s not in expected]
         assert report.irreducible == (len(expected) == len(texts))
 
 

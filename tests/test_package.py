@@ -3,6 +3,7 @@ the value types' equality, hashing, immutability and repr."""
 
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,3 +137,17 @@ class TestValueTypes:
     def test_validation_still_fires(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_python_examples_run(self, capsys):
+        # every python block of the README runs as printed, in a namespace
+        # of its own
+        blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
+        capsys.readouterr()

@@ -8,6 +8,7 @@ from logogram import (
     ProblemFormatError, ProblemSlice, Slice, composite_problem, connectivity_problem, formula_word,
     gamma, generic_problem, parse_string, predicted_sat_logogram, sat_problem,
 )
+from logogram.engine import reduced_logogram_of_mask
 
 
 def ps(text, alphabet=TERNARY):
@@ -143,6 +144,21 @@ class TestRegionMasks:
         for i, d in enumerate(p.solutions):
             for w in p.slice.word_ints():
                 assert p.satisfies(p.slice.word_of_int(w), d) == bool(p.region_mask(i) >> w & 1)
+
+
+class TestRegionLogograms:
+    @pytest.mark.parametrize("build,arg", [(composite_problem, 9), (connectivity_problem, 5)])
+    def test_one_memo_gives_each_region_its_own_search(self, build, arg):
+        # the region searches share one cofactor memo; each result equals a
+        # search of that region alone, with a fresh memo
+        p = build(arg)
+        fresh = tuple(reduced_logogram_of_mask(p.region_mask(i), p.slice)
+                      for i in range(p.alpha))
+        assert p.region_logograms() == fresh
+
+    def test_cached_after_the_first_call(self):
+        p = sat_problem(2, 2)
+        assert p.region_logograms() is p.region_logograms()
 
 
 class TestPredictedLogogram:
