@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError, Meter
 from .strings import BLANK, Alphabet, PartialString
@@ -333,15 +333,15 @@ def is_complete(strings, problem, budget: Budget | None = None) -> bool:
     ``strings`` is an :class:`Antichain` or an iterable of strings or their
     texts, and must be a subset of the problem's reduced logogram.
     """
-    return reduce(or_, _cylinders(strings, problem, budget).values(), 0) == problem.f_mask()
+    chosen = _chosen(strings, problem.logogram(budget), problem.slice)
+    return _expansion(chosen, problem.slice) == problem.f_mask()
 
 
-def _cylinders(strings, problem, budget: Budget | None) -> dict[Pairs, int]:
-    """The cylinder of each string, keyed by its pairs in logogram order;
-    every string must be in the reduced logogram. An antichain over the
-    slice's alphabet is read by its pairs, other strings by their letters."""
-    slc = problem.slice
-    chosen = dict.fromkeys(problem.logogram(budget).pairs, False)
+def _chosen(strings, log: Antichain, slc: Slice) -> list[Pairs]:
+    """The pairs of the strings, in the order of the reduced logogram
+    ``log``, which must hold them all. An antichain over the slice's
+    alphabet is read by its pairs, other strings by their letters."""
+    chosen = dict.fromkeys(log.pairs, False)
     own = isinstance(strings, Antichain) and strings.alphabet == slc.alphabet
     for s in strings.pairs if own else strings:
         if not (own or isinstance(s, PartialString)):
@@ -351,7 +351,7 @@ def _cylinders(strings, problem, budget: Budget | None) -> dict[Pairs, int]:
             s = Antichain((x,), slc.alphabet).elements[0] if own else s
             raise ValueError(f"{s!r} is not in the reduced logogram")
         chosen[x] = True
-    return {x: slc.cylinder(x) for x, picked in chosen.items() if picked}
+    return [x for x, picked in chosen.items() if picked]
 
 
 def irreducibility_report(strings, problem,
@@ -360,21 +360,14 @@ def irreducibility_report(strings, problem,
 
     Completeness is monotone under supersets, so a complete set is
     irreducible exactly when every member covers some word no other member
-    covers: its cylinder minus the union of the others' is non-empty, and
-    the lowest word there is the member's removal witness.
+    covers: its removal witness. The search and the pass run on one meter.
     """
+    meter = (budget or Budget.default()).start(f"irreducibility: {problem.label}")
     slc = problem.slice
-    cyls = _cylinders(strings, problem, budget)
-    if reduce(or_, cyls.values(), 0) != problem.f_mask():
+    chosen = _chosen(strings, problem.logogram(meter=meter), slc)
+    union, removable, witnesses = _unique_coverage(chosen, slc, meter)
+    if union != problem.f_mask():
         raise ValueError("irreducibility is only defined for complete sets")
-    removable = []
-    witnesses = {}
-    for x, unique in zip(cyls, _unique_coverage(list(cyls.values()))):
-        text = _text(x, slc.length, slc.alphabet.letters)
-        if unique:
-            witnesses[text] = slc.text_of_int((unique & -unique).bit_length() - 1)
-        else:
-            removable.append(text)
     return IrreducibilityReport(not removable, tuple(removable), witnesses)
 
 
@@ -382,19 +375,41 @@ def is_irreducible(strings, problem, budget: Budget | None = None) -> bool:
     return irreducibility_report(strings, problem, budget).irreducible
 
 
-def _unique_coverage(cyls: list[int]) -> Iterator[int]:
-    """Each cylinder minus the union of all the others, in order.
+def _unique_coverage(members: Sequence[Pairs], slc: Slice,
+                     meter: Meter) -> tuple[int, list[str], dict[str, str]]:
+    """The union of the members' cylinders, the texts of the members that
+    cover no word alone, and each other member's text mapped, in order, to
+    the lowest word that it alone covers.
 
-    One suffix pass stores the union of the cylinders after each one; the
-    union of those before it is kept while walking forward.
+    The first pass folds the cylinders into the words covered at least
+    once and at least twice; the second builds each cylinder again and
+    keeps its part covered exactly once. So the masks held are a constant
+    number, whatever the number of members; the clock is read once per
+    member in each pass.
     """
-    after = [0] * (len(cyls) + 1)  # after[j]: the union of cylinders j, j+1, ...
-    for j in range(len(cyls) - 1, -1, -1):
-        after[j] = after[j + 1] | cyls[j]
-    before = 0
-    for j, cyl in enumerate(cyls):
-        yield cyl & ~(before | after[j + 1])
-        before |= cyl
+    once = twice = 0
+    for x in members:
+        _check_clock(meter, 0, len(members))
+        cyl = slc.cylinder(x)
+        twice |= once & cyl
+        once |= cyl
+    single = once ^ twice  # twice lies inside once
+    removable, witnesses = [], {}
+    for i, x in enumerate(members):
+        _check_clock(meter, i, len(members))
+        unique = slc.cylinder(x) & single
+        text = _text(x, slc.length, slc.alphabet.letters)
+        if unique:
+            witnesses[text] = slc.text_of_int((unique & -unique).bit_length() - 1)
+        else:
+            removable.append(text)
+    return once, removable, witnesses
+
+
+def _check_clock(meter: Meter, done: int, total: int) -> None:
+    """Stop a pass over ``total`` strings once the meter's time is up."""
+    if meter.out_of_time():
+        raise BudgetExceededError(f"{meter.label}: out of time after {done} of {total} strings")
 
 
 # -- independence ---------------------------------------------------------
@@ -527,8 +542,7 @@ def _sigma_pairs(slc: Slice, cap: int) -> tuple[list[Pairs], bool]:
 def simple_independence(problem, budget: Budget | None = None) -> IndependenceReport:
     """Check the reduced logogram strings pairwise: no member may force
     another's presence in the slice."""
-    budget = budget or Budget.default()
-    meter = budget.start(f"simple independence: {problem.label}")
+    meter = (budget or Budget.default()).start(f"simple independence: {problem.label}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
     pairs_checked, hit, late = _first_entailment(log.pairs, slc, meter,
@@ -552,31 +566,20 @@ def strong_independence(problem, budget: Budget | None = None) -> IndependenceRe
     subset of the logogram at once: a word avoiding all other members
     avoids any selection of them.
 
-    A member's separator is the lowest word of its cylinder outside the
-    union of the other members' cylinders.
+    A member's separator is its removal witness in the irreducibility check
+    (:func:`_unique_coverage`); the first member without one fails it.
     """
-    budget = budget or Budget.default()
-    meter = budget.start(f"strong independence: {problem.label}")
+    meter = (budget or Budget.default()).start(f"strong independence: {problem.label}")
     log = problem.logogram(meter=meter)
-    slc = problem.slice
-    cyls = [slc.cylinder(x) for x in log.pairs]
-    separators = []
-    for i, (unique, text) in enumerate(zip(_unique_coverage(cyls), log.texts(slc.length))):
-        if meter.out_of_time():
-            raise BudgetExceededError(
-                f"strong independence: out of time after {i} strings")
-        if not unique:
-            return IndependenceReport(
-                kind="strong", passed=False,
-                strings_checked=len(cyls), pairs_checked=0,
-                budget_exhausted=False,
-                counterexample={"string": text,
-                                "reason": "every word containing it contains another member"})
-        separators.append((text, slc.text_of_int((unique & -unique).bit_length() - 1)))
+    _, removable, witnesses = _unique_coverage(log.pairs, problem.slice, meter)
+    counterexample = None
+    if removable:
+        counterexample = {"string": removable[0],
+                          "reason": "every word containing it contains another member"}
     return IndependenceReport(
-        kind="strong", passed=True, strings_checked=len(cyls),
-        pairs_checked=0, budget_exhausted=False,
-        separators=tuple(separators))
+        kind="strong", passed=not removable, strings_checked=len(log),
+        pairs_checked=0, budget_exhausted=False, counterexample=counterexample,
+        separators=None if removable else tuple(witnesses.items()))
 
 
 # -- the Galois connection property suite ---------------------------------
@@ -634,8 +637,7 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
 
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
-    budget = budget or Budget.default()
-    meter = budget.start("galois suite")
+    meter = (budget or Budget.default()).start("galois suite")
     rng = random.Random(seed)
     e_ints = slc.word_ints()
     e = slc.e_mask()
@@ -696,9 +698,8 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         a_mask, b_mask = slc.mask_of_ints(A), slc.mask_of_ints(B)
         min_a, min_b = minimal(a_mask), minimal(b_mask)
         off_b = e & ~b_mask
-        cyl_a = [slc.cylinder(g) for g in min_a]
-        closure_a = reduce(or_, cyl_a, 0)
-        ok = all(_log_probe(c, off_b) for c in cyl_a) \
+        closure_a = reduce(or_, map(slc.cylinder, min_a), 0)
+        ok = all(_log_probe(slc.cylinder(g), off_b) for g in min_a) \
             and not closure_a & ~_expansion(min_b, slc)
         record("antitone-logogram", ok, A=A, B=B)
 

@@ -164,8 +164,7 @@ def kernel(program: DecisionProgram, problem,
     taints its whole trace, so the input reported is the first faulty word
     in canonical order.
     """
-    budget = budget or Budget.default()
-    meter = budget.start(f"kernel sweep: {program.name}")
+    meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
     off, f = _verdict_masks(problem)
@@ -201,8 +200,7 @@ def trace_records(program: DecisionProgram, problem,
     so their records hold the same ``probes`` and ``certifying_strings``
     lists. The clock is checked once per word.
     """
-    budget = budget or Budget.default()
-    meter = budget.start(f"trace dump: {program.name}")
+    meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
     letters = slc.alphabet.letters

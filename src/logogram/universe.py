@@ -235,11 +235,17 @@ class Slice:
 
     @classmethod
     def from_descriptor(cls, doc: dict) -> "Slice":
-        alphabet = Alphabet.of(doc["alphabet"])
+        length, alphabet = doc["length"], doc["alphabet"]
         membership = doc.get("membership", "all")
         if isinstance(membership, dict):
             raise ValueError("adapter-backed slices must be rebuilt by their adapter")
-        return cls(alphabet, int(doc["length"]), membership, doc.get("label", ""))
+        if type(length) is not int:  # not 2.5 read as 2, nor "2" or true
+            raise ValueError(f"length must be an integer, got {length!r}")
+        if not isinstance(alphabet, list):  # not "01" split into letters
+            raise ValueError(f"alphabet must be a list, got {alphabet!r}")
+        if membership != "all" and not isinstance(membership, list):
+            raise ValueError(f'membership must be "all" or a list, got {membership!r}')
+        return cls(Alphabet.of(alphabet), length, membership, doc.get("label", ""))
 
     def __repr__(self) -> str:
         return f"Slice({self.label!r}, length={self.length})"

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .budget import Budget, BudgetExceededError
-from .engine import _expansion, _text
+from .budget import Budget
+from .engine import _check_clock, _expansion, _text
 from .universe import set_bits
 
 
@@ -70,29 +70,22 @@ def _charts(problem, budget: Budget | None, label: str):
 
     The candidates for a string are the regions holding its lowest word
     (its cylinder is non-empty, being in the target's logogram), indexed
-    by that word's bit position. The search and the region tests run on
-    one meter, whose clock is checked after the search, every
-    ``_CLOCK_STRIDE`` cylinders and regions while the cylinders and the
-    index are built, and then once per string.
+    by that word's bit position; each cylinder is built again for its
+    tests rather than kept. The search and the region tests run on one
+    meter, whose clock is checked after the search, every
+    ``_CLOCK_STRIDE`` cylinders and regions while the index is built, and
+    then once per string.
     """
     meter = (budget or Budget.default()).start(f"{label}: {problem.label}")
     log = problem.logogram(meter=meter)
-
-    def check_clock(done: int) -> None:
-        if meter.out_of_time():
-            raise BudgetExceededError(
-                f"{meter.label}: out of time after {done} of {len(log)} strings")
-
-    check_clock(0)
+    _check_clock(meter, 0, len(log))
     slc = problem.slice
-    cyls = []
     lows = 0
     for n, x in enumerate(log.pairs, 1):
         cyl = slc.cylinder(x)
-        cyls.append(cyl)
         lows |= cyl & -cyl
         if not n % _CLOCK_STRIDE:
-            check_clock(0)
+            _check_clock(meter, 0, len(log))
     masks = []
     holding: dict[int, list[int]] = {}  # bit of a lowest word -> regions holding it
     for i in range(problem.alpha):
@@ -101,9 +94,10 @@ def _charts(problem, budget: Budget | None, label: str):
         for low in set_bits(m & lows):
             holding.setdefault(low, []).append(i)
         if not (i + 1) % _CLOCK_STRIDE:
-            check_clock(0)
-    for n, (x, cyl) in enumerate(zip(log.pairs, cyls)):
-        check_clock(n)
+            _check_clock(meter, 0, len(log))
+    for n, x in enumerate(log.pairs):
+        _check_clock(meter, n, len(log))
+        cyl = slc.cylinder(x)
         regions = holding.get((cyl & -cyl).bit_length() - 1, ())
         yield (_text(x, slc.length, log.alphabet.letters), cyl,
                tuple(i for i in regions if cyl & masks[i] == cyl))

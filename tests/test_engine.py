@@ -2,11 +2,13 @@
 entanglement, completeness, irreducibility, independence, Galois laws."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logogram.budget
 import logogram.engine
 import oracles
 from logogram import (
@@ -16,8 +18,9 @@ from logogram import (
     irreducibility_report, is_closed, is_complete, is_irreducible,
     isoexpansive, parse_string, reduced_logogram, simple_independence,
     strong_independence, verify_galois, generic_problem, predicted_sat_logogram,
-    sat_problem, composite_problem,
+    sat_problem, composite_problem, cover,
 )
+from logogram.cli import main
 
 
 def ps(text, alphabet=TERNARY):
@@ -595,10 +598,14 @@ class TestIndependenceOracle:
             strong = strong_independence(p)
             separators, lacking = oracles.first_separators(e, strings)
             assert strong.passed == (lacking is None)
+            # the separators are the removal witnesses of the whole logogram
+            irreducibility = irreducibility_report(p.logogram(), p)
             if lacking is None:
                 assert list(strong.separators) == separators
+                assert strong.separators == tuple(irreducibility.unique_witnesses.items())
             else:
                 assert strong.counterexample["string"] == lacking
+                assert irreducibility.removable[0] == lacking
             checked += 1
 
 
@@ -784,6 +791,64 @@ class TestIrreducibility:
         assert report.unique_witnesses == expected
         assert list(report.removable) == [s for s in texts if s not in expected]
         assert report.irreducible == (len(expected) == len(texts))
+
+
+class TestCoveragePass:
+    class TickingClock:
+        """Stands in for the budget module's clock: one second per read
+        once started."""
+
+        def __init__(self, ticking=True):
+            self.now = 0.0
+            self.ticking = ticking
+
+        def monotonic(self):
+            if self.ticking:
+                self.now += 1.0
+            return self.now
+
+    def test_irreducibility_reads_the_clock_per_member(self, monkeypatch):
+        # the search is cached, so the reads are the meter's start and one
+        # per member in each pass: the deadline passes at the third member
+        # of the second pass
+        p = sat_problem(2, 2)
+        log = p.logogram()
+        n = len(log)
+        monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
+        with pytest.raises(BudgetExceededError,
+                           match=f"^irreducibility: sat:2x2: out of time after 2 of {n} strings$"):
+            irreducibility_report(log, p, Budget(max_seconds=n + 2.5))
+
+    def test_irreducible_command_exits_2_after_the_search(self, capsys, monkeypatch):
+        # the clock stands still until the search is cached, then runs out
+        # while the coverage pass is under way
+        clock = self.TickingClock(ticking=False)
+        monkeypatch.setattr(logogram.budget, "time", clock)
+        sat_problem(2, 2).logogram()
+        clock.ticking = True
+        code = main(["irreducible", "sat", "2", "2", "--budget-seconds", "0.5"])
+        assert code == 2
+        assert "irreducibility: sat:2x2: out of time after 0 of " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run,share", [
+        (lambda p: irreducibility_report(p.logogram(), p), 4),
+        (strong_independence, 4),
+        (cover, 2),
+    ], ids=["irreducibility", "strong", "cover"])
+    def test_peak_memory_does_not_grow_with_member_masks(self, run, share):
+        # composite 13: 6,052 members over masks of 1 KB. Keeping one mask
+        # per member costs members x mask bytes; the passes hold a constant
+        # number of masks, so their peak is mostly the report itself
+        p = composite_problem(13)
+        members = len(p.logogram())
+        mask_bytes = (p.slice.total_words + 7) // 8
+        tracemalloc.start()
+        try:
+            run(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < members * mask_bytes // share, (peak, members, mask_bytes)
 
 
 class TestInternalIndependence:

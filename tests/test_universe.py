@@ -304,6 +304,22 @@ class TestDescriptors:
         back = Slice.from_descriptor(slc.descriptor())
         assert back.word_ints() == slc.word_ints()
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"alphabet": ["0", "1"], "length": 2.5, "membership": ["01", "11"]},
+         "length must be an integer"),
+        ({"alphabet": ["0", "1"], "length": True}, "length must be an integer"),
+        ({"alphabet": ["0", "1"], "length": "2"}, "length must be an integer"),
+        ({"alphabet": "01", "length": 2, "membership": ["01", "11"]},
+         "alphabet must be a list"),
+        ({"alphabet": ["0", "1"], "length": 1, "membership": "1"},
+         'membership must be "all" or a list'),
+    ], ids=["fractional-length", "bool-length", "text-length", "text-alphabet",
+            "text-membership"])
+    def test_malformed_descriptor_rejected(self, doc, message):
+        # not truncated to length 2, nor split letter by letter
+        with pytest.raises(ValueError, match=message):
+            Slice.from_descriptor(doc)
+
     def test_predicate_descriptor_names_adapter(self):
         slc = Slice(BINARY, 2, lambda w: True, label="everything")
         assert slc.descriptor()["membership"] == {"adapter": "everything"}
