@@ -177,19 +177,22 @@ def cmd_galois(ns, problem, budget):
 
 
 def cmd_kernel(ns, problem, budget):
+    from .tracer import _records, _sweep
     programs = _cli.built_in_programs(problem)  # rejects non-clause problems
     log = problem.logogram(budget)
     L = problem.slice.length
-    # per-program sweeps, per-program trace dumps when asked for, and the
-    # final irreducibility check split the clock
+    # the sweeps, the dumps when asked for (each written from its sweep once
+    # every program has passed) and the irreducibility check split the clock
     sweeps = len(programs) * (2 if ns.dump_traces else 1)
     share = Budget(budget.max_strings, budget.max_seconds / (sweeps + 1))
     entries = []
     fault = None
     kernels = {}
-    for prog in programs:
+    dumps = [[] for _ in programs]
+    for prog, dump in zip(programs, dumps):
         try:
-            k = _cli.kernel(prog, problem, share)
+            k = (_sweep(prog, problem, share, dump) if ns.dump_traces
+                 else _cli.kernel(prog, problem, share))
         except _cli.ProgramFaultError as err:
             fault = str(err)
             break
@@ -203,10 +206,10 @@ def cmd_kernel(ns, problem, budget):
         })
     if ns.dump_traces and fault is None:
         with open(ns.dump_traces, "w", encoding="utf-8") as fh:
-            for prog in programs:
-                for record in _cli.trace_records(prog, problem, share):
-                    fh.write(json.dumps({"program": prog.name, **record},
-                                        sort_keys=True) + "\n")
+            for prog, dump in zip(programs, dumps):
+                meter = share.start(f"trace dump: {prog.name}")
+                for record in _records(prog.name, problem.slice, log.texts(L), iter(dump), meter):
+                    fh.write(json.dumps({"program": prog.name, **record}, sort_keys=True) + "\n")
     all_equal = len({k.pairs for k in kernels.values()}) <= 1
     irreducible = _cli.irreducibility_report(log, problem, share).irreducible
     doc = {

@@ -13,18 +13,15 @@ input. A correct, justified program always has a complete kernel, and when
 the reduced logogram is irreducible every such program has the same one.
 
 Programs are deterministic given the letters they observe, so every word
-extending a trace's probed restriction runs through that same trace: the
-kernel sweep runs a program once per distinct probe trace, on the lowest
-word not yet covered, and settles the whole cylinder of the trace at once.
-The trace dump does the same and shares one record body across a cylinder.
-
-One runner per (program, slice) serves the sweep, the dump and single
-runs. Its probe callback enforces the probe discipline and builds the
-trace while probing: it reads each letter from the packed word, ANDs the
+extending a trace's probed restriction runs through that same trace. One
+walk runs a program across a slice, once per distinct probe trace on the
+lowest word not yet covered: the kernel sweep folds it, and the trace dump
+expands it to per-word records that share one body across a cylinder. The
+runner's probe callback enforces the probe discipline and builds the trace
+while probing: it reads each letter from the packed word, ANDs the
 (position, letter) mask into the trace's cylinder and records the letter
 index per position, from which the certifying strings are one AND per
-position over the reduced logogram indexed by (position, letter)
-(:func:`logogram.universe.member_rows`).
+position (:func:`logogram.universe.member_rows`).
 
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
@@ -35,8 +32,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .budget import Budget, BudgetExceededError
-from .engine import Antichain, _log_probe
+from .budget import Budget, BudgetExceededError, Meter
+from .engine import Antichain
 from .strings import PartialString
 from .universe import member_rows, members_inside, set_bits
 
@@ -44,6 +41,9 @@ from .universe import member_rows, members_inside, set_bits
 class Verdict(str, Enum):
     ACCEPT = "accept"
     REJECT = "reject"
+
+
+_VERDICTS = (Verdict.REJECT, Verdict.ACCEPT)  # indexed by accepted
 
 
 class MalformedProgramError(RuntimeError):
@@ -82,14 +82,8 @@ class DecisionProgram(NamedTuple):
 
 def _runner(program: DecisionProgram, slc):
     """Packed word -> (accepted, cylinder, probed positions, letter indices)
-    of one run of the program on that word of the slice.
-
-    The probe callback enforces the discipline and builds the trace as it
-    goes: it reads the letter index straight from the packed word, ANDs the
-    (position, letter) mask into the trace's cylinder within the slice, and
-    records the index per position, with ``k`` (the alphabet size) marking a
-    position not probed.
-    """
+    of one run of the program on that word of the slice; ``k``, the
+    alphabet size, marks a position not probed."""
     name, length, decide = program.name, slc.length, program.decide
     letters = slc.alphabet.letters
     k, weights, masks, e = len(letters), slc._word_weights, slc.position_masks(), slc.e_mask()
@@ -118,15 +112,10 @@ def _runner(program: DecisionProgram, slc):
     return run
 
 
-def _verdict_masks(problem) -> tuple[int, int]:
-    """The masks a justified accept and a justified reject must miss: the
-    slice's words outside the target, and the target."""
-    f = problem.f_mask()
-    return problem.slice.e_mask() & ~f, f
-
-
-def _justified(accepted: bool, cyl: int, off: int, f: int) -> bool:
-    return _log_probe(cyl, off) if accepted else not cyl & f
+def _justified(accepted: bool, cyl: int, f: int) -> bool:
+    """A restriction's non-empty cylinder justifies an accept when it lies
+    in the target ``f``, a reject when it misses it."""
+    return (cyl & f) == cyl if accepted else not cyl & f
 
 
 def run_traced(program: DecisionProgram, word: PartialString, problem) -> ProbeTrace:
@@ -136,96 +125,104 @@ def run_traced(program: DecisionProgram, word: PartialString, problem) -> ProbeT
         raise ValueError(f"{word!r} is not a word of the slice")
     accepted, _, order, index = _runner(program, slc)(slc.int_of_word(word))
     letters = slc.alphabet.letters
-    return ProbeTrace(tuple((p, letters[index[p - 1]]) for p in order),
-                      Verdict.ACCEPT if accepted else Verdict.REJECT)
+    return ProbeTrace(tuple((p, letters[index[p - 1]]) for p in order), _VERDICTS[accepted])
 
 
 def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
     """Is the verdict forced by the probed restriction alone?
 
     Accepts need the restriction to force the target; rejects need the
-    restriction to admit no accepted extension within the slice.
+    restriction to admit no accepted extension within the slice. Raises
+    ``ValueError`` unless the word is a word of the slice that agrees with
+    every probe.
     """
     slc = problem.slice
-    cyl = slc.cylinder(tuple((p, slc.alphabet.index(ch)) for p, ch in trace.probes))
-    return _justified(trace.verdict == Verdict.ACCEPT, cyl, *_verdict_masks(problem))
+    restriction = PartialString(trace.probes)
+    if not (slc.contains(word) and word >= restriction):
+        raise ValueError(f"{trace.probes!r} are not probes of a word of the slice: {word!r}")
+    cyl = slc.cylinder(slc.pairs_of(restriction))
+    return _justified(trace.verdict == Verdict.ACCEPT, cyl, problem.f_mask())
+
+
+def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None = None):
+    """The one loop that runs a program across the slice: once per distinct
+    probe trace, on the lowest word not yet covered, which covers every word
+    extending the trace's probed restriction. Yields per run the word, the
+    cylinder, the verdict, whether the restriction justifies it, the probed
+    positions, the letter indices and, as bits, the members of ``log`` an
+    accepting restriction includes. Given a meter, it reads the clock before
+    each run."""
+    slc, f = problem.slice, problem.f_mask()
+    rows = member_rows(log.pairs, len(slc.alphabet), slc.length)
+    run = _runner(program, slc)
+    uncovered = slc.e_mask()
+    while uncovered:
+        i = (uncovered & -uncovered).bit_length() - 1
+        if meter is not None and meter.out_of_time():
+            raise BudgetExceededError(
+                f"kernel sweep for {program.name}: out of time at word {slc.text_of_int(i)!r}")
+        accepted, cyl, order, index = run(i)
+        uncovered &= ~cyl
+        yield (i, cyl, accepted, _justified(accepted, cyl, f), order, index,
+               members_inside(rows, index) if accepted else 0)
+
+
+def _sweep(program: DecisionProgram, problem, budget: Budget | None,
+           dump: list | None = None) -> Antichain:
+    """:func:`kernel`, also appending each trace to ``dump`` when given."""
+    meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
+    log = problem.logogram(meter=meter)
+    slc, f = problem.slice, problem.f_mask()
+    used = 0
+    for i, cyl, accepted, just, order, index, bits in _walk(program, problem, log, meter):
+        if accepted != bool(f >> i & 1):
+            raise ProgramFaultError(slc.text_of_int(i), f"{program.name} gave the wrong verdict")
+        if not just:
+            raise ProgramFaultError(slc.text_of_int(i), f"{program.name} was not "
+                                    f"justified in its {_VERDICTS[accepted].value}")
+        used |= bits
+        if dump is not None:
+            dump.append((tuple(set_bits(cyl)), accepted, just, order, index, bits))
+    return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
 
 
 def kernel(program: DecisionProgram, problem,
            budget: Budget | None = None) -> Antichain:
     """The reduced-logogram strings the program actually certifies with.
 
-    Covers every word of the slice, running the program once per distinct
-    probe trace: on the lowest word not yet covered, after which every word
-    extending the trace's probed restriction is covered too, since a
-    program is deterministic given the letters it observes. The program
-    must be correct and justified throughout, otherwise the offending input
-    is reported. Traces are met in order of their lowest word and a fault
-    taints its whole trace, so the input reported is the first faulty word
-    in canonical order.
-    """
-    meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
-    log = problem.logogram(meter=meter)
-    slc = problem.slice
-    off, f = _verdict_masks(problem)
-    run = _runner(program, slc)
-    rows = member_rows(log.pairs, len(slc.alphabet), slc.length)
-    used = 0
-    uncovered = slc.e_mask()
-    while uncovered:
-        i = (uncovered & -uncovered).bit_length() - 1
-        if meter.out_of_time():
-            raise BudgetExceededError(
-                f"kernel sweep for {program.name}: out of time at word {slc.text_of_int(i)!r}")
-        accepted, cyl, _, index = run(i)
-        uncovered &= ~cyl
-        if accepted != bool(f >> i & 1):
-            raise ProgramFaultError(slc.text_of_int(i),
-                                    f"{program.name} gave the wrong verdict")
-        if not _justified(accepted, cyl, off, f):
-            verdict = Verdict.ACCEPT if accepted else Verdict.REJECT
-            raise ProgramFaultError(slc.text_of_int(i),
-                                    f"{program.name} was not justified in its {verdict.value}")
-        if accepted:
-            used |= members_inside(rows, index)
-    return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
+    Walks the slice, reading the clock once per trace. The program must be
+    correct and justified throughout: traces are met in order of their
+    lowest word and a fault taints its whole trace, so the input reported is
+    the first faulty word in canonical order."""
+    return _sweep(program, problem, budget)
 
 
-def trace_records(program: DecisionProgram, problem,
-                  budget: Budget | None = None) -> Iterator[dict]:
-    """JSON-ready trace dump, one record per input word, in word order.
-
-    The program runs once per distinct probe trace, on the trace's lowest
-    word; every word of the trace's cylinder shares that run's record body,
-    so their records hold the same ``probes`` and ``certifying_strings``
-    lists. The clock is checked once per word.
-    """
-    meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
-    log = problem.logogram(meter=meter)
-    slc = problem.slice
-    letters = slc.alphabet.letters
-    run = _runner(program, slc)
-    rows = member_rows(log.pairs, len(letters), slc.length)
-    rendered = log.texts(slc.length)
-    off, f = _verdict_masks(problem)
+def _records(name: str, slc, texts: list[str], traces, meter: Meter) -> Iterator[dict]:
+    """Per-word records in word order, reading the clock once per word, from
+    the walk's traces with their covered words in place of the word and
+    cylinder. The words of a trace share one record body."""
     pending: dict[int, dict] = {}  # covered words not yet dumped -> body
     for i in slc.word_ints():
         if meter.out_of_time():
             raise BudgetExceededError(
-                f"trace dump for {program.name}: out of time at word {slc.text_of_int(i)!r}")
-        body = pending.pop(i, None)
-        if body is None:
-            accepted, cyl, order, index = run(i)
-            bits = members_inside(rows, index) if accepted else 0
-            body = {
-                "probes": [[p, letters[index[p - 1]]] for p in order],
-                "verdict": (Verdict.ACCEPT if accepted else Verdict.REJECT).value,
-                "justified": _justified(accepted, cyl, off, f),
-                "certifying_strings": [rendered[j] for j in set_bits(bits)],
-            }
-            for j in set_bits(cyl & ~(1 << i)):
-                pending[j] = body
-        yield {"input": slc.text_of_int(i), **body}
+                f"trace dump for {name}: out of time at word {slc.text_of_int(i)!r}")
+        if i not in pending:  # the walk's next run is on the lowest word left
+            covered, accepted, just, order, index, bits = next(traces)
+            pending.update(dict.fromkeys(covered, {
+                "probes": [[p, slc.alphabet.letters[index[p - 1]]] for p in order],
+                "verdict": _VERDICTS[accepted].value, "justified": just,
+                "certifying_strings": [texts[j] for j in set_bits(bits)]}))
+        yield {"input": slc.text_of_int(i), **pending.pop(i)}
+
+
+def trace_records(program: DecisionProgram, problem,
+                  budget: Budget | None = None) -> Iterator[dict]:
+    """JSON-ready trace dump, one record per input word, in word order, from
+    one walk of the slice; faults are recorded, not raised."""
+    meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
+    log = problem.logogram(meter=meter)
+    yield from _records(program.name, problem.slice, log.texts(problem.slice.length), (
+        (set_bits(cyl), *run) for _, cyl, *run in _walk(program, problem, log)), meter)
 
 
 # -- built-in traced solvers for the clause encoding ----------------------

@@ -228,19 +228,83 @@ class TestKernelCommand:
         assert all(r["justified"] for r in records)
 
     def test_dump_traces_gets_a_share_of_the_clock(self, capsys, monkeypatch, tmp_path):
-        import logogram.cli
-        budgets = []
+        # each program's dump is written on a meter of its own, started once
+        # every sweep has run: a meter from before the sweeps would have run
+        # down by then
+        import logogram.budget
+        meters = []
+        start = logogram.budget.Budget.start
 
-        def record(program, problem, budget):
-            budgets.append(budget)
-            return iter(())
+        def record(budget, label):
+            meters.append((label, budget.max_seconds))
+            return start(budget, label)
 
-        monkeypatch.setattr(logogram.cli, "trace_records", record)
+        monkeypatch.setattr(logogram.budget.Budget, "start", record)
         code, _ = run_json(capsys, "kernel", "sat", "1", "1", "--budget-seconds", "70",
                            "--dump-traces", str(tmp_path / "traces.jsonl"))
         assert code == 0
-        # three kernel sweeps, three dumps and the irreducibility check
-        assert [b.max_seconds for b in budgets] == [10.0] * 3
+        # three kernel sweeps, three dumps and the irreducibility check; the
+        # search runs on the whole budget unless an earlier test cached it
+        names = ["forward-assignment-scan", "backward-assignment-scan", "clause-first-scan"]
+        assert [m for m in meters if m != ("reduced logogram", 70.0)] == (
+            [(f"kernel sweep: {name}", 10.0) for name in names]
+            + [(f"trace dump: {name}", 10.0) for name in names]
+            + [("irreducibility: sat:1x1", 10.0)])
+
+    @staticmethod
+    def counted_programs(monkeypatch, extra=()):
+        """Have the CLI run the built-in programs, and ``extra`` after them,
+        with every ``decide`` call counted per program name."""
+        import logogram.cli
+        from logogram import DecisionProgram, built_in_programs
+        calls = {}
+
+        def counted(prog):
+            def decide(probe):
+                calls[prog.name] = calls.get(prog.name, 0) + 1
+                return prog.decide(probe)
+            return DecisionProgram(prog.name, decide)
+
+        monkeypatch.setattr(logogram.cli, "built_in_programs", lambda problem: tuple(
+            map(counted, built_in_programs(problem) + tuple(extra))))
+        return calls
+
+    def test_dump_traces_runs_each_program_once_per_trace(self, capsys, monkeypatch,
+                                                          tmp_path):
+        calls = self.counted_programs(monkeypatch)
+        code, plain = run_json(capsys, "kernel", "sat", "2", "3")
+        assert code == 0
+        sweep_calls = dict(calls)
+        calls.clear()
+        code, dumped = run_json(capsys, "kernel", "sat", "2", "3",
+                                "--dump-traces", str(tmp_path / "traces.jsonl"))
+        assert code == 0
+        assert dumped == plain
+        assert calls == sweep_calls
+        assert sweep_calls["forward-assignment-scan"] == 347  # its distinct traces
+
+    def test_dump_traces_match_trace_records(self, capsys, monkeypatch, tmp_path):
+        from logogram import built_in_programs, sat_problem, trace_records
+        self.counted_programs(monkeypatch)
+        path = tmp_path / "traces.jsonl"
+        code, _ = run_json(capsys, "kernel", "sat", "2", "3", "--dump-traces", str(path))
+        assert code == 0
+        p = sat_problem(2, 3)
+        assert path.read_text().splitlines() == [
+            json.dumps({"program": prog.name, **r}, sort_keys=True)
+            for prog in built_in_programs(p) for r in trace_records(prog, p)]
+
+    def test_fault_leaves_no_dump_file(self, capsys, monkeypatch, tmp_path):
+        # the built-in programs pass before the faulty one runs
+        from logogram import DecisionProgram
+        self.counted_programs(monkeypatch, extra=(
+            DecisionProgram("first-position", lambda probe: probe(1) == "1"),))
+        path = tmp_path / "traces.jsonl"
+        code, doc = run_json(capsys, "kernel", "sat", "1", "2", "--dump-traces", str(path))
+        assert code == 3
+        assert doc["fault"] == "on input '10': first-position gave the wrong verdict"
+        assert len(doc["programs"]) == 3
+        assert not path.exists()
 
     def test_fault_names_first_faulty_input(self, capsys, monkeypatch):
         import logogram.cli

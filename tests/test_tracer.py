@@ -87,6 +87,26 @@ class TestJustified:
         assert not justified(ProbeTrace(((1, "0"),), Verdict.REJECT),
                              p.slice.word("00"), p)
 
+    @pytest.mark.parametrize("text", ["0", "2"])
+    def test_probe_letter_must_agree_with_the_word(self, text):
+        p = sat_problem(1, 1)
+        with pytest.raises(ValueError, match="not probes of a word of the slice"):
+            justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT), p.slice.word(text), p)
+
+    def test_probe_position_must_be_in_the_word(self):
+        p = sat_problem(1, 1)
+        with pytest.raises(ValueError, match="not probes of a word of the slice"):
+            justified(ProbeTrace(((5, "1"),), Verdict.ACCEPT), p.slice.word("1"), p)
+
+    def test_word_must_be_a_word_of_the_slice(self):
+        p = sat_problem(1, 1)
+        with pytest.raises(ValueError):
+            justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT), ps("11"), p)
+        even = generic_problem(EVEN4_DOC)  # "1000" has odd parity
+        with pytest.raises(ValueError, match="not probes of a word of the slice"):
+            justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT),
+                      parse_string("1000", even.slice.alphabet), even)
+
     def test_accepting_restrictions_never_leave_the_target(self):
         # a justified accept's restriction cannot sit inside a rejected word
         p = sat_problem(2, 2)
