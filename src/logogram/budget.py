@@ -4,9 +4,10 @@ Every potentially exponential operation takes a budget: a maximum count of
 charged steps and a maximum of wall-clock seconds. The reduced-logogram
 search charges one step per distinct sub-problem it solves; the
 internal-independence check takes its string cap from the same count.
-Exceeding a limit raises :class:`BudgetExceededError` carrying whatever
-partial state the search had reached; results are never silently
-truncated.
+A running meter stands wherever a budget is taken: each step of a run then
+counts on its own, against the one clock of the run. Exceeding a limit
+raises :class:`BudgetExceededError` carrying whatever partial state the
+search had reached; results are never silently truncated.
 """
 
 from __future__ import annotations
@@ -71,15 +72,19 @@ class Budget:
 
 
 class Meter:
-    """Running tally against one budget; raises once a limit is crossed."""
+    """Running tally against one budget; raises once a limit is crossed.
+    :meth:`start` gives the run's next step its own label and count on this deadline."""
 
     _CLOCK_STRIDE = 256  # time checks are amortized over this many charges
 
-    def __init__(self, budget: Budget, label: str):
+    def __init__(self, budget: Budget, label: str, deadline: float | None = None):
         self.budget = budget
         self.label = label
         self.count = 0
-        self._deadline = time.monotonic() + budget.max_seconds
+        self._deadline = time.monotonic() + budget.max_seconds if deadline is None else deadline
+
+    def start(self, label: str) -> "Meter":
+        return Meter(self.budget, label, self._deadline)
 
     def charge(self) -> None:
         self.count += 1

@@ -46,7 +46,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="max distinct sub-problems per search (per suite for galois; "
                          "--regions adds each distinct region sub-problem once)")
     sp.add_argument("--budget-seconds", type=float, default=None, metavar="S",
-                    help="max wall-clock seconds per search")
+                    help="max wall-clock seconds for the whole subcommand, construction included")
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sp.add_argument("--out", default=None, metavar="PATH",
                     help="write the report here instead of stdout")
@@ -135,12 +135,10 @@ def cmd_wizards(ns, problem, budget):
 
 
 def cmd_independence(ns, problem, budget):
-    # three metered checks share the subcommand's wall-clock allowance
-    share = Budget(budget.max_strings, budget.max_seconds / 3)
     reports = [
-        _cli.internal_independence(problem.slice, share),
-        _cli.simple_independence(problem, share),
-        _cli.strong_independence(problem, share),
+        _cli.internal_independence(problem.slice, budget),
+        _cli.simple_independence(problem, budget),
+        _cli.strong_independence(problem, budget),
     ]
     doc = {"problem": problem.label}
     for rep in reports:
@@ -181,18 +179,14 @@ def cmd_kernel(ns, problem, budget):
     programs = _cli.built_in_programs(problem)  # rejects non-clause problems
     log = problem.logogram(budget)
     L = problem.slice.length
-    # the sweeps, the dumps when asked for (each written from its sweep once
-    # every program has passed) and the irreducibility check split the clock
-    sweeps = len(programs) * (2 if ns.dump_traces else 1)
-    share = Budget(budget.max_strings, budget.max_seconds / (sweeps + 1))
     entries = []
     fault = None
     kernels = {}
     dumps = [[] for _ in programs]
     for prog, dump in zip(programs, dumps):
         try:
-            k = (_sweep(prog, problem, share, dump) if ns.dump_traces
-                 else _cli.kernel(prog, problem, share))
+            k = (_sweep(prog, problem, budget, dump) if ns.dump_traces
+                 else _cli.kernel(prog, problem, budget))
         except _cli.ProgramFaultError as err:
             fault = str(err)
             break
@@ -201,17 +195,17 @@ def cmd_kernel(ns, problem, budget):
             "name": prog.name,
             "kernel": k.texts(L),
             "size": len(k),
-            "complete": _cli.is_complete(k, problem, share),
+            "complete": _cli.is_complete(k, problem, budget),
             "matches_logogram": k.pairs == log.pairs,
         })
     if ns.dump_traces and fault is None:
         with open(ns.dump_traces, "w", encoding="utf-8") as fh:
             for prog, dump in zip(programs, dumps):
-                meter = share.start(f"trace dump: {prog.name}")
+                meter = budget.start(f"trace dump: {prog.name}")
                 for record in _records(prog.name, problem.slice, log.texts(L), iter(dump), meter):
                     fh.write(json.dumps({"program": prog.name, **record}, sort_keys=True) + "\n")
     all_equal = len({k.pairs for k in kernels.values()}) <= 1
-    irreducible = _cli.irreducibility_report(log, problem, share).irreducible
+    irreducible = _cli.irreducibility_report(log, problem, budget).irreducible
     doc = {
         "problem": problem.label,
         "logogram_size": len(log),
@@ -292,13 +286,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        problem = _resolve_problem(ns.problem, ns.args)
+        # one clock for the whole subcommand, started before the problem is built
         defaults = Budget.default()
         budget = Budget(
             max_strings=defaults.max_strings if ns.budget_strings is None
             else ns.budget_strings,
             max_seconds=defaults.max_seconds if ns.budget_seconds is None
-            else ns.budget_seconds)
+            else ns.budget_seconds).start(ns.command)
+        problem = _resolve_problem(ns.problem, ns.args)
         doc, rows, violation = HANDLERS[ns.command](ns, problem, budget)
         _emit(doc, rows, ns)
     except BudgetExceededError as err:

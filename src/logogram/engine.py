@@ -488,9 +488,8 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
     by the order itself, so the work is finding a non-extending pair that
     is entailed all the same.
     """
-    budget = budget or Budget.default()
-    cap = max(1, int(budget.max_strings ** 0.5))
-    meter = budget.start("internal independence")
+    meter = (budget or Budget.default()).start("internal independence")
+    cap = max(1, int(meter.budget.max_strings ** 0.5))
     pair_list, saw_all = _sigma_pairs(slc, cap)
     pairs_checked, hit, late = _first_entailment(pair_list, slc, meter,
                                                  excuse_extensions=True)

@@ -23,6 +23,29 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+class TickingClock:
+    """Stands in for the budget module's clock: one second per read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def ticking_run(capsys, monkeypatch, *argv):
+    """One run on a fresh problem under a :class:`TickingClock`: the exit
+    code, the output and how many times the run read the clock."""
+    import logogram.budget
+    from logogram import sat_problem
+    sat_problem.cache_clear()
+    clock = TickingClock()
+    monkeypatch.setattr(logogram.budget, "time", clock)
+    code, out, _ = run(capsys, *argv)
+    return code, out, clock.now
+
+
 class TestLogogramCommand:
     def test_sat_1x1(self, capsys):
         code, doc = run_json(capsys, "logogram", "sat", "1", "1")
@@ -115,7 +138,7 @@ class TestIndependenceCommand:
 
     def test_default_budget_sat_3x2_is_count_bound(self, capsys, monkeypatch):
         # the internal check ends on the string count (2,236 strings, all
-        # ordered pairs), well inside its share of the default clock
+        # ordered pairs), well inside the default clock
         monkeypatch.delenv("LOGOGRAM_BUDGET_STRINGS", raising=False)
         monkeypatch.delenv("LOGOGRAM_BUDGET_SECONDS", raising=False)
         start = time.perf_counter()
@@ -127,6 +150,43 @@ class TestIndependenceCommand:
         assert internal["pairs_checked"] == 4997460
         assert internal["budget_exhausted"] is True
         assert elapsed < 10
+
+
+class TestOneClock:
+    """One clock per subcommand: it starts before the problem is built, and
+    every step of the analysis runs on its deadline."""
+
+    @pytest.mark.parametrize("argv", [("kernel", "sat", "2", "2"),
+                                      ("independence", "sat", "2", "2")])
+    def test_passes_while_every_clock_read_fits(self, capsys, monkeypatch, argv):
+        # with one tick per read, a run that reads the clock n times fits in
+        # n seconds; two fewer and its last read falls past the deadline
+        code, expected, reads = ticking_run(capsys, monkeypatch, *argv,
+                                            "--budget-seconds", "1e6")
+        assert code == 0
+        assert ticking_run(capsys, monkeypatch, *argv,
+                           "--budget-seconds", str(reads)) == (0, expected, reads)
+        assert ticking_run(capsys, monkeypatch, *argv,
+                           "--budget-seconds", str(reads - 2))[0] == 2
+
+    @pytest.mark.parametrize("command", ["cover", "irreducible", "kernel"])
+    def test_construction_counts_against_the_clock(self, capsys, monkeypatch, command):
+        # an adapter that takes longer than the whole budget leaves the
+        # analysis no time: the first clock read after it stops the run
+        import logogram.budget
+        import logogram.cli
+        from logogram import sat_problem
+        clock = TickingClock()
+        monkeypatch.setattr(logogram.budget, "time", clock)
+
+        def slow(n, m):
+            clock.now += 100.0
+            return sat_problem(n, m)
+
+        monkeypatch.setattr(logogram.cli, "sat_problem", slow)
+        code, out, err = run(capsys, command, "sat", "1", "1", "--budget-seconds", "50")
+        assert code == 2 and out == ""
+        assert "out of time" in err
 
 
 class TestIrreducibleCommand:
@@ -227,29 +287,34 @@ class TestKernelCommand:
             "clause-first-scan"}
         assert all(r["justified"] for r in records)
 
-    def test_dump_traces_gets_a_share_of_the_clock(self, capsys, monkeypatch, tmp_path):
-        # each program's dump is written on a meter of its own, started once
-        # every sweep has run: a meter from before the sweeps would have run
-        # down by then
+    def test_dump_traces_share_one_clock(self, capsys, monkeypatch, tmp_path):
+        # every meter of the run, the dumps' included, counts on its own
+        # against the one deadline set when the first meter read the clock
         import logogram.budget
+        from logogram import sat_problem
+        sat_problem.cache_clear()
+        clock = TickingClock()
+        monkeypatch.setattr(logogram.budget, "time", clock)
         meters = []
-        start = logogram.budget.Budget.start
+        init = logogram.budget.Meter.__init__
 
-        def record(budget, label):
-            meters.append((label, budget.max_seconds))
-            return start(budget, label)
+        def record(meter, *args):
+            before = clock.now
+            init(meter, *args)
+            meters.append((meter.label, meter._deadline, clock.now > before))
 
-        monkeypatch.setattr(logogram.budget.Budget, "start", record)
+        monkeypatch.setattr(logogram.budget.Meter, "__init__", record)
         code, _ = run_json(capsys, "kernel", "sat", "1", "1", "--budget-seconds", "70",
                            "--dump-traces", str(tmp_path / "traces.jsonl"))
         assert code == 0
-        # three kernel sweeps, three dumps and the irreducibility check; the
-        # search runs on the whole budget unless an earlier test cached it
         names = ["forward-assignment-scan", "backward-assignment-scan", "clause-first-scan"]
-        assert [m for m in meters if m != ("reduced logogram", 70.0)] == (
-            [(f"kernel sweep: {name}", 10.0) for name in names]
-            + [(f"trace dump: {name}", 10.0) for name in names]
-            + [("irreducibility: sat:1x1", 10.0)])
+        assert [label for label, _, _ in meters] == (
+            ["kernel", "reduced logogram"]
+            + [f"kernel sweep: {name}" for name in names]
+            + [f"trace dump: {name}" for name in names]
+            + ["irreducibility: sat:1x1"])
+        assert {deadline for _, deadline, _ in meters} == {71.0}
+        assert [label for label, _, read in meters if read] == ["kernel"]
 
     @staticmethod
     def counted_programs(monkeypatch, extra=()):

@@ -793,6 +793,29 @@ class TestIrreducibility:
         assert report.irreducible == (len(expected) == len(texts))
 
 
+class TestMeter:
+    def test_start_keeps_the_deadline_and_reads_no_clock(self, monkeypatch):
+        # a step's meter has its own label and count, and stops on the
+        # deadline its parent took from the clock's one read
+        clock = TestCoveragePass.TickingClock()
+        monkeypatch.setattr(logogram.budget, "time", clock)
+        run = Budget(max_strings=2, max_seconds=10.0).start("run")
+        run.charge()
+        step = run.start("step")
+        assert clock.now == 1.0
+        assert (step.label, step.count, step.budget) == ("step", 0, run.budget)
+        assert step.start("next").count == 0 and clock.now == 1.0
+        step.charge()
+        step.charge()
+        with pytest.raises(BudgetExceededError, match="^step: exceeded 2 sub-problems$"):
+            step.charge()
+        assert run.count == 1
+        clock.now = 9.0
+        assert not step.out_of_time()  # read at 10 s, against the deadline at 11 s
+        clock.now = 10.5
+        assert step.out_of_time() and run.out_of_time()
+
+
 class TestCoveragePass:
     class TickingClock:
         """Stands in for the budget module's clock: one second per read
