@@ -22,22 +22,21 @@ _EXPORTS = {
         "Antichain", "GaloisReport", "IndependenceReport", "IrreducibilityReport",
         "closure_ab_contains", "closure_ba", "entangles", "in_logogram",
         "internal_independence", "irreducibility_report", "is_closed", "is_complete",
-        "is_irreducible", "isoexpansive", "reduced_logogram", "simple_independence",
-        "strong_independence", "verify_galois"),
+        "isoexpansive", "reduced_logogram", "simple_independence", "strong_independence",
+        "verify_galois"),
     "problems": (
         "CnfShape", "DegenerateProblemError", "ProblemFormatError", "ProblemSlice",
         "composite_problem", "connectivity_problem", "formula_word", "gamma",
         "generic_problem", "predicted_sat_logogram", "sat_problem"),
     "strings": (
         "BINARY", "BLANK", "TERNARY", "VOID", "Alphabet", "FormatError",
-        "IncompatibleStrings", "PartialString", "parse_string"),
+        "IncompatibleStrings", "PartialString"),
     "tracer": (
         "DecisionProgram", "MalformedProgramError", "ProbeTrace", "ProgramFaultError",
         "Verdict", "backward_assignment_scan", "built_in_programs", "clause_first_scan",
-        "forward_assignment_scan", "justified", "kernel", "run_traced", "trace_records"),
+        "forward_assignment_scan", "justified", "kernel", "trace_records"),
     "universe": (
-        "DegenerateSliceError", "Slice", "enumerate_words", "expand", "extensions_in_e",
-        "full_slice", "in_sigma_infinity"),
+        "DegenerateSliceError", "Slice", "expand", "full_slice"),
     "wizardry": (
         "Chart", "ClassifiedLogogram", "ClassifiedString", "CoverReport", "classify",
         "cover", "witness_union_complete"),

@@ -175,7 +175,7 @@ def cmd_galois(ns, problem, budget):
 
 
 def cmd_kernel(ns, problem, budget):
-    from .tracer import _records, _sweep
+    from .tracer import _records
     programs = _cli.built_in_programs(problem)  # rejects non-clause problems
     log = problem.logogram(budget)
     L = problem.slice.length
@@ -185,8 +185,7 @@ def cmd_kernel(ns, problem, budget):
     dumps = [[] for _ in programs]
     for prog, dump in zip(programs, dumps):
         try:
-            k = (_sweep(prog, problem, budget, dump) if ns.dump_traces
-                 else _cli.kernel(prog, problem, budget))
+            k = _cli.kernel(prog, problem, budget, dump if ns.dump_traces else None)
         except _cli.ProgramFaultError as err:
             fault = str(err)
             break

@@ -371,10 +371,6 @@ def irreducibility_report(strings, problem,
     return IrreducibilityReport(not removable, tuple(removable), witnesses)
 
 
-def is_irreducible(strings, problem, budget: Budget | None = None) -> bool:
-    return irreducibility_report(strings, problem, budget).irreducible
-
-
 def _unique_coverage(members: Sequence[Pairs], slc: Slice,
                      meter: Meter) -> tuple[int, list[str], dict[str, str]]:
     """The union of the members' cylinders, the texts of the members that
@@ -458,7 +454,7 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
     """
     n = len(pair_list)
     k = len(slc.alphabet)
-    masks = slc.position_masks()
+    masks, weights = slc.position_masks(), slc._word_weights
     rows = member_rows(pair_list, k, slc.length)
     for i, f in enumerate(pair_list):
         if meter.out_of_time():
@@ -467,7 +463,7 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
         low = (cyl & -cyl).bit_length() - 1
         forced = [k] * slc.length
         for p in range(slc.length):
-            d = slc.letter_index(low, p + 1)
+            d = low // weights[p] % k
             if cyl & masks[p][d] == cyl:
                 forced[p] = d
         entailed = members_inside(rows, forced)

@@ -89,12 +89,6 @@ class ProblemSlice:
         mask = self._region_masks[self.solutions.index(solution)]
         return bool(mask >> self.slice.int_of_word(word) & 1)
 
-    def accepts(self, word: PartialString) -> bool:
-        return bool(self._f_mask >> self.slice.int_of_word(word) & 1)
-
-    def f_words(self) -> tuple[PartialString, ...]:
-        return tuple(map(self.slice.word_of_int, self.slice.ints_of_mask(self._f_mask)))
-
     def solution_texts(self) -> list[str]:
         return [self.solution_text(y) for y in self.solutions]
 

@@ -219,21 +219,5 @@ class PartialString:
     def __or__(self, other: "PartialString") -> "PartialString":
         return self.join(other)
 
-    # -- restrictions ----------------------------------------------------
-
-    def immediate_restrictions(self) -> tuple["PartialString", ...]:
-        """Every string obtained by deleting exactly one position."""
-        return tuple(
-            PartialString(self.pairs[:i] + self.pairs[i + 1:])
-            for i in range(len(self.pairs)))
-
-    def restrict(self, positions: Iterable[int]) -> "PartialString":
-        keep = set(positions)
-        return PartialString(tuple((p, ch) for p, ch in self.pairs if p in keep))
-
 
 VOID = PartialString(())
-
-
-def parse_string(text: str, alphabet: Alphabet) -> PartialString:
-    return PartialString.parse(text, alphabet)

@@ -15,13 +15,14 @@ the reduced logogram is irreducible every such program has the same one.
 Programs are deterministic given the letters they observe, so every word
 extending a trace's probed restriction runs through that same trace. One
 walk runs a program across a slice, once per distinct probe trace on the
-lowest word not yet covered: the kernel sweep folds it, and the trace dump
-expands it to per-word records that share one body across a cylinder. The
-runner's probe callback enforces the probe discipline and builds the trace
-while probing: it reads each letter from the packed word, ANDs the
-(position, letter) mask into the trace's cylinder and records the letter
-index per position, from which the certifying strings are one AND per
-position (:func:`logogram.universe.member_rows`).
+lowest word not yet covered: :func:`kernel` folds it into the certifying
+strings, keeping its traces when asked, and the trace dump expands traces
+to per-word records that share one body across a cylinder. The runner's
+probe callback enforces the probe discipline and builds the trace while
+probing: it reads each letter from the packed word, ANDs the (position,
+letter) mask into the trace's cylinder and records the letter index per
+position, from which the certifying strings are one AND per position
+(:func:`logogram.universe.member_rows`).
 
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
@@ -118,16 +119,6 @@ def _justified(accepted: bool, cyl: int, f: int) -> bool:
     return (cyl & f) == cyl if accepted else not cyl & f
 
 
-def run_traced(program: DecisionProgram, word: PartialString, problem) -> ProbeTrace:
-    """Run the program on one word of the slice and record its trace."""
-    slc = problem.slice
-    if not slc.contains(word):
-        raise ValueError(f"{word!r} is not a word of the slice")
-    accepted, _, order, index = _runner(program, slc)(slc.int_of_word(word))
-    letters = slc.alphabet.letters
-    return ProbeTrace(tuple((p, letters[index[p - 1]]) for p in order), _VERDICTS[accepted])
-
-
 def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
     """Is the verdict forced by the probed restriction alone?
 
@@ -167,9 +158,18 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
                members_inside(rows, index) if accepted else 0)
 
 
-def _sweep(program: DecisionProgram, problem, budget: Budget | None,
+def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
            dump: list | None = None) -> Antichain:
-    """:func:`kernel`, also appending each trace to ``dump`` when given."""
+    """The reduced-logogram strings the program actually certifies with.
+
+    Walks the slice, reading the clock once per trace. The program must be
+    correct and justified throughout: traces are met in order of their
+    lowest word and a fault taints its whole trace, so the input reported is
+    the first faulty word in canonical order. Given a list as ``dump``, it
+    also appends there, per trace, the covered words, the verdict, whether
+    it is justified, the probed positions, the letter indices and the
+    members as bits: the traces the trace dump expands to per-word records,
+    so that dumping costs no second walk."""
     meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
     slc, f = problem.slice, problem.f_mask()
@@ -184,17 +184,6 @@ def _sweep(program: DecisionProgram, problem, budget: Budget | None,
         if dump is not None:
             dump.append((tuple(set_bits(cyl)), accepted, just, order, index, bits))
     return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
-
-
-def kernel(program: DecisionProgram, problem,
-           budget: Budget | None = None) -> Antichain:
-    """The reduced-logogram strings the program actually certifies with.
-
-    Walks the slice, reading the clock once per trace. The program must be
-    correct and justified throughout: traces are met in order of their
-    lowest word and a fault taints its whole trace, so the input reported is
-    the first faulty word in canonical order."""
-    return _sweep(program, problem, budget)
 
 
 def _records(name: str, slc, texts: list[str], traces, meter: Meter) -> Iterator[dict]:

@@ -233,20 +233,6 @@ class Slice:
             doc["membership"] = [self.text_of_int(i) for i in self.word_ints()]
         return doc
 
-    @classmethod
-    def from_descriptor(cls, doc: dict) -> "Slice":
-        length, alphabet = doc["length"], doc["alphabet"]
-        membership = doc.get("membership", "all")
-        if isinstance(membership, dict):
-            raise ValueError("adapter-backed slices must be rebuilt by their adapter")
-        if type(length) is not int:  # not 2.5 read as 2, nor "2" or true
-            raise ValueError(f"length must be an integer, got {length!r}")
-        if not isinstance(alphabet, list):  # not "01" split into letters
-            raise ValueError(f"alphabet must be a list, got {alphabet!r}")
-        if membership != "all" and not isinstance(membership, list):
-            raise ValueError(f'membership must be "all" or a list, got {membership!r}')
-        return cls(Alphabet.of(alphabet), length, membership, doc.get("label", ""))
-
     def __repr__(self) -> str:
         return f"Slice({self.label!r}, length={self.length})"
 
@@ -256,25 +242,6 @@ def full_slice(alphabet: Alphabet, length: int, label: str = "") -> Slice:
 
 
 # -- the cylinder operators ---------------------------------------------
-
-
-def enumerate_words(slc: Slice) -> Iterator[PartialString]:
-    """Words of the slice in canonical (lexicographic) order."""
-    for i in slc.word_ints():
-        yield slc.word_of_int(i)
-
-
-def in_sigma_infinity(string: PartialString, slc: Slice) -> bool:
-    """True when at least one word of the slice extends the string."""
-    return slc.cylinder_of(string) != 0
-
-
-def extensions_in_e(string: PartialString, slc: Slice) -> Iterator[PartialString]:
-    """The words of the slice extending the string, canonical order."""
-    if string.size > slc.length:
-        raise ValueError(f"string of size {string.size} exceeds slice length {slc.length}")
-    for i in slc.ints_of_mask(slc.cylinder_of(string)):
-        yield slc.word_of_int(i)
 
 
 def expand_mask(strings: Iterable[PartialString], slc: Slice) -> int:

@@ -174,6 +174,19 @@ def containing_regions(e_words, alphabet: str, strings,
     return out
 
 
+def run_once(decide, word: str) -> tuple[tuple[tuple[int, str], ...], bool]:
+    """Run a decision program on one word given as text: its probes in
+    order, as (position, letter), and whether it accepted."""
+    probes: list[tuple[int, str]] = []
+
+    def probe(p: int) -> str:
+        probes.append((p, word[p - 1]))
+        return word[p - 1]
+
+    accepted = bool(decide(probe))
+    return tuple(probes), accepted
+
+
 def sweep_kernel(decide, name: str, alphabet: str, length: int,
                  e_words, a_words, minimal) -> tuple[list[str] | None, tuple[str, str] | None]:
     """A decision program's kernel by running it on every word of E.
@@ -190,16 +203,10 @@ def sweep_kernel(decide, name: str, alphabet: str, length: int,
     for w in all_words(alphabet, length):
         if w not in e:
             continue
-        probes: dict[int, str] = {}
-
-        def probe(p: int) -> str:
-            probes[p] = w[p - 1]
-            return w[p - 1]
-
-        accepted = bool(decide(probe))
+        probes, accepted = run_once(decide, w)
         if accepted != (w in a):
             return None, (w, f"{name} gave the wrong verdict")
-        r = "".join(probes.get(p, BLANK) for p in range(1, length + 1))
+        r = "".join(dict(probes).get(p, BLANK) for p in range(1, length + 1))
         fresh = r not in sides
         if fresh:
             sides[r] = {c in a for c in completions(r, alphabet) if c in e}

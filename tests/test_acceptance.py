@@ -16,7 +16,7 @@ from logogram import (
     BINARY, TERNARY, Budget, CnfShape, PartialString, Slice, classify,
     composite_problem, connectivity_problem, cover, entangles, expand,
     full_slice, gamma, in_logogram, irreducibility_report, is_complete,
-    kernel as program_kernel, parse_string, predicted_sat_logogram,
+    kernel as program_kernel, predicted_sat_logogram,
     reduced_logogram, sat_problem, strong_independence, verify_galois,
     built_in_programs, witness_union_complete,
 )
@@ -120,7 +120,7 @@ def test_criterion_sat_logogram_irreducible():
             for g in log.elements:
                 word = gamma(g, shape)
                 assert g <= word
-                assert p.accepts(word)
+                assert p.f_mask() >> p.slice.int_of_word(word) & 1
                 included = [h for h in members if h <= word]
                 assert included == [g]
 
@@ -133,7 +133,7 @@ def test_criterion_composite_wizard_exists():
         assert len(report.wizards) >= 1
         entry = next(e for e in report.entries if e.string == "111_")
         assert entry.is_wizard
-        string = parse_string(entry.string, BINARY)
+        string = PartialString.parse(entry.string, BINARY)
         exp = expand([string], p.slice)
         assert sorted(int(w.render(4), 2) for w in exp) == [14, 15]
         assert string in p.logogram()  # minimal, not just forcing
@@ -188,7 +188,7 @@ def test_criterion_order_and_entanglement_laws():
     with criterion("lattice laws, expansion laws, logogram-union inclusion, "
                    "and entanglement facts: zero violations (< 30 s)"):
         # exhaustive string universe over three ternary positions
-        universe = [parse_string("".join(c), TERNARY)
+        universe = [PartialString.parse("".join(c), TERNARY)
                     for c in product(["_", "0", "1", "2"], repeat=3)]
         below = {g: {f for f in universe if f <= g} for g in universe}
         for g in universe:
@@ -215,7 +215,7 @@ def test_criterion_order_and_entanglement_laws():
         # under extension, strings are their assignment sets ordered by
         # inclusion, so meet must be intersection and join must be union
         # (exactly when the union is still a function)
-        big = [parse_string("".join(c), TERNARY)
+        big = [PartialString.parse("".join(c), TERNARY)
                for c in product(["_", "0", "1", "2"], repeat=4)]
         pair_sets = {f: frozenset(f.pairs) for f in big}
         for f in big:
@@ -233,7 +233,7 @@ def test_criterion_order_and_entanglement_laws():
         for slc in (full_slice(TERNARY, 2), full_slice(BINARY, 4)):
             sigma = sorted(oracles.sigma_members(
                 slc.text_of_int(i) for i in slc.word_ints()))
-            strings = [parse_string(t, slc.alphabet) for t in sigma]
+            strings = [PartialString.parse(t, slc.alphabet) for t in sigma]
             for f in strings:
                 ef = set(expand([f], slc))
                 assert expand(list(ef), slc) == tuple(sorted(
@@ -259,7 +259,7 @@ def test_criterion_order_and_entanglement_laws():
                 for _ in range(rng.randint(1, 3)):
                     w = rng.choice(wide_words)
                     keep = [p for p in range(1, 9) if rng.random() < 0.4]
-                    out.append(parse_string(
+                    out.append(PartialString.parse(
                         "".join(w[p - 1] if p in keep else "_" for p in range(1, 9)),
                         BINARY))
                 return out
@@ -281,14 +281,14 @@ def test_criterion_order_and_entanglement_laws():
             union_words = [slc.word(t) for t in a | b]
             for text in (oracles.logogram_members(e_texts, a)
                          | oracles.logogram_members(e_texts, b)):
-                assert in_logogram(parse_string(text, BINARY), union_words, slc)
+                assert in_logogram(PartialString.parse(text, BINARY), union_words, slc)
 
         # set inclusion forces entanglement absolutely, hence in any slice
         for _ in range(20):
             sub_e = rng.sample(e_texts, rng.randint(1, len(e_texts)))
             sub_slc = Slice(BINARY, 3, sub_e)
             sigma = sorted(oracles.sigma_members(sub_e))
-            k = [parse_string(t, BINARY) for t in rng.sample(sigma, min(4, len(sigma)))]
+            k = [PartialString.parse(t, BINARY) for t in rng.sample(sigma, min(4, len(sigma)))]
             h = [s for s in k if rng.random() < 0.6]
             assert entangles(h, k, sub_slc)
         elapsed = time.monotonic() - started

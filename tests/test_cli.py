@@ -348,6 +348,24 @@ class TestKernelCommand:
         assert calls == sweep_calls
         assert sweep_calls["forward-assignment-scan"] == 347  # its distinct traces
 
+    @pytest.mark.parametrize("dump", [False, True], ids=["plain", "dump-traces"])
+    def test_every_sweep_goes_through_kernel(self, capsys, monkeypatch, tmp_path, dump):
+        # one sweep route, dump or not, so the benchmark's span around
+        # logogram.cli.kernel sees every program's sweep
+        import logogram.cli
+        sweep = logogram.cli.kernel
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].name)
+            return sweep(*args)
+
+        monkeypatch.setattr(logogram.cli, "kernel", counted)
+        flags = ("--dump-traces", str(tmp_path / "traces.jsonl")) if dump else ()
+        code, _ = run_json(capsys, "kernel", "sat", "1", "2", *flags)
+        assert code == 0
+        assert len(calls) == 3
+
     def test_dump_traces_match_trace_records(self, capsys, monkeypatch, tmp_path):
         from logogram import built_in_programs, sat_problem, trace_records
         self.counted_programs(monkeypatch)
@@ -556,6 +574,11 @@ class TestContract:
         assert run(capsys, "logogram", "generic", "/nonexistent.json")[0] == 1
         assert run(capsys, "logogram", "sat", "1", "1", "--no-such-flag")[0] == 1
         assert run(capsys, "no-such-command", "sat", "1", "1")[0] == 1
+
+    def test_generic_takes_one_descriptor_path(self, capsys):
+        code, out, err = run(capsys, "logogram", "generic", "a.json", "b.json")
+        assert code == 1 and out == ""
+        assert "generic expects one descriptor path" in err
 
     @pytest.mark.parametrize("command", ["logogram", "wizards", "independence",
                                          "irreducible", "kernel", "cover"])

@@ -1,6 +1,7 @@
 """The package surface: names resolved on first use, lean start-up, and
 the value types' equality, hashing, immutability and repr."""
 
+import ast
 import copy
 import pickle
 import re
@@ -32,6 +33,37 @@ class TestLazySurface:
     def test_unknown_name_raises_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             logogram.no_such_name
+
+
+# public names that no module of the package and no benchmark script calls:
+# the paper's definitions, through which the tests check its laws, and the
+# entry points that validate what a caller hands them (a word-list target
+# on any slice) or record program faults where the CLI raises on them
+PAPER_DEFINITIONS = {
+    "closure_ab_contains", "closure_ba", "entangles", "expand", "formula_word", "gamma",
+    "is_closed", "isoexpansive", "justified", "witness_union_complete"}
+VALIDATED_ENTRY_POINTS = {"in_logogram", "reduced_logogram", "trace_records"}
+
+
+class TestOneNamePerJob:
+    def test_every_other_public_name_has_a_caller(self):
+        # a public name that only tests call repeats a route the package
+        # already has; delete it rather than keep two names for one job
+        scripts = [path for path in (SRC / "logogram").glob("*.py")
+                   if path.name != "__init__.py"]
+        scripts += (SRC.parent / "bench").glob("*.py")
+        referenced = set()
+        for path in scripts:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.asname or node.name)
+        exempt = PAPER_DEFINITIONS | VALIDATED_ENTRY_POINTS
+        assert exempt <= set(logogram.__all__)
+        assert set(logogram.__all__) - referenced - exempt == set()
 
 
 def modules_after(code: str) -> set[str]:

@@ -6,13 +6,22 @@ import oracles
 from logogram import (
     BINARY, TERNARY, CnfShape, DegenerateProblemError, PartialString,
     ProblemFormatError, ProblemSlice, Slice, composite_problem, connectivity_problem, formula_word,
-    gamma, generic_problem, parse_string, predicted_sat_logogram, sat_problem,
+    gamma, generic_problem, predicted_sat_logogram, sat_problem,
 )
 from logogram.engine import reduced_logogram_of_mask
 
 
 def ps(text, alphabet=TERNARY):
-    return parse_string(text, alphabet)
+    return PartialString.parse(text, alphabet)
+
+
+def target_texts(p):
+    """The target's words as texts, ascending: the words of ``f_mask``."""
+    return [p.slice.text_of_int(i) for i in p.slice.ints_of_mask(p.f_mask())]
+
+
+def in_target(p, word):
+    return bool(p.f_mask() >> p.slice.int_of_word(word) & 1)
 
 
 class TestCnfShape:
@@ -58,8 +67,8 @@ class TestSatEncoding:
 class TestSatProblem:
     def test_1x1_target(self):
         p = sat_problem(1, 1)
-        assert [w.render(1) for w in p.f_words()] == ["1", "2"]
-        assert not p.accepts(p.slice.word("0"))  # the empty clause
+        assert target_texts(p) == ["1", "2"]
+        assert not in_target(p, p.slice.word("0"))  # the empty clause
 
     def test_alpha_and_solution_order(self):
         p = sat_problem(2, 1)
@@ -195,7 +204,7 @@ class TestGamma:
     def test_is_satisfiable(self):
         p = sat_problem(2, 2)
         for g in p.logogram().elements:
-            assert p.accepts(gamma(g, CnfShape(2, 2)))
+            assert in_target(p, gamma(g, CnfShape(2, 2)))
 
     def test_rejects_opposite_polarities(self):
         # one slot per clause but x1 demanded both ways: no assignment fits
@@ -215,7 +224,7 @@ class TestGamma:
 class TestComposite:
     def test_width_4_target(self):
         p = composite_problem(4)
-        values = sorted(int(w.render(4), 2) for w in p.f_words())
+        values = sorted(int(w, 2) for w in target_texts(p))
         assert values == [4, 6, 8, 9, 10, 12, 14, 15]
 
     def test_satisfies(self):
@@ -228,6 +237,10 @@ class TestComposite:
     def test_width_2_degenerate(self):
         with pytest.raises(DegenerateProblemError):
             composite_problem(2)
+
+    def test_width_must_be_positive(self):
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            composite_problem(0)
 
     @pytest.mark.parametrize("width", [3, 4, 5, 6])
     def test_matches_sieve(self, width):
@@ -247,7 +260,7 @@ class TestConnectivity:
     def test_three_vertices(self):
         p = connectivity_problem(3)
         assert p.slice.word_count() == 8
-        assert [w.render(3) for w in p.f_words()] == ["011", "101", "110", "111"]
+        assert target_texts(p) == ["011", "101", "110", "111"]
 
     def test_tree_satisfaction(self):
         p = connectivity_problem(3)
@@ -258,8 +271,12 @@ class TestConnectivity:
 
     def test_two_vertices(self):
         p = connectivity_problem(2)
-        assert [w.render(1) for w in p.f_words()] == ["1"]
+        assert target_texts(p) == ["1"]
         assert len(p.solutions) == 1
+
+    def test_needs_two_vertices(self):
+        with pytest.raises(ValueError, match="need at least 2 vertices"):
+            connectivity_problem(1)
 
     def test_spanning_tree_count_is_cayley(self):
         assert len(connectivity_problem(4).solutions) == 16
@@ -318,7 +335,7 @@ class TestGeneric:
     def test_valid_descriptor(self):
         p = generic_problem(self.GOOD)
         assert p.alpha == 1
-        assert [w.render(2) for w in p.f_words()] == ["11"]
+        assert target_texts(p) == ["11"]
         assert p.satisfies(p.slice.word("11"), "region-1")
 
     def test_region_missing_target_word(self):
@@ -334,6 +351,16 @@ class TestGeneric:
     def test_missing_key(self):
         doc = {k: v for k, v in self.GOOD.items() if k != "regions"}
         with pytest.raises(ProblemFormatError):
+            generic_problem(doc)
+
+    def test_one_solution_name_per_region(self):
+        doc = dict(self.GOOD, solutions=["a", "b"])
+        with pytest.raises(ProblemFormatError, match="one solution name per region"):
+            generic_problem(doc)
+
+    def test_solution_names_must_be_distinct(self):
+        doc = dict(self.GOOD, regions=[["11"], ["11"]], solutions=["a", "a"])
+        with pytest.raises(ProblemFormatError, match="solution names must be distinct"):
             generic_problem(doc)
 
     def test_degenerate_full_target(self):

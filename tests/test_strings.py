@@ -1,4 +1,4 @@
-"""Algebra of partial strings: parsing, order, meet, join, restrictions."""
+"""Algebra of partial strings: parsing, order, meet, join."""
 
 from itertools import product
 
@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from logogram import (
     BLANK, TERNARY, VOID, Alphabet, FormatError, IncompatibleStrings,
-    PartialString, parse_string,
+    PartialString,
 )
 
 strings = st.dictionaries(
@@ -18,7 +18,7 @@ strings = st.dictionaries(
 
 
 def ps(text: str) -> PartialString:
-    return parse_string(text, TERNARY)
+    return PartialString.parse(text, TERNARY)
 
 
 class TestParse:
@@ -45,7 +45,7 @@ class TestParse:
 
     @given(strings)
     def test_roundtrip(self, s):
-        assert parse_string(s.render(), TERNARY) == s
+        assert PartialString.parse(s.render(), TERNARY) == s
 
 
 class TestAlphabet:
@@ -56,6 +56,10 @@ class TestAlphabet:
             Alphabet.of("011")
         with pytest.raises(ValueError):
             Alphabet.of("")
+
+    def test_rejects_multi_character_letters(self):
+        with pytest.raises(ValueError, match="single characters"):
+            Alphabet.of(["0", "10"])
 
     def test_index_order(self):
         assert TERNARY.index("2") == 2
@@ -165,21 +169,3 @@ class TestMeetJoin:
     def test_join_commutes_when_defined(self, f, g):
         if f.compatible(g):
             assert (f | g) == (g | f)
-
-
-class TestRestrictions:
-    def test_two_positions(self):
-        g = ps("1_2")
-        assert set(g.immediate_restrictions()) == {ps("1"), ps("__2")}
-
-    def test_void_has_none(self):
-        assert VOID.immediate_restrictions() == ()
-
-    def test_singleton_yields_void(self):
-        assert PartialString.of({5: "2"}).immediate_restrictions() == (VOID,)
-
-    @given(strings)
-    def test_each_restriction_is_strictly_below(self, g):
-        for r in g.immediate_restrictions():
-            assert r < g
-            assert len(r) == len(g) - 1

@@ -7,60 +7,64 @@ import oracles
 from logogram import (
     Budget, BudgetExceededError, DecisionProgram, MalformedProgramError, ProbeTrace, ProgramFaultError,
     Verdict, backward_assignment_scan, built_in_programs, clause_first_scan,
-    forward_assignment_scan, generic_problem, irreducibility_report, justified,
-    kernel, parse_string, run_traced, sat_problem, trace_records, TERNARY,
+    PartialString, forward_assignment_scan, generic_problem, irreducibility_report,
+    justified, kernel, sat_problem, trace_records, TERNARY,
 )
 
 
 def ps(text, alphabet=TERNARY):
-    return parse_string(text, alphabet)
+    return PartialString.parse(text, alphabet)
 
 
-class TestRunTraced:
+def record_of(program, p, text):
+    """The trace dump's record of one input word."""
+    return next(r for r in trace_records(program, p) if r["input"] == text)
+
+
+class TestOneRun:
     def test_forward_scan_accepts_satisfiable_unit(self):
         p = sat_problem(1, 1)
-        trace = run_traced(forward_assignment_scan(p), p.slice.word("1"), p)
-        assert trace.verdict == Verdict.ACCEPT
-        assert trace.probes == ((1, "1"),)
+        record = record_of(forward_assignment_scan(p), p, "1")
+        assert record["verdict"] == Verdict.ACCEPT
+        assert record["probes"] == [[1, "1"]]
 
     def test_rejects_empty_clause(self):
         p = sat_problem(1, 1)
         for prog in built_in_programs(p):
-            trace = run_traced(prog, p.slice.word("0"), p)
-            assert trace.verdict == Verdict.REJECT
-            assert trace.probes == ((1, "0"),)
+            record = record_of(prog, p, "0")
+            assert record["verdict"] == Verdict.REJECT
+            assert record["probes"] == [[1, "0"]]
 
     def test_constant_accept_records_mismatching_verdict(self):
         p = sat_problem(1, 1)
         prog = DecisionProgram("always-accept", lambda probe: True)
-        word = p.slice.word("0")
-        trace = run_traced(prog, word, p)
-        assert trace.verdict == Verdict.ACCEPT
-        assert not p.accepts(word)  # wrong, and kernel() will say so
+        record = record_of(prog, p, "0")
+        assert record["verdict"] == Verdict.ACCEPT
+        # wrong, and kernel() will say so
+        assert not p.f_mask() >> p.slice.int_of_word(p.slice.word("0")) & 1
 
     def test_revisit_is_malformed(self):
         p = sat_problem(2, 1)
         prog = DecisionProgram("revisits", lambda probe: probe(1) == probe(1))
         with pytest.raises(MalformedProgramError):
-            run_traced(prog, p.slice.word("10"), p)
+            kernel(prog, p)
+        with pytest.raises(MalformedProgramError):
+            list(trace_records(prog, p))
 
     def test_out_of_range_probe_is_malformed(self):
         p = sat_problem(2, 1)
         prog = DecisionProgram("wild", lambda probe: probe(7) == "1")
         with pytest.raises(MalformedProgramError):
-            run_traced(prog, p.slice.word("10"), p)
-
-    def test_word_outside_slice_rejected(self):
-        p = sat_problem(2, 1)
-        with pytest.raises(ValueError):
-            run_traced(forward_assignment_scan(p), ps("1"), p)
+            kernel(prog, p)
+        with pytest.raises(MalformedProgramError):
+            list(trace_records(prog, p))
 
     def test_probes_record_letters_in_order(self):
         p = sat_problem(2, 2)
-        trace = run_traced(clause_first_scan(p), p.slice.word("1012"), p)
-        positions = [pos for pos, _ in trace.probes]
+        record = record_of(clause_first_scan(p), p, "1012")
+        positions = [pos for pos, _ in record["probes"]]
         assert positions == sorted(set(positions))
-        observed = dict(trace.probes)
+        observed = dict(record["probes"])
         assert all(observed[pos] == "1012"[pos - 1] for pos in observed)
 
 
@@ -105,7 +109,7 @@ class TestJustified:
         even = generic_problem(EVEN4_DOC)  # "1000" has odd parity
         with pytest.raises(ValueError, match="not probes of a word of the slice"):
             justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT),
-                      parse_string("1000", even.slice.alphabet), even)
+                      PartialString.parse("1000", even.slice.alphabet), even)
 
     def test_accepting_restrictions_never_leave_the_target(self):
         # a justified accept's restriction cannot sit inside a rejected word
@@ -265,9 +269,6 @@ class TestKernelOracle:
         with pytest.raises(MalformedProgramError) as err:
             list(trace_records(prog, p))
         assert str(err.value) == message
-        with pytest.raises(MalformedProgramError) as err:
-            run_traced(prog, p.slice.word("00"), p)
-        assert str(err.value) == message
 
     def test_runs_once_per_distinct_trace(self):
         p = sat_problem(2, 3)
@@ -316,13 +317,13 @@ class TestKernelOracle:
             assert len(records) == slc.word_count()
             for i, record in zip(slc.word_ints(), records):
                 word = slc.word_of_int(i)
-                trace = run_traced(prog, word, p)
-                observed = dict(trace.probes)
+                probes, accepted = oracles.run_once(prog.decide, slc.text_of_int(i))
+                trace = ProbeTrace(probes, Verdict.ACCEPT if accepted else Verdict.REJECT)
+                observed = dict(probes)
                 restriction = "".join(observed.get(pos, "_") for pos in range(1, L + 1))
-                accepted = trace.verdict == Verdict.ACCEPT
                 assert record == {
                     "input": slc.text_of_int(i),
-                    "probes": [[pos, ch] for pos, ch in trace.probes],
+                    "probes": [[pos, ch] for pos, ch in probes],
                     "verdict": trace.verdict.value,
                     "justified": justified(trace, word, p),
                     "certifying_strings": [g for g in log if accepted

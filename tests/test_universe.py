@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from logogram import (
     BINARY, TERNARY, VOID, Alphabet, DegenerateSliceError, PartialString, Slice,
-    enumerate_words, expand, extensions_in_e, full_slice, in_sigma_infinity,
-    parse_string,
+    expand, full_slice,
 )
 
 
@@ -18,22 +17,32 @@ def texts(words, length):
     return [w.render(length) for w in words]
 
 
+def words(slc):
+    """The words of the slice in canonical (lexicographic) order."""
+    return [slc.word_of_int(i) for i in slc.word_ints()]
+
+
+def extensions(string, slc):
+    """The words of the slice extending the string, in canonical order."""
+    return [slc.word_of_int(i) for i in slc.ints_of_mask(slc.cylinder_of(string))]
+
+
 class TestEnumeration:
     def test_full_ternary_length_one(self):
         slc = full_slice(TERNARY, 1)
-        assert texts(enumerate_words(slc), 1) == ["0", "1", "2"]
+        assert texts(words(slc), 1) == ["0", "1", "2"]
 
     def test_full_binary_length_two(self):
         slc = full_slice(BINARY, 2)
-        assert texts(enumerate_words(slc), 2) == ["00", "01", "10", "11"]
+        assert texts(words(slc), 2) == ["00", "01", "10", "11"]
 
     def test_predicate_filter(self):
         slc = Slice(BINARY, 2, lambda w: "1" in w.render(2))
-        assert texts(enumerate_words(slc), 2) == ["01", "10", "11"]
+        assert texts(words(slc), 2) == ["01", "10", "11"]
 
     def test_explicit_word_list(self):
         slc = Slice(BINARY, 2, ["11", "00"])
-        assert texts(enumerate_words(slc), 2) == ["00", "11"]
+        assert texts(words(slc), 2) == ["00", "11"]
 
     def test_empty_universe_rejected(self):
         with pytest.raises(DegenerateSliceError):
@@ -43,11 +52,23 @@ class TestEnumeration:
 
     def test_matches_oracle_word_generation(self):
         slc = full_slice(TERNARY, 3)
-        assert texts(enumerate_words(slc), 3) == oracles.all_words("012", 3)
+        assert texts(words(slc), 3) == oracles.all_words("012", 3)
 
     def test_restartable(self):
         slc = full_slice(BINARY, 2)
-        assert list(enumerate_words(slc)) == list(enumerate_words(slc))
+        assert words(slc) == words(slc)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Slice(BINARY, 0), "length must be >= 1"),
+        (lambda: Slice(BINARY, 23), "exceeds the supported size"),
+        (lambda: full_slice(BINARY, 2).word("1"), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2, ["11", "1"]), "not a word of length 2"),
+    ], ids=["length-0", "too-many-words", "short-text", "short-member"])
+    def test_rejects(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestMembership:
@@ -82,7 +103,7 @@ class TestPacking:
     def test_rejects_partial_words(self):
         slc = full_slice(TERNARY, 3)
         with pytest.raises(ValueError):
-            slc.int_of_word(parse_string("1_2", TERNARY))
+            slc.int_of_word(PartialString.parse("1_2", TERNARY))
 
     @pytest.mark.parametrize("alphabet,length", [
         (BINARY, 1), (BINARY, 3), (TERNARY, 3), (BINARY, 10)])
@@ -98,53 +119,49 @@ class TestPacking:
 
 class TestSigmaMembership:
     def test_void_always_present(self):
-        assert in_sigma_infinity(VOID, Slice(BINARY, 2, ["11"]))
+        assert Slice(BINARY, 2, ["11"]).cylinder_of(VOID) != 0
 
     def test_missing_word(self):
         slc = Slice(BINARY, 2, ["11", "00"])
-        assert not in_sigma_infinity(parse_string("10", BINARY), slc)
-        assert in_sigma_infinity(parse_string("1", BINARY), slc)
+        assert slc.cylinder_of(PartialString.parse("10", BINARY)) == 0
+        assert slc.cylinder_of(PartialString.parse("1", BINARY)) != 0
 
     def test_position_beyond_length(self):
         slc = full_slice(TERNARY, 1)
-        assert not in_sigma_infinity(PartialString.of({2: "1"}), slc)
+        assert slc.cylinder_of(PartialString.of({2: "1"})) == 0
 
     def test_foreign_letter(self):
         slc = full_slice(BINARY, 2)
-        assert not in_sigma_infinity(parse_string("2", TERNARY), slc)
+        assert slc.cylinder_of(PartialString.parse("2", TERNARY)) == 0
 
     def test_agrees_with_oracle(self):
         slc = Slice(BINARY, 3, lambda w: w.render(3).count("1") == 2)
         sigma = oracles.sigma_members([slc.text_of_int(i) for i in slc.word_ints()])
         for combo in product(["_", "0", "1"], repeat=3):
-            s = parse_string("".join(combo), BINARY)
-            assert in_sigma_infinity(s, slc) == (s.render(3) in sigma)
+            s = PartialString.parse("".join(combo), BINARY)
+            assert (slc.cylinder_of(s) != 0) == (s.render(3) in sigma)
 
 
 class TestExtensions:
     def test_basic(self):
         slc = full_slice(BINARY, 2)
-        assert texts(extensions_in_e(parse_string("1", BINARY), slc), 2) == ["10", "11"]
+        assert texts(extensions(PartialString.parse("1", BINARY), slc), 2) == ["10", "11"]
 
     def test_total_word(self):
         slc = full_slice(BINARY, 2)
         w = slc.word("10")
-        assert list(extensions_in_e(w, slc)) == [w]
+        assert extensions(w, slc) == [w]
 
     def test_absent_string_has_no_extensions(self):
         slc = Slice(BINARY, 2, ["11", "00"])
-        assert list(extensions_in_e(parse_string("10", BINARY), slc)) == []
-
-    def test_oversized_string_rejected(self):
-        with pytest.raises(ValueError):
-            list(extensions_in_e(PartialString.of({3: "1"}), full_slice(BINARY, 2)))
+        assert extensions(PartialString.parse("10", BINARY), slc) == []
 
     def test_count_matches_direct_filter(self):
         slc = Slice(TERNARY, 3, lambda w: w.get(1) != "2")
         for combo in product(["_", "0", "1", "2"], repeat=3):
-            g = parse_string("".join(combo), TERNARY)
-            direct = [w for w in enumerate_words(slc) if g <= w]
-            assert list(extensions_in_e(g, slc)) == direct
+            g = PartialString.parse("".join(combo), TERNARY)
+            direct = [w for w in words(slc) if g <= w]
+            assert extensions(g, slc) == direct
 
 
 class TestCylinder:
@@ -158,9 +175,9 @@ class TestCylinder:
     def test_matches_direct_filter(self, alphabet, length, membership):
         slc = Slice(alphabet, length, membership)
         for combo in product(["_"] + list(alphabet.letters), repeat=length):
-            g = parse_string("".join(combo), alphabet)
+            g = PartialString.parse("".join(combo), alphabet)
             mask = slc.cylinder(slc.pairs_of(g))
-            direct = {slc.int_of_word(w) for w in enumerate_words(slc) if g <= w}
+            direct = {slc.int_of_word(w) for w in words(slc) if g <= w}
             assert {i for i in range(slc.total_words) if mask >> i & 1} == direct
 
 
@@ -173,7 +190,7 @@ class TestCylinderOfAndLetterIndex:
         for _ in range(30):
             alphabet = (BINARY, TERNARY, Alphabet.of("abcd"))[rng.randrange(3)]
             length = rng.randint(1, 4)
-            cube = [w.render(length) for w in enumerate_words(full_slice(alphabet, length))]
+            cube = [w.render(length) for w in words(full_slice(alphabet, length))]
             if rng.random() < 0.5:
                 yield Slice(alphabet, length, rng.sample(cube, rng.randint(1, len(cube))))
             else:
@@ -234,7 +251,7 @@ def _random_string_sets(slc, rng, count, size=3):
     pool = [oracles.restrictions(slc.text_of_int(i)) for i in slc.word_ints()]
     flat = sorted({s for rs in pool for s in rs})
     for _ in range(count):
-        yield [parse_string(t, slc.alphabet) for t in rng.sample(flat, min(size, len(flat)))]
+        yield [PartialString.parse(t, slc.alphabet) for t in rng.sample(flat, min(size, len(flat)))]
 
 
 class TestExpansionLaws:
@@ -250,7 +267,7 @@ class TestExpansionLaws:
         for slc in self.slices:
             sigma = sorted(oracles.sigma_members(
                 [slc.text_of_int(i) for i in slc.word_ints()]))
-            strings = [parse_string(t, slc.alphabet) for t in sigma]
+            strings = [PartialString.parse(t, slc.alphabet) for t in sigma]
             for f in strings[:40]:
                 for g in strings[:40]:
                     lhs = set(expand([f, g], slc))
@@ -284,7 +301,7 @@ class TestExpansionLaws:
         for slc in self.slices:
             sigma = sorted(oracles.sigma_members(
                 [slc.text_of_int(i) for i in slc.word_ints()]))
-            strings = [parse_string(t, slc.alphabet) for t in sigma]
+            strings = [PartialString.parse(t, slc.alphabet) for t in sigma]
             for f in strings:
                 for g in strings:
                     if not f.compatible(g):
@@ -292,33 +309,11 @@ class TestExpansionLaws:
 
 
 class TestDescriptors:
-    def test_full_roundtrip(self):
-        slc = full_slice(TERNARY, 2, label="demo")
-        doc = slc.descriptor()
-        back = Slice.from_descriptor(doc)
-        assert back.word_ints() == slc.word_ints()
-        assert doc["membership"] == "all"
-
-    def test_explicit_roundtrip(self):
-        slc = Slice(BINARY, 2, ["11", "00"], label="pair")
-        back = Slice.from_descriptor(slc.descriptor())
-        assert back.word_ints() == slc.word_ints()
-
-    @pytest.mark.parametrize("doc,message", [
-        ({"alphabet": ["0", "1"], "length": 2.5, "membership": ["01", "11"]},
-         "length must be an integer"),
-        ({"alphabet": ["0", "1"], "length": True}, "length must be an integer"),
-        ({"alphabet": ["0", "1"], "length": "2"}, "length must be an integer"),
-        ({"alphabet": "01", "length": 2, "membership": ["01", "11"]},
-         "alphabet must be a list"),
-        ({"alphabet": ["0", "1"], "length": 1, "membership": "1"},
-         'membership must be "all" or a list'),
-    ], ids=["fractional-length", "bool-length", "text-length", "text-alphabet",
-            "text-membership"])
-    def test_malformed_descriptor_rejected(self, doc, message):
-        # not truncated to length 2, nor split letter by letter
-        with pytest.raises(ValueError, match=message):
-            Slice.from_descriptor(doc)
+    def test_full_and_explicit_descriptors(self):
+        assert full_slice(TERNARY, 2, label="demo").descriptor() == {
+            "alphabet": ["0", "1", "2"], "length": 2, "label": "demo", "membership": "all"}
+        assert Slice(BINARY, 2, ["11", "00"], label="pair").descriptor() == {
+            "alphabet": ["0", "1"], "length": 2, "label": "pair", "membership": ["00", "11"]}
 
     def test_predicate_descriptor_names_adapter(self):
         slc = Slice(BINARY, 2, lambda w: True, label="everything")
