@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError, Meter
 from .strings import BLANK, Alphabet, PartialString
-from .universe import Pairs, Slice, expand_mask, letter_row, member_rows, members_inside
+from .universe import Pairs, Slice, expand_mask, letter_row, member_rows, members_inside, set_bits
 
 
 class Antichain(NamedTuple):
@@ -135,16 +135,12 @@ def _log_probe(cyl: int, off: int) -> bool:
 def _target_mask(target_words, slc: Slice) -> int:
     """A target word set (packed words, texts or words) as a mask, checking
     it lies in the slice."""
-    ints = [w if isinstance(w, int) else slc.int_of_word(slc._as_word(w))
-            for w in target_words]
-    stray = next((i for i in ints if not 0 <= i < slc.total_words), None)
-    if stray is None:
-        mask = slc.mask_of_ints(ints)
-        outside = mask & ~slc.e_mask()
-        if not outside:
-            return mask
-        stray = (outside & -outside).bit_length() - 1
-    raise ValueError(f"target word {slc.text_of_int(stray)!r} is outside the slice")
+    mask = slc.mask_of_words(target_words)
+    outside = mask & ~slc.e_mask()
+    if outside:
+        stray = slc.text_of_int(next(set_bits(outside)))
+        raise ValueError(f"target word {stray!r} is outside the slice")
+    return mask
 
 
 # -- logogram membership and the reduced logogram -----------------------

@@ -19,8 +19,8 @@ from typing import Callable, Iterable
 
 from .budget import Budget
 from .engine import Antichain, reduced_logogram_of_mask
-from .strings import BINARY, TERNARY, Alphabet, PartialString, _immutable
-from .universe import Slice, full_slice, repeat_bits
+from .strings import BINARY, TERNARY, Alphabet, FormatError, PartialString, _immutable
+from .universe import Slice, full_slice, repeat_bits, set_bits
 
 
 class ProblemFormatError(ValueError):
@@ -87,7 +87,7 @@ class ProblemSlice:
     def satisfies(self, word: PartialString, solution) -> bool:
         """Does the solution satisfy the word: is the word in its region?"""
         mask = self._region_masks[self.solutions.index(solution)]
-        return bool(mask >> self.slice.int_of_word(word) & 1)
+        return bool(mask & self.slice.mask_of_words([word]))
 
     def solution_texts(self) -> list[str]:
         return [self.solution_text(y) for y in self.solutions]
@@ -401,6 +401,13 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _words(value, what: str) -> list:
+    """A descriptor's word list: texts only, never packed numbers."""
+    for w in _typed(value, list, what):
+        _typed(w, str, f"{what} word")
+    return value
+
+
 def _generic_problem(doc: dict) -> ProblemSlice:
     for key in ("alphabet", "length", "universe", "target", "regions"):
         if key not in doc:
@@ -413,18 +420,24 @@ def _generic_problem(doc: dict) -> ProblemSlice:
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
     label = _typed(doc.get("label", ""), str, "label") or "generic"
-    if doc["universe"] != "all":
-        _typed(doc["universe"], list, "universe")
-    slc = Slice(alphabet, length, doc["universe"], label=f"{label}:universe")
+    universe = doc["universe"]
+    if universe != "all":
+        _words(universe, "universe")
+    try:
+        slc = Slice(alphabet, length, universe, label=f"{label}:universe")
+    except FormatError as exc:
+        raise ProblemFormatError(f"universe: {exc}") from None
 
     def words_of(texts, what: str) -> int:
-        ints = []
-        for t in _typed(texts, list, what):
-            i = slc.int_of_word(slc.word(t))
-            if not slc.contains_int(i):
-                raise ProblemFormatError(f"{what} word {t!r} is outside the universe")
-            ints.append(i)
-        return slc.mask_of_ints(ints)
+        try:
+            mask = slc.mask_of_words(_words(texts, what))
+        except FormatError as exc:
+            raise ProblemFormatError(f"{what}: {exc}") from None
+        outside = mask & ~slc.e_mask()
+        if outside:
+            stray = slc.text_of_int(next(set_bits(outside)))
+            raise ProblemFormatError(f"{what} word {stray!r} is outside the universe")
+        return mask
 
     target = words_of(doc["target"], "target")
     regions = [words_of(r, f"region {i + 1}") for i, r in enumerate(doc["regions"])]

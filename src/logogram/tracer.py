@@ -129,7 +129,7 @@ def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
     """
     slc = problem.slice
     restriction = PartialString(trace.probes)
-    if not (slc.contains(word) and word >= restriction):
+    if not (slc.mask_of_words([word]) & slc.e_mask() and word >= restriction):
         raise ValueError(f"{trace.probes!r} are not probes of a word of the slice: {word!r}")
     cyl = slc.cylinder(slc.pairs_of(restriction))
     return _justified(trace.verdict == Verdict.ACCEPT, cyl, problem.f_mask())

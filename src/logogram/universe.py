@@ -10,8 +10,9 @@ members in; :meth:`Slice.cylinder_of` takes strings from outside it. A set
 of words is held as a bitmask, bit i standing for packed word i, and this
 is the only form a word set takes: the slice's own membership is one mask,
 and the words extending a string (its cylinder) are that mask ANDed with
-per-position masks. Word tuples are decoded from a mask only where a
-caller lists words.
+per-position masks. Word lists from outside enter through one packer,
+:meth:`Slice.mask_of_words`; word tuples are decoded from a mask only
+where a caller lists words.
 
 It owns the bitset helpers the layers share: :func:`repeat_bits` builds
 periodic masks, :func:`set_bits` walks a mask's set bits, and
@@ -21,9 +22,9 @@ the members of a list of strings that a restriction includes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .strings import Alphabet, PartialString
+from .strings import Alphabet, FormatError, PartialString
 
 # Hard cap on materialized universes; desk-scale analyses stay far below it.
 MAX_UNIVERSE = 1 << 22
@@ -35,23 +36,22 @@ _BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 
 
 class DegenerateSliceError(ValueError):
-    """The slice has no words satisfying its membership predicate."""
+    """The slice's word set is empty."""
 
 
 class Slice:
-    """All words of one length over one alphabet, filtered by membership.
+    """The words of one length over one alphabet: all of them, or an
+    explicit set.
 
-    ``membership`` may be ``"all"``, an explicit collection of words (texts
-    or total strings), or a predicate on words. Either way it becomes one
-    mask, :meth:`e_mask`: an explicit collection is masked at construction,
-    a predicate is run once per word of the cube on the first call, and
-    :class:`DegenerateSliceError` is raised when no word is a member.
-    Slices are immutable; derived tables are cached on first use.
+    ``membership`` is ``"all"`` or a collection of words, packed by
+    :meth:`mask_of_words`. Either way it becomes one mask, :meth:`e_mask`,
+    at construction, and :class:`DegenerateSliceError` is raised when it
+    holds no word. Slices are immutable; derived tables are cached on first
+    use.
     """
 
     def __init__(self, alphabet: Alphabet, length: int,
-                 membership: str | Iterable | Callable[[PartialString], bool] = "all",
-                 label: str = ""):
+                 membership: str | Iterable = "all", label: str = ""):
         if length < 1:
             raise ValueError("length must be >= 1")
         k = len(alphabet)
@@ -61,43 +61,20 @@ class Slice:
         self.length = length
         self.label = label or f"{''.join(alphabet)}^{length}"
         self._word_weights = tuple(k ** (length - p) for p in range(1, length + 1))
-        self._e_mask: int | None = None
         self._position_masks: tuple[tuple[int, ...], ...] | None = None
-        self._predicate = None
-        if membership == "all":
-            self._kind = "all"
-        elif callable(membership):
-            self._kind = "predicate"
-            self._predicate = membership
+        self.is_full = membership == "all"
+        if self.is_full:
+            self._e_mask = (1 << self.total_words) - 1
         else:
-            self._kind = "explicit"
-            self._e_mask = self.mask_of_ints(
-                self.int_of_word(self._as_word(w)) for w in membership)
+            self._e_mask = self.mask_of_words(membership)
             if not self._e_mask:
                 raise DegenerateSliceError(f"{self.label}: empty word set")
-
-    def _as_word(self, w) -> PartialString:
-        if isinstance(w, PartialString):
-            return w
-        return PartialString.parse(w, self.alphabet)
 
     # -- word packing ----------------------------------------------------
 
     @property
     def total_words(self) -> int:
         return len(self.alphabet) ** self.length
-
-    @property
-    def is_full(self) -> bool:
-        return self._kind == "all"
-
-    def int_of_word(self, word: PartialString) -> int:
-        if word.domain != tuple(range(1, self.length + 1)):
-            raise ValueError(f"not a word of length {self.length}: {word!r}")
-        value = 0
-        for (p, ch), w in zip(word.pairs, self._word_weights):
-            value += self.alphabet.index(ch) * w
-        return value
 
     def word_of_int(self, value: int) -> PartialString:
         return PartialString(tuple(enumerate(self.text_of_int(value), 1)))
@@ -115,12 +92,25 @@ class Slice:
             cells.append(letters[d])
         return "".join(reversed(cells))
 
-    def word(self, text: str) -> PartialString:
-        """Parse a total word of this slice from text."""
-        ps = PartialString.parse(text, self.alphabet)
-        if len(text) != self.length or len(ps) != self.length:
-            raise ValueError(f"not a word of length {self.length}: {text!r}")
-        return ps
+    def mask_of_words(self, words: Iterable) -> int:
+        """Words from outside the slice as a mask over the cube: texts,
+        total strings or packed ints. Raises :class:`FormatError` on the
+        first that is no word of this length over this alphabet: a text or
+        string of another length, with a blank or an unknown letter, or an
+        int out of range. Whether the words lie in the slice's own set is
+        left to the caller."""
+        digits = {ch: d for d, ch in enumerate(self.alphabet.letters)}
+        n = self.total_words
+        ints = []
+        for w in words:
+            w = w.render() if isinstance(w, PartialString) else w
+            if isinstance(w, str) and len(w) == self.length and set(w) <= digits.keys():
+                w = sum(digits[ch] * weight for ch, weight in zip(w, self._word_weights))
+            if not (isinstance(w, int) and 0 <= w < n):
+                raise FormatError(f"{w!r} is not a word of length {self.length} "
+                                  f"over {''.join(self.alphabet.letters)!r}")
+            ints.append(w)
+        return self.mask_of_ints(ints)
 
     # -- membership ------------------------------------------------------
 
@@ -130,12 +120,6 @@ class Slice:
 
     def word_count(self) -> int:
         return self.e_mask().bit_count()
-
-    def contains_int(self, value: int) -> bool:
-        return 0 <= value < self.total_words and bool(self.e_mask() >> value & 1)
-
-    def contains(self, word: PartialString) -> bool:
-        return self.contains_int(self.int_of_word(word))
 
     # -- word sets as bitmasks -------------------------------------------
 
@@ -158,16 +142,6 @@ class Slice:
 
     def e_mask(self) -> int:
         """The words of the slice as a mask."""
-        if self._e_mask is None:
-            if self._kind == "all":
-                self._e_mask = (1 << self.total_words) - 1
-            else:
-                self._e_mask = self.mask_of_ints(
-                    i for i in range(self.total_words)
-                    if self._predicate(self.word_of_int(i)))
-                if not self._e_mask:
-                    raise DegenerateSliceError(
-                        f"{self.label}: membership predicate rejects every word")
         return self._e_mask
 
     def position_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -225,12 +199,8 @@ class Slice:
             "length": self.length,
             "label": self.label,
         }
-        if self._kind == "all":
-            doc["membership"] = "all"
-        elif self._kind == "predicate":
-            doc["membership"] = {"adapter": self.label}
-        else:
-            doc["membership"] = [self.text_of_int(i) for i in self.word_ints()]
+        doc["membership"] = ("all" if self.is_full
+                             else [self.text_of_int(i) for i in self.word_ints()])
         return doc
 
     def __repr__(self) -> str:

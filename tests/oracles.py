@@ -17,6 +17,11 @@ def all_words(alphabet: str, length: int) -> list[str]:
     return ["".join(p) for p in product(alphabet, repeat=length)]
 
 
+def words_where(alphabet: str, length: int, keep) -> list[str]:
+    """The words of the cube that ``keep`` accepts, in canonical order."""
+    return [w for w in all_words(alphabet, length) if keep(w)]
+
+
 def restrictions(word: str) -> list[str]:
     """Every partial string included in the word, as padded text."""
     out = [""]

@@ -62,7 +62,7 @@ def test_criterion_reduced_logogram_oracle_equivalence():
         for _ in range(6):
             target = rng.sample(tern3.word_ints(), rng.randint(1, 26))
             cases.append((tern3, target, reduced_logogram(target, tern3)))
-        even5 = Slice(BINARY, 5, lambda w: w.render(5).count("1") % 2 == 0,
+        even5 = Slice(BINARY, 5, oracles.words_where("01", 5, lambda w: w.count("1") % 2 == 0),
                       label="even:5")
         target = rng.sample(even5.word_ints(), 7)
         cases.append((even5, target, reduced_logogram(target, even5)))
@@ -120,7 +120,7 @@ def test_criterion_sat_logogram_irreducible():
             for g in log.elements:
                 word = gamma(g, shape)
                 assert g <= word
-                assert p.f_mask() >> p.slice.int_of_word(word) & 1
+                assert p.f_mask() & p.slice.mask_of_words([word])
                 included = [h for h in members if h <= word]
                 assert included == [g]
 
@@ -155,7 +155,7 @@ def test_criterion_galois_laws():
             full_slice(BINARY, 4),
             full_slice(BINARY, 6),
             full_slice(TERNARY, 4),
-            Slice(BINARY, 4, lambda w: w.render(4).count("1") % 2 == 0,
+            Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0),
                   label="even:4"),
         ]
         for slc in slices:
@@ -237,7 +237,7 @@ def test_criterion_order_and_entanglement_laws():
             for f in strings:
                 ef = set(expand([f], slc))
                 assert expand(list(ef), slc) == tuple(sorted(
-                    ef, key=slc.int_of_word))  # idempotence
+                    ef, key=lambda w: slc.mask_of_words([w])))  # idempotence
                 for g in strings:
                     eg = set(expand([g], slc))
                     assert set(expand([f, g], slc)) == ef | eg
@@ -278,7 +278,7 @@ def test_criterion_order_and_entanglement_laws():
         for _ in range(12):
             a = set(rng.sample(e_texts, rng.randint(1, 4)))
             b = set(rng.sample(e_texts, rng.randint(1, 4)))
-            union_words = [slc.word(t) for t in a | b]
+            union_words = [PartialString.parse(t, BINARY) for t in a | b]
             for text in (oracles.logogram_members(e_texts, a)
                          | oracles.logogram_members(e_texts, b)):
                 assert in_logogram(PartialString.parse(text, BINARY), union_words, slc)

@@ -564,6 +564,10 @@ MALFORMED_DESCRIPTORS = {
     "universe-string-length-1": (1, "universe", "01"),
     "target-string-length-1": (1, "target", "1"),
     "region-string-length-1": (1, "regions", ["1"]),
+    "universe-short-word": (2, "universe", ["11", "1"]),
+    "universe-numbers": (2, "universe", [0, 3]),
+    "target-blank": (2, "target", ["1_"]),
+    "target-number": (2, "target", [3]),
 }
 
 

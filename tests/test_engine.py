@@ -131,15 +131,25 @@ class TestInLogogram:
     def test_target_outside_slice_rejected(self):
         slc = Slice(BINARY, 2, ["11", "00"])
         with pytest.raises(ValueError):
-            in_logogram(VOID, [slc.word("01")], slc)
+            in_logogram(VOID, [ps("01", BINARY)], slc)
 
-    @pytest.mark.parametrize("target", [["01"], [1], [0, 3, 2], [4], [-1], [-5]])
+    @pytest.mark.parametrize("target", [["01"], [1], [0, 3, 2]])
     def test_packed_target_outside_slice_rejected(self, target):
-        # words of the cube missing from E, and integers outside the cube
+        # words of the cube missing from E
         slc = Slice(BINARY, 2, ["11", "00"])
         for run in (in_logogram, reduced_logogram, closure_ba, is_closed):
             args = (VOID, target, slc) if run is in_logogram else (target, slc)
             with pytest.raises(ValueError, match="outside the slice"):
+                run(*args)
+
+    @pytest.mark.parametrize("target", [
+        [4], [-1], [-5], ["1"], ["1_"], ["12"], [ps("1", BINARY)], [None]])
+    def test_malformed_target_rejected(self, target):
+        # integers outside the cube, and texts or strings that are no words of it
+        slc = Slice(BINARY, 2, ["11", "00"])
+        for run in (in_logogram, reduced_logogram, closure_ba, is_closed):
+            args = (VOID, target, slc) if run is in_logogram else (target, slc)
+            with pytest.raises(ValueError, match="is not a word of length 2 over '01'"):
                 run(*args)
 
 
@@ -170,7 +180,7 @@ class TestReducedLogogram:
          lambda slc: [i for i in slc.word_ints() if bin(i).count("1") == 2]),
         (lambda: full_slice(TERNARY, 2),
          lambda slc: [i for i in slc.word_ints() if i % 3]),
-        (lambda: Slice(BINARY, 4, lambda w: w.render(4).count("1") % 2 == 0),
+        (lambda: Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0)),
          lambda slc: list(slc.word_ints())[:3]),
     ])
     def test_matches_oracle(self, make_slice, make_target):
@@ -205,8 +215,8 @@ class TestReducedLogogram:
     def test_same_shape_slices_probed_alternately(self):
         # each slice holds its own word masks: two slices of one alphabet
         # and length but different words must never read each other's
-        evens = Slice(BINARY, 4, lambda w: w.render(4).count("1") % 2 == 0)
-        odds = Slice(BINARY, 4, lambda w: w.render(4).count("1") % 2 == 1)
+        evens = Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0))
+        odds = Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 1))
         rng = random.Random(77)
         for _ in range(10):
             for slc in (evens, odds):
@@ -225,7 +235,7 @@ class TestReducedLogogram:
         slc = full_slice(TERNARY, 3)
         target = sorted(target)
         chain = reduced_logogram(target, slc)
-        covered = {slc.int_of_word(w) for w in expand(chain.elements, slc)}
+        covered = set(slc.ints_of_mask(slc.mask_of_words(expand(chain.elements, slc))))
         assert covered == set(target)
         for s in chain.elements:
             assert in_logogram(s, target, slc)
@@ -292,7 +302,7 @@ class TestReducedLogogram:
         assert strings and len(built) == at_raise[0] + len(strings)
 
     def test_matches_oracle_on_random_slices(self):
-        # explicit and predicate slices over 1 to 4 letters; targets empty,
+        # random slices over 1 to 4 letters; targets empty,
         # the whole slice, and random subsets
         rng = random.Random(20080)
         shapes = [("a", 1), ("a", 3), ("01", 1), ("01", 4), ("01", 5),
@@ -302,12 +312,7 @@ class TestReducedLogogram:
             words = oracles.all_words(letters, length)
             for trial in range(40):
                 e = sorted(rng.sample(words, rng.randint(1, len(words))))
-                if trial % 2:
-                    slc = Slice(alphabet, length, e)
-                else:
-                    keep = frozenset(e)
-                    slc = Slice(alphabet, length,
-                                lambda w, keep=keep, n=length: w.render(n) in keep)
+                slc = Slice(alphabet, length, e)
                 if trial == 0:
                     a = []
                 elif trial == 1:
@@ -353,13 +358,10 @@ class TestSharedMemo:
         assert meter.count == len(distinct)
 
     @staticmethod
-    def random_slice(rng, alphabet, length, explicit):
+    def random_slice(rng, alphabet, length):
         words = oracles.all_words("".join(alphabet.letters), length)
         e = sorted(rng.sample(words, rng.randint(1, len(words))))
-        if explicit:
-            return Slice(alphabet, length, e), e
-        keep = frozenset(e)
-        return Slice(alphabet, length, lambda w: w.render(length) in keep), e
+        return Slice(alphabet, length, e), e
 
     @staticmethod
     def random_targets(rng, e, count):
@@ -376,7 +378,7 @@ class TestSharedMemo:
     def test_target_sequences_on_one_slice(self, letters, length):
         rng = random.Random(f"{letters}{length}")
         for trial in range(6):
-            slc, e = self.random_slice(rng, Alphabet.of(letters), length, trial % 2)
+            slc, e = self.random_slice(rng, Alphabet.of(letters), length)
             self.run_through_one_memo(
                 [(slc, e, a) for a in self.random_targets(rng, e, 10)])
 
@@ -387,8 +389,7 @@ class TestSharedMemo:
         rng = random.Random(f"{letters}{length}")
         alphabet = Alphabet.of(letters)
         for trial in range(4):
-            slices = [self.random_slice(rng, alphabet, length, explicit)
-                      for explicit in (trial % 2, not trial % 2)]
+            slices = [self.random_slice(rng, alphabet, length) for _ in range(2)]
             queries = [(slc, e, a) for slc, e in slices
                        for a in self.random_targets(rng, e, 8)]
             rng.shuffle(queries)
@@ -432,7 +433,7 @@ class TestEntanglement:
     def test_subset_entangles_pointwise_then_relative(self):
         # a set forces any subset-witnessing set absolutely, hence in slices
         rng = random.Random(9)
-        slc = Slice(BINARY, 3, lambda w: w.get(1) == "1")
+        slc = Slice(BINARY, 3, oracles.words_where("01", 3, lambda w: w[0] == "1"))
         strings = [s for s in all_strings(BINARY, 3)]
         for _ in range(40):
             k = rng.sample(strings, 4)
@@ -625,7 +626,7 @@ class TestClosures:
 
     def test_binary_singleton_closed(self):
         slc = full_slice(BINARY, 1)
-        assert is_closed([slc.word("0")], slc)
+        assert is_closed([ps("0", BINARY)], slc)
 
     def test_every_subset_closed_in_fixed_length_slices(self):
         slc = full_slice(BINARY, 3)
@@ -635,14 +636,14 @@ class TestClosures:
             assert is_closed(a, slc)
 
     def test_closure_contains_and_idempotent(self):
-        slc = Slice(TERNARY, 2, lambda w: w.get(2) != "0")
+        slc = Slice(TERNARY, 2, oracles.words_where("012", 2, lambda w: w[1] != "0"))
         rng = random.Random(2)
         for _ in range(15):
             a = rng.sample(slc.word_ints(), rng.randint(0, slc.word_count()))
             closed = closure_ba(a, slc)
-            ints = {slc.int_of_word(w) for w in closed}
+            ints = set(slc.ints_of_mask(slc.mask_of_words(closed)))
             assert set(a) <= ints
-            again = {slc.int_of_word(w) for w in closure_ba(closed, slc)}
+            again = set(slc.ints_of_mask(slc.mask_of_words(closure_ba(closed, slc))))
             assert again == ints
 
     def test_string_closure_membership(self):
@@ -662,7 +663,7 @@ class TestClosures:
             b = set(rng.sample(e_texts, rng.randint(1, 4)))
             members_a = oracles.logogram_members(e_texts, a)
             members_b = oracles.logogram_members(e_texts, b)
-            union_words = [slc.word(t) for t in a | b]
+            union_words = [ps(t, BINARY) for t in a | b]
             for text in members_a | members_b:
                 assert in_logogram(ps(text, BINARY), union_words, slc)
 
@@ -974,7 +975,8 @@ FAULT_TABLE = {
 class TestGalois:
     def test_small_slices_pass(self):
         for slc in [full_slice(BINARY, 3), full_slice(TERNARY, 2),
-                    Slice(BINARY, 4, lambda w: w.render(4).count("1") % 2 == 0)]:
+                    Slice(BINARY, 4,
+                          oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0))]:
             report = verify_galois(slc, sample_count=120, seed=5)
             assert report.passed, report.to_json_dict()
             assert all(c.samples >= 120 for c in report.checks)
@@ -995,7 +997,8 @@ class TestGalois:
         keys = {"antitone-expansion": {"H", "K"}, "antitone-logogram": {"A", "B"},
                 "word-closure-extensive": {"A"}, "logogram-roundtrip-stable": {"A"}}
         for slc in [full_slice(BINARY, 3), full_slice(TERNARY, 2),
-                    Slice(BINARY, 4, lambda w: w.render(4).count("1") % 2 == 0)]:
+                    Slice(BINARY, 4,
+                          oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0))]:
             report = verify_galois(slc, sample_count=60, seed=3)
             failed = [c for c in report.checks if not c.passed]
             assert failed and not report.passed

@@ -21,7 +21,7 @@ def target_texts(p):
 
 
 def in_target(p, word):
-    return bool(p.f_mask() >> p.slice.int_of_word(word) & 1)
+    return bool(p.f_mask() & p.slice.mask_of_words([word]))
 
 
 class TestCnfShape:
@@ -68,7 +68,7 @@ class TestSatProblem:
     def test_1x1_target(self):
         p = sat_problem(1, 1)
         assert target_texts(p) == ["1", "2"]
-        assert not in_target(p, p.slice.word("0"))  # the empty clause
+        assert not in_target(p, ps("0"))  # the empty clause
 
     def test_alpha_and_solution_order(self):
         p = sat_problem(2, 1)
@@ -80,9 +80,9 @@ class TestSatProblem:
     def test_satisfies_examples(self):
         p = sat_problem(2, 1)
         y = (True, False)  # x1 true, x2 false
-        assert p.satisfies(p.slice.word("12"), y)
-        assert p.satisfies(p.slice.word("02"), y)
-        assert not p.satisfies(p.slice.word("01"), y)
+        assert p.satisfies(ps("12"), y)
+        assert p.satisfies(ps("02"), y)
+        assert not p.satisfies(ps("01"), y)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3)])
     def test_target_matches_truth_table_oracle(self, n, m):
@@ -229,8 +229,8 @@ class TestComposite:
 
     def test_satisfies(self):
         p = composite_problem(4)
-        twelve = p.slice.word("1100")
-        thirteen = p.slice.word("1101")
+        twelve = ps("1100", BINARY)
+        thirteen = ps("1101", BINARY)
         assert p.satisfies(twelve, 3)
         assert all(not p.satisfies(thirteen, d) for d in p.solutions)
 
@@ -266,8 +266,8 @@ class TestConnectivity:
         p = connectivity_problem(3)
         # edge order (1,2),(1,3),(2,3); the tree {1-2, 1-3} is edges 0 and 1
         tree = next(t for t in p.solutions if p.solution_text(t) == "1-2+1-3")
-        assert p.satisfies(p.slice.word("110"), tree)
-        assert not p.satisfies(p.slice.word("011"), tree)
+        assert p.satisfies(ps("110", BINARY), tree)
+        assert not p.satisfies(ps("011", BINARY), tree)
 
     def test_two_vertices(self):
         p = connectivity_problem(2)
@@ -336,7 +336,7 @@ class TestGeneric:
         p = generic_problem(self.GOOD)
         assert p.alpha == 1
         assert target_texts(p) == ["11"]
-        assert p.satisfies(p.slice.word("11"), "region-1")
+        assert p.satisfies(ps("11", BINARY), "region-1")
 
     def test_region_missing_target_word(self):
         doc = dict(self.GOOD, target=["11", "10"])
@@ -347,6 +347,18 @@ class TestGeneric:
         doc = dict(self.GOOD, universe=["00", "01"], regions=[["11"]])
         with pytest.raises(ProblemFormatError):
             generic_problem(doc)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("universe", ["11", "1"], "universe: '1' is not a word of length 2"),
+        ("universe", [0, 3], "universe word must be a str, got 0"),
+        ("target", ["1_"], "target: '1_' is not a word of length 2"),
+        ("target", [3], "target word must be a str, got 3"),
+        ("regions", [["12"]], "region 1: '12' is not a word of length 2"),
+    ], ids=["universe-short", "universe-numbers", "target-blank", "target-number",
+            "region-foreign-letter"])
+    def test_malformed_word_names_field_and_text(self, key, value, message):
+        with pytest.raises(ProblemFormatError, match=message):
+            generic_problem(dict(self.GOOD, **{key: value}))
 
     def test_missing_key(self):
         doc = {k: v for k, v in self.GOOD.items() if k != "regions"}

@@ -41,23 +41,7 @@ class TestOneRun:
         record = record_of(prog, p, "0")
         assert record["verdict"] == Verdict.ACCEPT
         # wrong, and kernel() will say so
-        assert not p.f_mask() >> p.slice.int_of_word(p.slice.word("0")) & 1
-
-    def test_revisit_is_malformed(self):
-        p = sat_problem(2, 1)
-        prog = DecisionProgram("revisits", lambda probe: probe(1) == probe(1))
-        with pytest.raises(MalformedProgramError):
-            kernel(prog, p)
-        with pytest.raises(MalformedProgramError):
-            list(trace_records(prog, p))
-
-    def test_out_of_range_probe_is_malformed(self):
-        p = sat_problem(2, 1)
-        prog = DecisionProgram("wild", lambda probe: probe(7) == "1")
-        with pytest.raises(MalformedProgramError):
-            kernel(prog, p)
-        with pytest.raises(MalformedProgramError):
-            list(trace_records(prog, p))
+        assert not p.f_mask() & p.slice.mask_of_words(["0"])
 
     def test_probes_record_letters_in_order(self):
         p = sat_problem(2, 2)
@@ -72,35 +56,35 @@ class TestJustified:
     def test_accept_on_forced_restriction(self):
         p = sat_problem(1, 1)
         trace = ProbeTrace(((1, "1"),), Verdict.ACCEPT)
-        assert justified(trace, p.slice.word("1"), p)
+        assert justified(trace, ps("1"), p)
 
     def test_accept_with_partial_probe(self):
         p = sat_problem(2, 1)
         trace = ProbeTrace(((1, "1"),), Verdict.ACCEPT)
-        assert justified(trace, p.slice.word("10"), p)
+        assert justified(trace, ps("10"), p)
 
     def test_unjustified_accept(self):
         p = sat_problem(2, 1)
         trace = ProbeTrace(((2, "0"),), Verdict.ACCEPT)
-        assert not justified(trace, p.slice.word("10"), p)
+        assert not justified(trace, ps("10"), p)
 
     def test_justified_reject_requires_no_accepted_extension(self):
         p = sat_problem(2, 1)
         assert justified(ProbeTrace(((1, "0"), (2, "0")), Verdict.REJECT),
-                         p.slice.word("00"), p)
+                         ps("00"), p)
         assert not justified(ProbeTrace(((1, "0"),), Verdict.REJECT),
-                             p.slice.word("00"), p)
+                             ps("00"), p)
 
     @pytest.mark.parametrize("text", ["0", "2"])
     def test_probe_letter_must_agree_with_the_word(self, text):
         p = sat_problem(1, 1)
         with pytest.raises(ValueError, match="not probes of a word of the slice"):
-            justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT), p.slice.word(text), p)
+            justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT), ps(text), p)
 
     def test_probe_position_must_be_in_the_word(self):
         p = sat_problem(1, 1)
         with pytest.raises(ValueError, match="not probes of a word of the slice"):
-            justified(ProbeTrace(((5, "1"),), Verdict.ACCEPT), p.slice.word("1"), p)
+            justified(ProbeTrace(((5, "1"),), Verdict.ACCEPT), ps("1"), p)
 
     def test_word_must_be_a_word_of_the_slice(self):
         p = sat_problem(1, 1)

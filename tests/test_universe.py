@@ -36,10 +36,6 @@ class TestEnumeration:
         slc = full_slice(BINARY, 2)
         assert texts(words(slc), 2) == ["00", "01", "10", "11"]
 
-    def test_predicate_filter(self):
-        slc = Slice(BINARY, 2, lambda w: "1" in w.render(2))
-        assert texts(words(slc), 2) == ["01", "10", "11"]
-
     def test_explicit_word_list(self):
         slc = Slice(BINARY, 2, ["11", "00"])
         assert texts(words(slc), 2) == ["00", "11"]
@@ -47,8 +43,6 @@ class TestEnumeration:
     def test_empty_universe_rejected(self):
         with pytest.raises(DegenerateSliceError):
             Slice(BINARY, 2, [])
-        with pytest.raises(DegenerateSliceError):
-            Slice(BINARY, 2, lambda w: False).word_ints()
 
     def test_matches_oracle_word_generation(self):
         slc = full_slice(TERNARY, 3)
@@ -63,9 +57,17 @@ class TestConstruction:
     @pytest.mark.parametrize("build,message", [
         (lambda: Slice(BINARY, 0), "length must be >= 1"),
         (lambda: Slice(BINARY, 23), "exceeds the supported size"),
-        (lambda: full_slice(BINARY, 2).word("1"), "not a word of length 2"),
+        (lambda: full_slice(BINARY, 2).mask_of_words(["1"]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, ["11", "1"]), "not a word of length 2"),
-    ], ids=["length-0", "too-many-words", "short-text", "short-member"])
+        (lambda: Slice(BINARY, 2, ["1_"]), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2, ["12"]), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2, [PartialString.parse("1", BINARY)]), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2, [PartialString.of({3: "1"})]), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2, [4]), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2, [-1]), "not a word of length 2"),
+    ], ids=["length-0", "too-many-words", "short-text", "short-member", "blank-member",
+            "foreign-letter-member", "partial-string-member", "long-string-member",
+            "packed-member-past-the-cube", "negative-packed-member"])
     def test_rejects(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -76,7 +78,7 @@ class TestMembership:
     CASES = [
         (lambda: full_slice(TERNARY, 2), oracles.all_words("012", 2)),
         (lambda: Slice(TERNARY, 2, ["21", "00", "12", "21"]), ["00", "12", "21"]),
-        (lambda: Slice(TERNARY, 2, lambda w: w.render(2).count("1") == 1),
+        (lambda: Slice(TERNARY, 2, oracles.words_where("012", 2, lambda w: w.count("1") == 1)),
          ["01", "10", "12", "21"]),
     ]
 
@@ -87,23 +89,23 @@ class TestMembership:
         assert slc.word_ints() == ints
         assert slc.word_count() == len(words)
         assert slc.e_mask() == sum(1 << i for i in ints)
-        for i in range(-1, slc.total_words + 1):
-            assert slc.contains_int(i) == (i in ints)
-        for text in oracles.all_words("012", 2):
-            assert slc.contains(slc.word(text)) == (text in words)
+        # texts, total strings and packed ints pack to the same mask
+        assert slc.mask_of_words(words) == slc.e_mask()
+        assert slc.mask_of_words([PartialString.parse(w, TERNARY) for w in words]) == slc.e_mask()
+        assert slc.mask_of_words(ints) == slc.e_mask()
 
 
 class TestPacking:
     def test_int_roundtrip(self):
         slc = full_slice(TERNARY, 3)
         for i in slc.word_ints():
-            assert slc.int_of_word(slc.word_of_int(i)) == i
+            assert slc.mask_of_words([slc.word_of_int(i)]) == 1 << i
             assert slc.text_of_int(i) == slc.word_of_int(i).render(3)
 
     def test_rejects_partial_words(self):
         slc = full_slice(TERNARY, 3)
         with pytest.raises(ValueError):
-            slc.int_of_word(PartialString.parse("1_2", TERNARY))
+            slc.mask_of_words([PartialString.parse("1_2", TERNARY)])
 
     @pytest.mark.parametrize("alphabet,length", [
         (BINARY, 1), (BINARY, 3), (TERNARY, 3), (BINARY, 10)])
@@ -135,7 +137,7 @@ class TestSigmaMembership:
         assert slc.cylinder_of(PartialString.parse("2", TERNARY)) == 0
 
     def test_agrees_with_oracle(self):
-        slc = Slice(BINARY, 3, lambda w: w.render(3).count("1") == 2)
+        slc = Slice(BINARY, 3, oracles.words_where("01", 3, lambda w: w.count("1") == 2))
         sigma = oracles.sigma_members([slc.text_of_int(i) for i in slc.word_ints()])
         for combo in product(["_", "0", "1"], repeat=3):
             s = PartialString.parse("".join(combo), BINARY)
@@ -149,7 +151,7 @@ class TestExtensions:
 
     def test_total_word(self):
         slc = full_slice(BINARY, 2)
-        w = slc.word("10")
+        w = PartialString.parse("10", BINARY)
         assert extensions(w, slc) == [w]
 
     def test_absent_string_has_no_extensions(self):
@@ -157,7 +159,7 @@ class TestExtensions:
         assert extensions(PartialString.parse("10", BINARY), slc) == []
 
     def test_count_matches_direct_filter(self):
-        slc = Slice(TERNARY, 3, lambda w: w.get(1) != "2")
+        slc = Slice(TERNARY, 3, oracles.words_where("012", 3, lambda w: w[0] != "2"))
         for combo in product(["_", "0", "1", "2"], repeat=3):
             g = PartialString.parse("".join(combo), TERNARY)
             direct = [w for w in words(slc) if g <= w]
@@ -169,15 +171,17 @@ class TestCylinder:
         (BINARY, 1, "all"),
         (BINARY, 5, "all"),
         (TERNARY, 3, "all"),
-        (BINARY, 4, lambda w: w.get(2) != "1"),
-        (TERNARY, 3, lambda w: w.render(3).count("2") == 1),
+        (BINARY, 4, lambda w: w[1] != "1"),
+        (TERNARY, 3, lambda w: w.count("2") == 1),
     ])
     def test_matches_direct_filter(self, alphabet, length, membership):
+        if membership != "all":
+            membership = oracles.words_where("".join(alphabet.letters), length, membership)
         slc = Slice(alphabet, length, membership)
         for combo in product(["_"] + list(alphabet.letters), repeat=length):
             g = PartialString.parse("".join(combo), alphabet)
             mask = slc.cylinder(slc.pairs_of(g))
-            direct = {slc.int_of_word(w) for w in words(slc) if g <= w}
+            direct = {i for i in slc.word_ints() if g <= slc.word_of_int(i)}
             assert {i for i in range(slc.total_words) if mask >> i & 1} == direct
 
 
@@ -195,7 +199,8 @@ class TestCylinderOfAndLetterIndex:
                 yield Slice(alphabet, length, rng.sample(cube, rng.randint(1, len(cube))))
             else:
                 keep = set(rng.sample(cube, rng.randint(1, len(cube))))
-                yield Slice(alphabet, length, lambda w, keep=keep, n=length: w.render(n) in keep)
+                yield Slice(alphabet, length, oracles.words_where(
+                    "".join(alphabet.letters), length, keep.__contains__))
 
     def test_cylinder_of_matches_pairs_then_cylinder(self):
         rng = random.Random(41)
@@ -260,7 +265,8 @@ class TestExpansionLaws:
     slices = [
         full_slice(BINARY, 3),
         full_slice(TERNARY, 2),
-        Slice(BINARY, 4, lambda w: w.render(4).count("1") % 2 == 0, label="even"),
+        Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0),
+              label="even"),
     ]
 
     def test_union_law_exhaustive_singletons(self):
@@ -314,10 +320,6 @@ class TestDescriptors:
             "alphabet": ["0", "1", "2"], "length": 2, "label": "demo", "membership": "all"}
         assert Slice(BINARY, 2, ["11", "00"], label="pair").descriptor() == {
             "alphabet": ["0", "1"], "length": 2, "label": "pair", "membership": ["00", "11"]}
-
-    def test_predicate_descriptor_names_adapter(self):
-        slc = Slice(BINARY, 2, lambda w: True, label="everything")
-        assert slc.descriptor()["membership"] == {"adapter": "everything"}
 
 
 @settings(max_examples=60)

@@ -146,8 +146,8 @@ class TestCover:
                 region = frozenset(problem.slice.ints_of_mask(problem.region_mask(i)))
                 charts_inside = [
                     s for s in log.elements
-                    if {problem.slice.int_of_word(w)
-                        for w in expand([s], problem.slice)} <= region]
+                    if set(problem.slice.ints_of_mask(
+                        problem.slice.mask_of_words(expand([s], problem.slice)))) <= region]
                 assert charts_inside
 
     def test_rows_for_csv(self):
