@@ -7,13 +7,18 @@ internal-independence check takes its string cap from the same count.
 A running meter stands wherever a budget is taken: each step of a run then
 counts on its own, against the one clock of the run. Exceeding a limit
 raises :class:`BudgetExceededError` carrying whatever partial state the
-search had reached; results are never silently truncated.
+search had reached. Steps read the clock only through :meth:`Meter.check`,
+so every time-out names the meter's label and how far the step got, and a
+count overrun reads ``<label>: exceeded N sub-problems``. Results are never
+silently truncated: the one limit reported rather than raised is the
+internal-independence string cap, as ``budget_exhausted``.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from typing import Callable
 
 DEFAULT_MAX_STRINGS = 5_000_000
 DEFAULT_MAX_SECONDS = 300.0
@@ -91,10 +96,12 @@ class Meter:
         if self.count > self.budget.max_strings:
             raise BudgetExceededError(
                 f"{self.label}: exceeded {self.budget.max_strings} sub-problems")
-        if self.count % self._CLOCK_STRIDE == 0 and time.monotonic() > self._deadline:
-            raise BudgetExceededError(
-                f"{self.label}: exceeded {self.budget.max_seconds}s "
-                f"after {self.count} sub-problems")
+        if self.count % self._CLOCK_STRIDE == 0:
+            self.check(lambda: f"after {self.count} sub-problems")
 
-    def out_of_time(self) -> bool:
-        return time.monotonic() > self._deadline
+    def check(self, progress: Callable[[], str]) -> None:
+        """Read the clock once; past the deadline, stop the step with an
+        error naming the label and ``progress()``, how far the step got,
+        which is rendered only then."""
+        if time.monotonic() > self._deadline:
+            raise BudgetExceededError(f"{self.label}: out of time {progress()}")

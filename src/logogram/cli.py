@@ -201,7 +201,7 @@ def cmd_kernel(ns, problem, budget):
         with open(ns.dump_traces, "w", encoding="utf-8") as fh:
             for prog, dump in zip(programs, dumps):
                 meter = budget.start(f"trace dump: {prog.name}")
-                for record in _records(prog.name, problem.slice, log.texts(L), iter(dump), meter):
+                for record in _records(problem.slice, log.texts(L), iter(dump), meter):
                     fh.write(json.dumps({"program": prog.name, **record}, sort_keys=True) + "\n")
     all_equal = len({k.pairs for k in kernels.values()}) <= 1
     irreducible = _cli.irreducibility_report(log, problem, budget).irreducible

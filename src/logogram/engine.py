@@ -66,8 +66,8 @@ class Antichain(NamedTuple):
         return tuple(self)
 
     def __iter__(self):
-        # one string at a time, so a metered loop over them reads its clock
-        # between strings, not after building them all
+        # strings are built as the caller takes them; no metered pass
+        # iterates here: the passes read ``pairs`` and build no string
         letters = self.alphabet.letters
         return (PartialString(tuple((p, letters[d]) for p, d in x)) for x in self.pairs)
 
@@ -379,16 +379,17 @@ def _unique_coverage(members: Sequence[Pairs], slc: Slice,
     number, whatever the number of members; the clock is read once per
     member in each pass.
     """
+    n = len(members)
     once = twice = 0
     for x in members:
-        _check_clock(meter, 0, len(members))
+        meter.check(lambda: f"after 0 of {n} strings")
         cyl = slc.cylinder(x)
         twice |= once & cyl
         once |= cyl
     single = once ^ twice  # twice lies inside once
     removable, witnesses = [], {}
     for i, x in enumerate(members):
-        _check_clock(meter, i, len(members))
+        meter.check(lambda: f"after {i} of {n} strings")
         unique = slc.cylinder(x) & single
         text = _text(x, slc.length, slc.alphabet.letters)
         if unique:
@@ -396,12 +397,6 @@ def _unique_coverage(members: Sequence[Pairs], slc: Slice,
         else:
             removable.append(text)
     return once, removable, witnesses
-
-
-def _check_clock(meter: Meter, done: int, total: int) -> None:
-    """Stop a pass over ``total`` strings once the meter's time is up."""
-    if meter.out_of_time():
-        raise BudgetExceededError(f"{meter.label}: out of time after {done} of {total} strings")
 
 
 # -- independence ---------------------------------------------------------
@@ -432,13 +427,14 @@ class IndependenceReport(NamedTuple):
 
 
 def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
-                      excuse_extensions: bool) -> tuple[int, tuple[int, int] | None, bool]:
+                      excuse_extensions: bool) -> tuple[int, tuple[int, int] | None]:
     """The first ordered pair (f, g) of distinct strings, rows f in list
     order, where every word of the slice extending f also extends g.
 
-    Returns (pairs examined, (i, j) of that pair or None, ran out of time).
-    With ``excuse_extensions`` a pair where f extends g does not count: the
-    extension order entails it by itself. The clock is checked once per f.
+    Returns (pairs examined, (i, j) of that pair or None). With
+    ``excuse_extensions`` a pair where f extends g does not count: the
+    extension order entails it by itself. The clock is checked once per f,
+    and the time-out says how many pairs were examined.
 
     Call a pair (p, d) forced by f when f's cylinder lies inside the mask
     of (p, d); f entails g exactly when every pair of g is forced. So the
@@ -453,8 +449,7 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
     masks, weights = slc.position_masks(), slc._word_weights
     rows = member_rows(pair_list, k, slc.length)
     for i, f in enumerate(pair_list):
-        if meter.out_of_time():
-            return i * (n - 1), None, True
+        meter.check(lambda: f"after {i * (n - 1)} pairs")
         cyl = slc.cylinder(f)
         low = (cyl & -cyl).bit_length() - 1
         forced = [k] * slc.length
@@ -467,8 +462,8 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
                            if excuse_extensions else 1 << i)
         if bad:
             j = (bad & -bad).bit_length() - 1
-            return i * (n - 1) + j + (j < i), (i, j), False
-    return n * (n - 1), None, False
+            return i * (n - 1) + j + (j < i), (i, j)
+    return n * (n - 1), None
 
 
 def internal_independence(slc: Slice, budget: Budget | None = None) -> IndependenceReport:
@@ -476,22 +471,23 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
     extension order: one string forces another exactly when it extends it.
 
     All ordered pairs over the slice's strings are examined, in canonical
-    order, as far as the budget allows. A forcing that extends is entailed
-    by the order itself, so the work is finding a non-extending pair that
-    is entailed all the same.
+    order, among at most the square root of ``max_strings`` strings: the
+    report's ``budget_exhausted`` says the cap cut the strings short, while
+    a time-out raises as in every other step. A forcing that extends is
+    entailed by the order itself, so the work is finding a non-extending
+    pair that is entailed all the same.
     """
     meter = (budget or Budget.default()).start("internal independence")
     cap = max(1, int(meter.budget.max_strings ** 0.5))
     pair_list, saw_all = _sigma_pairs(slc, cap)
-    pairs_checked, hit, late = _first_entailment(pair_list, slc, meter,
-                                                 excuse_extensions=True)
+    pairs_checked, hit = _first_entailment(pair_list, slc, meter, excuse_extensions=True)
     counterexample = None
     if hit is not None:
         f, g = (_text(pair_list[x], slc.length, slc.alphabet.letters) for x in hit)
         counterexample = {"f": f, "g": g, "entangled": True, "extends": False}
     return IndependenceReport(
         kind="internal", passed=hit is None, strings_checked=len(pair_list),
-        pairs_checked=pairs_checked, budget_exhausted=late or not saw_all,
+        pairs_checked=pairs_checked, budget_exhausted=not saw_all,
         counterexample=counterexample)
 
 
@@ -536,11 +532,7 @@ def simple_independence(problem, budget: Budget | None = None) -> IndependenceRe
     meter = (budget or Budget.default()).start(f"simple independence: {problem.label}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    pairs_checked, hit, late = _first_entailment(log.pairs, slc, meter,
-                                                 excuse_extensions=False)
-    if late:
-        raise BudgetExceededError(
-            f"simple independence: out of time after {pairs_checked} pairs")
+    pairs_checked, hit = _first_entailment(log.pairs, slc, meter, excuse_extensions=False)
     counterexample = None
     if hit is not None:
         f, g = (_text(log.pairs[x], slc.length, slc.alphabet.letters) for x in hit)
@@ -657,10 +649,7 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
             "string-closure-extensive", "expansion-roundtrip-stable",
             "logogram-roundtrip-stable"]
     for _ in range(sample_count):
-        if meter.out_of_time():
-            raise BudgetExceededError(
-                f"galois suite: out of time after "
-                f"{max(tallies.values(), default=0)} samples")
+        meter.check(lambda: f"after {max(tallies.values(), default=0)} samples")
         H = []
         for _ in range(rng.randint(1, 3)):
             w = rng.choice(e_ints)

@@ -115,7 +115,7 @@ class ProblemSlice:
             "label": self.label,
             "alphabet": list(slc.alphabet.letters),
             "length": slc.length,
-            "universe": "all" if slc.is_full else [slc.text_of_int(i) for i in slc.word_ints()],
+            "universe": slc.descriptor()["membership"],
             "target": [slc.text_of_int(i) for i in slc.ints_of_mask(self._f_mask)],
             "regions": [[slc.text_of_int(i) for i in slc.ints_of_mask(m)]
                         for m in self._region_masks],

@@ -33,7 +33,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .budget import Budget, BudgetExceededError, Meter
+from .budget import Budget, Meter
 from .engine import Antichain
 from .strings import PartialString
 from .universe import member_rows, members_inside, set_bits
@@ -149,9 +149,8 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
     uncovered = slc.e_mask()
     while uncovered:
         i = (uncovered & -uncovered).bit_length() - 1
-        if meter is not None and meter.out_of_time():
-            raise BudgetExceededError(
-                f"kernel sweep for {program.name}: out of time at word {slc.text_of_int(i)!r}")
+        if meter is not None:
+            meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
         accepted, cyl, order, index = run(i)
         uncovered &= ~cyl
         yield (i, cyl, accepted, _justified(accepted, cyl, f), order, index,
@@ -186,15 +185,13 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
     return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
 
 
-def _records(name: str, slc, texts: list[str], traces, meter: Meter) -> Iterator[dict]:
+def _records(slc, texts: list[str], traces, meter: Meter) -> Iterator[dict]:
     """Per-word records in word order, reading the clock once per word, from
     the walk's traces with their covered words in place of the word and
     cylinder. The words of a trace share one record body."""
     pending: dict[int, dict] = {}  # covered words not yet dumped -> body
     for i in slc.word_ints():
-        if meter.out_of_time():
-            raise BudgetExceededError(
-                f"trace dump for {name}: out of time at word {slc.text_of_int(i)!r}")
+        meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
         if i not in pending:  # the walk's next run is on the lowest word left
             covered, accepted, just, order, index, bits = next(traces)
             pending.update(dict.fromkeys(covered, {
@@ -210,7 +207,7 @@ def trace_records(program: DecisionProgram, problem,
     one walk of the slice; faults are recorded, not raised."""
     meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
     log = problem.logogram(meter=meter)
-    yield from _records(program.name, problem.slice, log.texts(problem.slice.length), (
+    yield from _records(problem.slice, log.texts(problem.slice.length), (
         (set_bits(cyl), *run) for _, cyl, *run in _walk(program, problem, log)), meter)
 
 

@@ -96,8 +96,8 @@ class Slice:
         """Words from outside the slice as a mask over the cube: texts,
         total strings or packed ints. Raises :class:`FormatError` on the
         first that is no word of this length over this alphabet: a text or
-        string of another length, with a blank or an unknown letter, or an
-        int out of range. Whether the words lie in the slice's own set is
+        string of another length, with a blank or an unknown letter, a bool,
+        or an int out of range. Whether the words lie in the slice's own set is
         left to the caller."""
         digits = {ch: d for d, ch in enumerate(self.alphabet.letters)}
         n = self.total_words
@@ -106,7 +106,7 @@ class Slice:
             w = w.render() if isinstance(w, PartialString) else w
             if isinstance(w, str) and len(w) == self.length and set(w) <= digits.keys():
                 w = sum(digits[ch] * weight for ch, weight in zip(w, self._word_weights))
-            if not (isinstance(w, int) and 0 <= w < n):
+            if not (isinstance(w, int) and not isinstance(w, bool) and 0 <= w < n):
                 raise FormatError(f"{w!r} is not a word of length {self.length} "
                                   f"over {''.join(self.alphabet.letters)!r}")
             ints.append(w)

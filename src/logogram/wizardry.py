@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .budget import Budget
-from .engine import _check_clock, _expansion, _text
+from .engine import _expansion, _text
 from .universe import set_bits
 
 
@@ -78,14 +78,19 @@ def _charts(problem, budget: Budget | None, label: str):
     """
     meter = (budget or Budget.default()).start(f"{label}: {problem.label}")
     log = problem.logogram(meter=meter)
-    _check_clock(meter, 0, len(log))
+    n = 0  # strings charted
+
+    def done():
+        return f"after {n} of {len(log)} strings"
+
+    meter.check(done)
     slc = problem.slice
     lows = 0
-    for n, x in enumerate(log.pairs, 1):
+    for built, x in enumerate(log.pairs, 1):
         cyl = slc.cylinder(x)
         lows |= cyl & -cyl
-        if not n % _CLOCK_STRIDE:
-            _check_clock(meter, 0, len(log))
+        if not built % _CLOCK_STRIDE:
+            meter.check(done)
     masks = []
     holding: dict[int, list[int]] = {}  # bit of a lowest word -> regions holding it
     for i in range(problem.alpha):
@@ -94,9 +99,9 @@ def _charts(problem, budget: Budget | None, label: str):
         for low in set_bits(m & lows):
             holding.setdefault(low, []).append(i)
         if not (i + 1) % _CLOCK_STRIDE:
-            _check_clock(meter, 0, len(log))
+            meter.check(done)
     for n, x in enumerate(log.pairs):
-        _check_clock(meter, n, len(log))
+        meter.check(done)
         cyl = slc.cylinder(x)
         regions = holding.get((cyl & -cyl).bit_length() - 1, ())
         yield (_text(x, slc.length, log.alphabet.letters), cyl,

@@ -2,6 +2,7 @@
 entanglement, completeness, irreducibility, independence, Galois laws."""
 
 import random
+import re
 import tracemalloc
 from itertools import product
 
@@ -18,7 +19,8 @@ from logogram import (
     irreducibility_report, is_closed, is_complete,
     isoexpansive, reduced_logogram, simple_independence,
     strong_independence, verify_galois, generic_problem, predicted_sat_logogram,
-    sat_problem, composite_problem, cover,
+    sat_problem, composite_problem, classify, cover, forward_assignment_scan,
+    kernel, trace_records,
 )
 from logogram.cli import main
 
@@ -143,9 +145,10 @@ class TestInLogogram:
                 run(*args)
 
     @pytest.mark.parametrize("target", [
-        [4], [-1], [-5], ["1"], ["1_"], ["12"], [ps("1", BINARY)], [None]])
+        [4], [-1], [-5], ["1"], ["1_"], ["12"], [ps("1", BINARY)], [None], [True], [0, False]])
     def test_malformed_target_rejected(self, target):
-        # integers outside the cube, and texts or strings that are no words of it
+        # integers outside the cube, bools, and texts or strings that are no
+        # words of it
         slc = Slice(BINARY, 2, ["11", "00"])
         for run in (in_logogram, reduced_logogram, closure_ba, is_closed):
             args = (VOID, target, slc) if run is in_logogram else (target, slc)
@@ -485,13 +488,13 @@ class TestSeparatorConstruction:
             for g in strings:
                 if f >= g:
                     continue  # the order excuses entailed extensions
-                walked, hit, late = _first_entailment([fp, slc.pairs_of(g)], slc, meter,
-                                                      excuse_extensions=True)
+                walked, hit = _first_entailment([fp, slc.pairs_of(g)], slc, meter,
+                                                excuse_extensions=True)
                 exists = any(
                     oracles.includes(x, f.render(3)) and not oracles.includes(x, g.render(3))
                     for x in e_texts)
                 assert (hit == (0, 1)) == (not exists)
-                assert not late and walked == (1 if hit == (0, 1) else 2)
+                assert walked == (1 if hit == (0, 1) else 2)
 
     def test_single_letter_alphabet_never_separates(self):
         from logogram.engine import _first_entailment
@@ -499,8 +502,8 @@ class TestSeparatorConstruction:
         slc = full_slice(lone, 2)
         f = slc.pairs_of(PartialString.of({1: "a"}))
         g = slc.pairs_of(PartialString.of({2: "a"}))
-        walked, hit, _ = _first_entailment([f, g], slc, Budget().start("test"),
-                                           excuse_extensions=True)
+        walked, hit = _first_entailment([f, g], slc, Budget().start("test"),
+                                        excuse_extensions=True)
         assert (walked, hit) == (1, (0, 1))
         assert not internal_independence(slc).passed
 
@@ -814,9 +817,11 @@ class TestMeter:
             step.charge()
         assert run.count == 1
         clock.now = 9.0
-        assert not step.out_of_time()  # read at 10 s, against the deadline at 11 s
+        step.check(lambda: "unread")  # read at 10 s, against the deadline at 11 s
         clock.now = 10.5
-        assert step.out_of_time() and run.out_of_time()
+        for meter in (step, run):
+            with pytest.raises(BudgetExceededError, match=f"^{meter.label}: out of time now$"):
+                meter.check(lambda: "now")
 
 
 class TestCoveragePass:
@@ -875,6 +880,56 @@ class TestCoveragePass:
         finally:
             tracemalloc.stop()
         assert peak < members * mask_bytes // share, (peak, members, mask_bytes)
+
+
+def _charge_on(budget):
+    meter = budget.start("search")
+    for _ in range(1000):
+        meter.charge()
+
+
+def _on_sat(n, m, run):
+    return lambda budget: run(sat_problem(n, m), budget)
+
+
+# site -> (the step run on a budget, the whole message it stops with)
+STOP_SITES = {
+    "irreducibility": (
+        _on_sat(2, 2, lambda p, b: irreducibility_report(p.logogram(), p, b)),
+        "irreducibility: sat:2x2: out of time after 0 of 12 strings"),
+    "strong": (_on_sat(2, 2, strong_independence),
+               "strong independence: sat:2x2: out of time after 0 of 12 strings"),
+    "wizards": (_on_sat(2, 2, classify), "wizards: sat:2x2: out of time after 1 of 12 strings"),
+    "cover": (_on_sat(2, 2, cover), "cover: sat:2x2: out of time after 1 of 12 strings"),
+    "simple": (_on_sat(2, 2, simple_independence),
+               "simple independence: sat:2x2: out of time after 22 pairs"),
+    "internal": (lambda b: internal_independence(full_slice(TERNARY, 3), b),
+                 "internal independence: out of time after 126 pairs"),
+    "galois": (lambda b: verify_galois(full_slice(BINARY, 2), 10, budget=b),
+               "galois suite: out of time after 2 samples"),
+    "kernel": (_on_sat(1, 2, lambda p, b: kernel(forward_assignment_scan(p), p, b)),
+               "kernel sweep: forward-assignment-scan: out of time at word '11'"),
+    "trace-dump": (
+        _on_sat(1, 2, lambda p, b: list(trace_records(forward_assignment_scan(p), p, b))),
+        "trace dump: forward-assignment-scan: out of time at word '02'"),
+    "charge": (_charge_on, "search: out of time after 768 sub-problems"),
+}
+
+
+class TestStopSites:
+    @pytest.mark.parametrize("site", STOP_SITES)
+    def test_third_clock_read_stops_the_step(self, monkeypatch, site):
+        # the searches are cached before the clock is patched, so every
+        # read after the meter starts (at 1 s, against a deadline of 3.5 s)
+        # is the site's own check; the third stops the step, and the
+        # message names the step and how far it got. The meter reads the
+        # clock every 256 charges, so a bare meter stops at 768.
+        run, message = STOP_SITES[site]
+        sat_problem(1, 2).logogram()
+        sat_problem(2, 2).logogram()
+        monkeypatch.setattr(logogram.budget, "time", TestCoveragePass.TickingClock())
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+            run(Budget(max_seconds=2.5))
 
 
 class TestInternalIndependence:

@@ -158,7 +158,7 @@ class TestKernel:
         p.logogram()
         monkeypatch.setattr(logogram.budget, "time", TestTraceRecords.TickingClock())
         with pytest.raises(BudgetExceededError,
-                           match="^kernel sweep for forward-assignment-scan: "
+                           match="^kernel sweep: forward-assignment-scan: "
                                  "out of time at word '11'$"):
             kernel(forward_assignment_scan(p), p, Budget(max_seconds=2.5))
 
@@ -372,7 +372,7 @@ class TestTraceRecords:
         records = trace_records(forward_assignment_scan(p), p, Budget(max_seconds=2.5))
         assert [r["input"] for r in (next(records), next(records))] == ["00", "01"]
         with pytest.raises(BudgetExceededError,
-                           match="^trace dump for forward-assignment-scan: "
+                           match="^trace dump: forward-assignment-scan: "
                                  "out of time at word '02'$"):
             next(records)
 

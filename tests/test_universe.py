@@ -65,9 +65,13 @@ class TestConstruction:
         (lambda: Slice(BINARY, 2, [PartialString.of({3: "1"})]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, [4]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, [-1]), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2, [True]), "^True is not a word of length 2 over '01'$"),
+        (lambda: full_slice(BINARY, 2).mask_of_words([0, False]),
+         "^False is not a word of length 2 over '01'$"),
     ], ids=["length-0", "too-many-words", "short-text", "short-member", "blank-member",
             "foreign-letter-member", "partial-string-member", "long-string-member",
-            "packed-member-past-the-cube", "negative-packed-member"])
+            "packed-member-past-the-cube", "negative-packed-member", "bool-member",
+            "bool-word"])
     def test_rejects(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
