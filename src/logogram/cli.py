@@ -14,6 +14,7 @@ access and can be replaced, for instance by a test or a tracer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -175,35 +176,34 @@ def cmd_galois(ns, problem, budget):
 
 
 def cmd_kernel(ns, problem, budget):
-    from .tracer import _records
+    import tempfile
     programs = _cli.built_in_programs(problem)  # rejects non-clause problems
     log = problem.logogram(budget)
     L = problem.slice.length
     entries = []
     fault = None
-    kernels = {}
-    dumps = [[] for _ in programs]
-    for prog, dump in zip(programs, dumps):
-        try:
-            k = _cli.kernel(prog, problem, budget, dump if ns.dump_traces else None)
-        except _cli.ProgramFaultError as err:
-            fault = str(err)
-            break
-        kernels[prog.name] = k
-        entries.append({
-            "name": prog.name,
-            "kernel": k.texts(L),
-            "size": len(k),
-            "complete": _cli.is_complete(k, problem, budget),
-            "matches_logogram": k.pairs == log.pairs,
-        })
-    if ns.dump_traces and fault is None:
-        with open(ns.dump_traces, "w", encoding="utf-8") as fh:
-            for prog, dump in zip(programs, dumps):
-                meter = budget.start(f"trace dump: {prog.name}")
-                for record in _records(problem.slice, log.texts(L), iter(dump), meter):
-                    fh.write(json.dumps({"program": prog.name, **record}, sort_keys=True) + "\n")
-    all_equal = len({k.pairs for k in kernels.values()}) <= 1
+    # the sweeps stream their dumps to scratch; PATH is opened only once all
+    # have passed, so a fault or a time-out leaves whatever it held
+    scratch = tempfile.TemporaryFile("w+", encoding="utf-8") if ns.dump_traces else None
+    with scratch or contextlib.nullcontext():
+        for prog in programs:
+            try:
+                k = _cli.kernel(prog, problem, budget, scratch)
+            except _cli.ProgramFaultError as err:
+                fault = str(err)
+                break
+            entries.append({
+                "name": prog.name,
+                "kernel": k.texts(L),
+                "size": len(k),
+                "complete": _cli.is_complete(k, problem, budget),
+                "matches_logogram": k.pairs == log.pairs,
+            })
+        if scratch is not None and fault is None:
+            scratch.seek(0)
+            with open(ns.dump_traces, "w", encoding="utf-8") as fh:
+                fh.writelines(scratch)
+    all_equal = len({tuple(e["kernel"]) for e in entries}) <= 1
     irreducible = _cli.irreducibility_report(log, problem, budget).irreducible
     doc = {
         "problem": problem.label,

@@ -426,15 +426,15 @@ class IndependenceReport(NamedTuple):
         return doc
 
 
-def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
-                      excuse_extensions: bool) -> tuple[int, tuple[int, int] | None]:
+def _first_entailment(pair_list: Sequence[Pairs], slc: Slice,
+                      meter: Meter) -> tuple[int, tuple[int, int] | None]:
     """The first ordered pair (f, g) of distinct strings, rows f in list
-    order, where every word of the slice extending f also extends g.
+    order, where every word of the slice extending f also extends g and f
+    does not extend g: the extension order entails that by itself, and in
+    an antichain, such as the reduced logogram, f extends only itself.
 
-    Returns (pairs examined, (i, j) of that pair or None). With
-    ``excuse_extensions`` a pair where f extends g does not count: the
-    extension order entails it by itself. The clock is checked once per f,
-    and the time-out says how many pairs were examined.
+    Returns (pairs examined, (i, j) of that pair or None). The clock is
+    checked once per f, and the time-out says how many pairs were examined.
 
     Call a pair (p, d) forced by f when f's cylinder lies inside the mask
     of (p, d); f entails g exactly when every pair of g is forced. So the
@@ -458,8 +458,7 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
             if cyl & masks[p][d] == cyl:
                 forced[p] = d
         entailed = members_inside(rows, forced)
-        bad = entailed & ~(members_inside(rows, letter_row(f, k, slc.length))
-                           if excuse_extensions else 1 << i)
+        bad = entailed & ~members_inside(rows, letter_row(f, k, slc.length))
         if bad:
             j = (bad & -bad).bit_length() - 1
             return i * (n - 1) + j + (j < i), (i, j)
@@ -477,10 +476,10 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
     entailed by the order itself, so the work is finding a non-extending
     pair that is entailed all the same.
     """
-    meter = (budget or Budget.default()).start("internal independence")
+    meter = (budget or Budget.default()).start(f"internal independence: {slc.label}")
     cap = max(1, int(meter.budget.max_strings ** 0.5))
     pair_list, saw_all = _sigma_pairs(slc, cap)
-    pairs_checked, hit = _first_entailment(pair_list, slc, meter, excuse_extensions=True)
+    pairs_checked, hit = _first_entailment(pair_list, slc, meter)
     counterexample = None
     if hit is not None:
         f, g = (_text(pair_list[x], slc.length, slc.alphabet.letters) for x in hit)
@@ -532,7 +531,7 @@ def simple_independence(problem, budget: Budget | None = None) -> IndependenceRe
     meter = (budget or Budget.default()).start(f"simple independence: {problem.label}")
     log = problem.logogram(meter=meter)
     slc = problem.slice
-    pairs_checked, hit = _first_entailment(log.pairs, slc, meter, excuse_extensions=False)
+    pairs_checked, hit = _first_entailment(log.pairs, slc, meter)
     counterexample = None
     if hit is not None:
         f, g = (_text(log.pairs[x], slc.length, slc.alphabet.letters) for x in hit)

@@ -16,12 +16,12 @@ Programs are deterministic given the letters they observe, so every word
 extending a trace's probed restriction runs through that same trace. One
 walk runs a program across a slice, once per distinct probe trace on the
 lowest word not yet covered: :func:`kernel` folds it into the certifying
-strings, keeping its traces when asked, and the trace dump expands traces
-to per-word records that share one body across a cylinder. The runner's
-probe callback enforces the probe discipline and builds the trace while
-probing: it reads each letter from the packed word, ANDs the (position,
-letter) mask into the trace's cylinder and records the letter index per
-position, from which the certifying strings are one AND per position
+strings and, when asked, streams it out as the trace dump, whose per-word
+records share one body across a cylinder. The walk's probe callback
+enforces the probe discipline and builds the trace while probing: it
+reads each letter from the packed word, ANDs the (position, letter) mask
+into the trace's cylinder and records the letter index per position, from
+which the certifying strings are one AND per position
 (:func:`logogram.universe.member_rows`).
 
 Three traced solvers for the clause encoding are built in; all probe
@@ -30,8 +30,9 @@ lazily and read each position at most once.
 
 from __future__ import annotations
 
+import json
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .budget import Budget, Meter
 from .engine import Antichain
@@ -81,38 +82,6 @@ class DecisionProgram(NamedTuple):
     decide: Callable[[Callable[[int], str]], bool]
 
 
-def _runner(program: DecisionProgram, slc):
-    """Packed word -> (accepted, cylinder, probed positions, letter indices)
-    of one run of the program on that word of the slice; ``k``, the
-    alphabet size, marks a position not probed."""
-    name, length, decide = program.name, slc.length, program.decide
-    letters = slc.alphabet.letters
-    k, weights, masks, e = len(letters), slc._word_weights, slc.position_masks(), slc.e_mask()
-
-    def run(value: int) -> tuple[bool, int, list[int], list[int]]:
-        order: list[int] = []
-        index = [k] * length
-        cyl = e
-
-        def probe(position: int) -> str:
-            nonlocal cyl
-            if not isinstance(position, int) or not 1 <= position <= length:
-                raise MalformedProgramError(
-                    f"{name}: probe outside positions 1..{length}: {position!r}")
-            p = position - 1
-            if index[p] != k:
-                raise MalformedProgramError(f"{name}: position {position} probed twice")
-            d = index[p] = value // weights[p] % k
-            cyl &= masks[p][d]
-            order.append(position)
-            return letters[d]
-
-        accepted = bool(decide(probe))
-        return accepted, cyl, order, index
-
-    return run
-
-
 def _justified(accepted: bool, cyl: int, f: int) -> bool:
     """A restriction's non-empty cylinder justifies an accept when it lies
     in the target ``f``, a reject when it misses it."""
@@ -140,61 +109,91 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
     probe trace, on the lowest word not yet covered, which covers every word
     extending the trace's probed restriction. Yields per run the word, the
     cylinder, the verdict, whether the restriction justifies it, the probed
-    positions, the letter indices and, as bits, the members of ``log`` an
-    accepting restriction includes. Given a meter, it reads the clock before
-    each run."""
+    positions, the letter indices (``k``, the alphabet size, marks a
+    position not probed) and, as bits, the members of ``log`` an accepting
+    restriction includes. Given a meter, it reads the clock before each run."""
     slc, f = problem.slice, problem.f_mask()
-    rows = member_rows(log.pairs, len(slc.alphabet), slc.length)
-    run = _runner(program, slc)
-    uncovered = slc.e_mask()
+    name, length, decide = program.name, slc.length, program.decide
+    letters = slc.alphabet.letters
+    k, weights, masks, e = len(letters), slc._word_weights, slc.position_masks(), slc.e_mask()
+    rows = member_rows(log.pairs, k, length)
+    uncovered = e
     while uncovered:
         i = (uncovered & -uncovered).bit_length() - 1
         if meter is not None:
             meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
-        accepted, cyl, order, index = run(i)
+        order: list[int] = []
+        index = [k] * length
+        cyl = e
+
+        def probe(position: int) -> str:
+            nonlocal cyl
+            if not isinstance(position, int) or not 1 <= position <= length:
+                raise MalformedProgramError(
+                    f"{name}: probe outside positions 1..{length}: {position!r}")
+            p = position - 1
+            if index[p] != k:
+                raise MalformedProgramError(f"{name}: position {position} probed twice")
+            d = index[p] = i // weights[p] % k
+            cyl &= masks[p][d]
+            order.append(position)
+            return letters[d]
+
+        accepted = bool(decide(probe))
         uncovered &= ~cyl
         yield (i, cyl, accepted, _justified(accepted, cyl, f), order, index,
                members_inside(rows, index) if accepted else 0)
 
 
 def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
-           dump: list | None = None) -> Antichain:
+           dump: TextIO | None = None) -> Antichain:
     """The reduced-logogram strings the program actually certifies with.
 
     Walks the slice, reading the clock once per trace. The program must be
     correct and justified throughout: traces are met in order of their
     lowest word and a fault taints its whole trace, so the input reported is
-    the first faulty word in canonical order. Given a list as ``dump``, it
-    also appends there, per trace, the covered words, the verdict, whether
-    it is justified, the probed positions, the letter indices and the
-    members as bits: the traces the trace dump expands to per-word records,
-    so that dumping costs no second walk."""
+    the first faulty word in canonical order. Given a writable text stream
+    as ``dump``, it also writes there the program's trace dump, one JSON
+    line per input word as :func:`trace_records` gives them with the
+    program's name added, while it walks: dumping costs no second walk,
+    and the clock is read once per word instead."""
     meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
     slc, f = problem.slice, problem.f_mask()
     used = 0
-    for i, cyl, accepted, just, order, index, bits in _walk(program, problem, log, meter):
-        if accepted != bool(f >> i & 1):
-            raise ProgramFaultError(slc.text_of_int(i), f"{program.name} gave the wrong verdict")
-        if not just:
-            raise ProgramFaultError(slc.text_of_int(i), f"{program.name} was not "
-                                    f"justified in its {_VERDICTS[accepted].value}")
-        used |= bits
-        if dump is not None:
-            dump.append((tuple(set_bits(cyl)), accepted, just, order, index, bits))
+
+    def checked():
+        nonlocal used
+        for run in _walk(program, problem, log, meter if dump is None else None):
+            i, _, accepted, just, *_, bits = run
+            if accepted != bool(f >> i & 1):
+                raise ProgramFaultError(slc.text_of_int(i),
+                                        f"{program.name} gave the wrong verdict")
+            if not just:
+                raise ProgramFaultError(slc.text_of_int(i), f"{program.name} was not "
+                                        f"justified in its {_VERDICTS[accepted].value}")
+            used |= bits
+            yield run
+
+    if dump is None:
+        for _ in checked():
+            pass
+    else:
+        dump.writelines(json.dumps({"program": program.name, **record}, sort_keys=True) + "\n"
+                        for record in _records(slc, log.texts(slc.length), checked(), meter))
     return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
 
 
-def _records(slc, texts: list[str], traces, meter: Meter) -> Iterator[dict]:
+def _records(slc, texts: list[str], runs, meter: Meter) -> Iterator[dict]:
     """Per-word records in word order, reading the clock once per word, from
-    the walk's traces with their covered words in place of the word and
-    cylinder. The words of a trace share one record body."""
+    the walk's runs, drawn as the words need them. The words a run's
+    cylinder covers share one record body."""
     pending: dict[int, dict] = {}  # covered words not yet dumped -> body
     for i in slc.word_ints():
         meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
         if i not in pending:  # the walk's next run is on the lowest word left
-            covered, accepted, just, order, index, bits = next(traces)
-            pending.update(dict.fromkeys(covered, {
+            _, cyl, accepted, just, order, index, bits = next(runs)
+            pending.update(dict.fromkeys(set_bits(cyl), {
                 "probes": [[p, slc.alphabet.letters[index[p - 1]]] for p in order],
                 "verdict": _VERDICTS[accepted].value, "justified": just,
                 "certifying_strings": [texts[j] for j in set_bits(bits)]}))
@@ -207,8 +206,8 @@ def trace_records(program: DecisionProgram, problem,
     one walk of the slice; faults are recorded, not raised."""
     meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
     log = problem.logogram(meter=meter)
-    yield from _records(problem.slice, log.texts(problem.slice.length), (
-        (set_bits(cyl), *run) for _, cyl, *run in _walk(program, problem, log)), meter)
+    yield from _records(problem.slice, log.texts(problem.slice.length),
+                        _walk(program, problem, log), meter)
 
 
 # -- built-in traced solvers for the clause encoding ----------------------

@@ -3,6 +3,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import stat
 import time
 from pathlib import Path
 
@@ -288,8 +290,8 @@ class TestKernelCommand:
         assert all(r["justified"] for r in records)
 
     def test_dump_traces_share_one_clock(self, capsys, monkeypatch, tmp_path):
-        # every meter of the run, the dumps' included, counts on its own
-        # against the one deadline set when the first meter read the clock
+        # every meter of the run counts on its own against the one deadline
+        # set when the first meter read the clock; the dumps run on the sweeps'
         import logogram.budget
         from logogram import sat_problem
         sat_problem.cache_clear()
@@ -311,10 +313,40 @@ class TestKernelCommand:
         assert [label for label, _, _ in meters] == (
             ["kernel", "reduced logogram"]
             + [f"kernel sweep: {name}" for name in names]
-            + [f"trace dump: {name}" for name in names]
             + ["irreducibility: sat:1x1"])
         assert {deadline for _, deadline, _ in meters} == {71.0}
         assert [label for label, _, read in meters if read] == ["kernel"]
+
+    def test_dump_is_written_whole_or_not_at_all(self, capsys, monkeypatch, tmp_path):
+        # the sweeps stream to scratch and PATH is written only once every
+        # program has passed, so a run stopped at any clock read leaves
+        # PATH as it was or holds the whole dump
+        path = tmp_path / "traces.jsonl"
+        code, _, _ = ticking_run(capsys, monkeypatch, "kernel", "sat", "1", "2",
+                                 "--dump-traces", str(path))
+        assert code == 0
+        whole = path.read_text()
+        assert len(whole.splitlines()) == 27  # 3 programs x 9 inputs
+        stopped = []
+        for seconds in range(1, 100):
+            path.write_text("keep\n")
+            code, _, _ = ticking_run(capsys, monkeypatch, "kernel", "sat", "1", "2",
+                                     "--budget-seconds", str(seconds),
+                                     "--dump-traces", str(path))
+            if code == 0:
+                break
+            assert code == 2
+            stopped.append(path.read_text())
+        assert code == 0 and path.read_text() == whole
+        # S seconds stop the run at clock read S + 2: reads 3 to 28 are
+        # per-word reads of the sweeps, the 4 after them the irreducibility
+        # check's, run after PATH is written
+        assert stopped == ["keep\n"] * 26 + [whole] * 4
+
+    def test_dump_to_devnull(self, capsys):
+        code, _ = run_json(capsys, "kernel", "sat", "1", "1", "--dump-traces", os.devnull)
+        assert code == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     @staticmethod
     def counted_programs(monkeypatch, extra=()):

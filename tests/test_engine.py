@@ -488,8 +488,7 @@ class TestSeparatorConstruction:
             for g in strings:
                 if f >= g:
                     continue  # the order excuses entailed extensions
-                walked, hit = _first_entailment([fp, slc.pairs_of(g)], slc, meter,
-                                                excuse_extensions=True)
+                walked, hit = _first_entailment([fp, slc.pairs_of(g)], slc, meter)
                 exists = any(
                     oracles.includes(x, f.render(3)) and not oracles.includes(x, g.render(3))
                     for x in e_texts)
@@ -502,8 +501,7 @@ class TestSeparatorConstruction:
         slc = full_slice(lone, 2)
         f = slc.pairs_of(PartialString.of({1: "a"}))
         g = slc.pairs_of(PartialString.of({2: "a"}))
-        walked, hit = _first_entailment([f, g], slc, Budget().start("test"),
-                                        excuse_extensions=True)
+        walked, hit = _first_entailment([f, g], slc, Budget().start("test"))
         assert (walked, hit) == (1, (0, 1))
         assert not internal_independence(slc).passed
 
@@ -904,7 +902,7 @@ STOP_SITES = {
     "simple": (_on_sat(2, 2, simple_independence),
                "simple independence: sat:2x2: out of time after 22 pairs"),
     "internal": (lambda b: internal_independence(full_slice(TERNARY, 3), b),
-                 "internal independence: out of time after 126 pairs"),
+                 "internal independence: 012^3: out of time after 126 pairs"),
     "galois": (lambda b: verify_galois(full_slice(BINARY, 2), 10, budget=b),
                "galois suite: out of time after 2 samples"),
     "kernel": (_on_sat(1, 2, lambda p, b: kernel(forward_assignment_scan(p), p, b)),
