@@ -12,19 +12,21 @@ so every time-out names the meter's label and how far the step got, and a
 count overrun reads ``<label>: exceeded N sub-problems``. Results are never
 silently truncated: the one limit reported rather than raised is the
 internal-independence string cap, as ``budget_exhausted``.
+A budget's limits are the built-in defaults unless its caller passes others,
+as the CLI does from ``--budget-strings`` and ``--budget-seconds``; nothing
+is read from the environment. Loops of cheap steps read the clock once
+every ``_CLOCK_STRIDE`` steps.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable
 
 DEFAULT_MAX_STRINGS = 5_000_000
 DEFAULT_MAX_SECONDS = 300.0
 
-ENV_MAX_STRINGS = "LOGOGRAM_BUDGET_STRINGS"
-ENV_MAX_SECONDS = "LOGOGRAM_BUDGET_SECONDS"
+_CLOCK_STRIDE = 256  # steps between clock reads, wherever a step loop reads it
 
 
 class BudgetExceededError(RuntimeError):
@@ -66,11 +68,8 @@ class Budget:
 
     @classmethod
     def default(cls) -> "Budget":
-        """Budget from the environment, falling back to built-in defaults."""
-        return cls(
-            max_strings=int(os.environ.get(ENV_MAX_STRINGS, DEFAULT_MAX_STRINGS)),
-            max_seconds=float(os.environ.get(ENV_MAX_SECONDS, DEFAULT_MAX_SECONDS)),
-        )
+        """The built-in limits, ``DEFAULT_MAX_STRINGS`` and ``DEFAULT_MAX_SECONDS``."""
+        return cls()
 
     def start(self, label: str) -> "Meter":
         return Meter(self, label)
@@ -79,8 +78,6 @@ class Budget:
 class Meter:
     """Running tally against one budget; raises once a limit is crossed.
     :meth:`start` gives the run's next step its own label and count on this deadline."""
-
-    _CLOCK_STRIDE = 256  # time checks are amortized over this many charges
 
     def __init__(self, budget: Budget, label: str, deadline: float | None = None):
         self.budget = budget
@@ -96,7 +93,7 @@ class Meter:
         if self.count > self.budget.max_strings:
             raise BudgetExceededError(
                 f"{self.label}: exceeded {self.budget.max_strings} sub-problems")
-        if self.count % self._CLOCK_STRIDE == 0:
+        if self.count % _CLOCK_STRIDE == 0:
             self.check(lambda: f"after {self.count} sub-problems")
 
     def check(self, progress: Callable[[], str]) -> None:

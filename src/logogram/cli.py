@@ -3,7 +3,9 @@
 Each subcommand selects a problem (``sat N M``, ``composite WIDTH``,
 ``connectivity V``, or ``generic PATH`` with a JSON descriptor), runs one
 analysis, and writes a deterministic report. Exit codes: 0 success, 1
-validation error, 2 budget exhausted, 3 a checked property failed.
+validation error, 2 budget exhausted, 3 a checked property failed. The
+analyses return report values; each handler builds its JSON document and
+CSV rows from their fields, and the text form walks that document.
 
 The analysis layers load on a handler's first use, so ``--help`` and each
 subcommand import only what they run. Handlers call them as attributes of
@@ -18,7 +20,7 @@ import contextlib
 import json
 import sys
 
-from .budget import Budget, BudgetExceededError
+from .budget import DEFAULT_MAX_SECONDS, DEFAULT_MAX_STRINGS, Budget, BudgetExceededError
 
 _cli = sys.modules[__name__]
 
@@ -43,10 +45,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("problem", choices=["sat", "composite", "connectivity", "generic"],
                     help=_PROBLEM_USAGE)
     sp.add_argument("args", nargs="*", help="problem arguments")
-    sp.add_argument("--budget-strings", type=int, default=None, metavar="N",
+    sp.add_argument("--budget-strings", type=int, default=DEFAULT_MAX_STRINGS, metavar="N",
                     help="max distinct sub-problems per search (per suite for galois; "
                          "--regions adds each distinct region sub-problem once)")
-    sp.add_argument("--budget-seconds", type=float, default=None, metavar="S",
+    sp.add_argument("--budget-seconds", type=float, default=DEFAULT_MAX_SECONDS, metavar="S",
                     help="max wall-clock seconds for the whole subcommand, construction included")
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sp.add_argument("--out", default=None, metavar="PATH",
@@ -113,6 +115,10 @@ def _antichain_doc(chain, problem, set_label: str) -> dict:
     }
 
 
+def _verdict(passed: bool) -> str:
+    return "pass" if passed else "fail"
+
+
 def cmd_logogram(ns, problem, budget):
     meter = budget.start(f"logogram: {problem.label}")
     log = problem.logogram(meter=meter)
@@ -128,7 +134,13 @@ def cmd_logogram(ns, problem, budget):
 
 def cmd_wizards(ns, problem, budget):
     report = _cli.classify(problem, budget)
-    doc = report.to_json_dict()
+    doc = {
+        "problem": report.problem_label,
+        "logogram_size": len(report.entries),
+        "wizards": [e.string for e in report.wizards],
+        "witnesses": [{"string": e.string, "regions": list(e.witness_regions)}
+                      for e in report.witnesses],
+    }
     rows = [("string", "kind", "regions")] + [
         (e.string, "wizard" if e.is_wizard else "witness", " ".join(map(str, e.witness_regions)))
         for e in report.entries]
@@ -143,10 +155,20 @@ def cmd_independence(ns, problem, budget):
     ]
     doc = {"problem": problem.label}
     for rep in reports:
-        doc[rep.kind] = rep.to_json_dict()
+        doc[rep.kind] = entry = {
+            "kind": rep.kind,
+            "verdict": _verdict(rep.passed),
+            "strings_checked": rep.strings_checked,
+            "pairs_checked": rep.pairs_checked,
+            "budget_exhausted": rep.budget_exhausted,
+        }
+        if rep.counterexample is not None:
+            entry["counterexample"] = rep.counterexample
+        if rep.separators is not None:
+            entry["separators"] = dict(rep.separators)
     rows = [("check", "verdict", "strings_checked", "budget_exhausted")]
-    rows += [(rep.kind, "pass" if rep.passed else "fail",
-              rep.strings_checked, rep.budget_exhausted) for rep in reports]
+    rows += [(rep.kind, _verdict(rep.passed), rep.strings_checked, rep.budget_exhausted)
+             for rep in reports]
     return doc, rows, not all(rep.passed for rep in reports)
 
 
@@ -169,9 +191,17 @@ def cmd_irreducible(ns, problem, budget):
 def cmd_galois(ns, problem, budget):
     report = _cli.verify_galois(problem.slice, sample_count=ns.samples,
                                 seed=ns.seed, budget=budget)
-    doc = report.to_json_dict()
+    doc = {
+        "slice": report.slice_label,
+        "seed": report.seed,
+        "sample_count": report.sample_count,
+        "verdict": _verdict(report.passed),
+        "checks": [{"eq": c.law, "samples": c.samples, "verdict": _verdict(c.passed),
+                    **({"counterexample": c.counterexample} if c.counterexample else {})}
+                   for c in report.checks],
+    }
     rows = [("law", "samples", "verdict")]
-    rows += [(c["eq"], c["samples"], c["verdict"]) for c in doc["checks"]]
+    rows += [(c.law, c.samples, _verdict(c.passed)) for c in report.checks]
     return doc, rows, not report.passed
 
 
@@ -224,8 +254,17 @@ def cmd_kernel(ns, problem, budget):
 
 def cmd_cover(ns, problem, budget):
     report = _cli.cover(problem, budget)
-    doc = report.to_json_dict()
-    rows = [("string", "expansion_size", "containing_regions")] + report.rows()
+    doc = {
+        "problem": report.problem_label,
+        "total_charts": report.total_charts,
+        "region_count": report.region_count,
+        "flags": {
+            "multiple_containing_regions": report.multiple_containing_regions,
+            "fewer_charts_than_regions": report.fewer_charts_than_regions,
+        },
+        "cover": [c._asdict() for c in report.charts],
+    }
+    rows = [("string", "expansion_size", "containing_regions"), *report.charts]
     return doc, rows, False
 
 
@@ -286,12 +325,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         # one clock for the whole subcommand, started before the problem is built
-        defaults = Budget.default()
-        budget = Budget(
-            max_strings=defaults.max_strings if ns.budget_strings is None
-            else ns.budget_strings,
-            max_seconds=defaults.max_seconds if ns.budget_seconds is None
-            else ns.budget_seconds).start(ns.command)
+        budget = Budget(ns.budget_strings, ns.budget_seconds).start(ns.command)
         problem = _resolve_problem(ns.problem, ns.args)
         doc, rows, violation = HANDLERS[ns.command](ns, problem, budget)
         _emit(doc, rows, ns)

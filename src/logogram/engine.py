@@ -411,20 +411,6 @@ class IndependenceReport(NamedTuple):
     counterexample: dict | None = None
     separators: tuple[tuple[str, str], ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "kind": self.kind,
-            "verdict": "pass" if self.passed else "fail",
-            "strings_checked": self.strings_checked,
-            "pairs_checked": self.pairs_checked,
-            "budget_exhausted": self.budget_exhausted,
-        }
-        if self.counterexample is not None:
-            doc["counterexample"] = self.counterexample
-        if self.separators is not None:
-            doc["separators"] = {s: w for s, w in self.separators}
-        return doc
-
 
 def _first_entailment(pair_list: Sequence[Pairs], slc: Slice,
                       meter: Meter) -> tuple[int, tuple[int, int] | None]:
@@ -583,20 +569,6 @@ class GaloisReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slice": self.slice_label,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "verdict": "pass" if self.passed else "fail",
-            "checks": [
-                {"eq": c.law, "samples": c.samples,
-                 "verdict": "pass" if c.passed else "fail",
-                 **({"counterexample": c.counterexample} if c.counterexample else {})}
-                for c in self.checks
-            ],
-        }
 
 
 def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,

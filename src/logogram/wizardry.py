@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .budget import Budget
+from .budget import _CLOCK_STRIDE, Budget
 from .engine import _expansion, _text
 from .universe import set_bits
 
@@ -49,18 +49,6 @@ class ClassifiedLogogram(NamedTuple):
     @property
     def witnesses(self) -> tuple[ClassifiedString, ...]:
         return tuple(e for e in self.entries if not e.is_wizard)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem_label,
-            "logogram_size": len(self.entries),
-            "wizards": [e.string for e in self.wizards],
-            "witnesses": [{"string": e.string, "regions": list(e.witness_regions)}
-                          for e in self.witnesses],
-        }
-
-
-_CLOCK_STRIDE = 256  # cylinders or regions built between clock reads
 
 
 def _charts(problem, budget: Budget | None, label: str):
@@ -159,21 +147,6 @@ class CoverReport(NamedTuple):
     def fewer_charts_than_regions(self) -> bool:
         """The cover is smaller than the solution list."""
         return self.total_charts < self.region_count
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem_label,
-            "total_charts": self.total_charts,
-            "region_count": self.region_count,
-            "flags": {
-                "multiple_containing_regions": self.multiple_containing_regions,
-                "fewer_charts_than_regions": self.fewer_charts_than_regions,
-            },
-            "cover": [c._asdict() for c in self.charts],
-        }
-
-    def rows(self) -> list[tuple]:
-        return list(self.charts)
 
 
 def cover(problem, budget: Budget | None = None) -> CoverReport:

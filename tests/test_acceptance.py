@@ -161,7 +161,7 @@ def test_criterion_galois_laws():
         for slc in slices:
             assert len(slc.alphabet) ** slc.length <= 81
             report = verify_galois(slc, sample_count=1000, seed=20240601)
-            assert report.passed, report.to_json_dict()
+            assert report.passed, report
             assert all(c.samples >= 1000 for c in report.checks)
             assert all(c.counterexample is None for c in report.checks)
         elapsed = time.monotonic() - started

@@ -64,11 +64,9 @@ class TestLogogramCommand:
         _, doc = run_json(capsys, "logogram", "composite", "4")
         assert "111_" in doc["strings"]
 
-    def test_connectivity_6_within_default_budget(self, capsys, monkeypatch):
+    def test_connectivity_6_within_default_budget(self, capsys):
         # 2^15 words and 1,296 minimal strings, far inside the default budget
         from logogram import connectivity_problem
-        monkeypatch.delenv("LOGOGRAM_BUDGET_STRINGS", raising=False)
-        monkeypatch.delenv("LOGOGRAM_BUDGET_SECONDS", raising=False)
         connectivity_problem.cache_clear()
         try:
             code, doc = run_json(capsys, "logogram", "connectivity", "6")
@@ -138,11 +136,9 @@ class TestIndependenceCommand:
         assert code == 3
         assert report["internal"]["verdict"] == "fail"
 
-    def test_default_budget_sat_3x2_is_count_bound(self, capsys, monkeypatch):
+    def test_default_budget_sat_3x2_is_count_bound(self, capsys):
         # the internal check ends on the string count (2,236 strings, all
         # ordered pairs), well inside the default clock
-        monkeypatch.delenv("LOGOGRAM_BUDGET_STRINGS", raising=False)
-        monkeypatch.delenv("LOGOGRAM_BUDGET_SECONDS", raising=False)
         start = time.perf_counter()
         code, doc = run_json(capsys, "independence", "sat", "3", "2")
         elapsed = time.perf_counter() - start
@@ -519,6 +515,31 @@ class TestGoldens:
         assert out.encode() == path.read_bytes()
 
 
+REPORTS = Path(__file__).resolve().parent / "reports"
+
+# the CSV and text reports recorded in tests/reports, by analysis and exit code
+REPORT_CASES = {
+    "wizards composite 5": 0,
+    "independence sat 2 2": 0,
+    "irreducible composite 6": 3,
+    "galois sat 2 2 --samples 50": 0,
+    "kernel sat 2 2": 0,
+    "cover sat 3 1": 0,
+    "logogram composite 4 --regions": 0,
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("fmt,suffix", [("csv", "csv"), ("text", "txt")])
+    @pytest.mark.parametrize("argv,expected", list(REPORT_CASES.items()), ids=list(REPORT_CASES))
+    def test_report_matches_recording(self, capsys, argv, expected, fmt, suffix):
+        # every subcommand's csv rows and text lines, byte for byte
+        path = REPORTS / ("_".join(a.lstrip("-") for a in argv.split()) + "." + suffix)
+        code, out, err = run(capsys, *argv.split(), "--format", fmt)
+        assert code == expected, err
+        assert out.encode() == path.read_bytes()
+
+
 class TestStringsOnlyAtTheEdge:
     # reports hold the texts they print, rendered from (position, letter
     # index) pairs: no analysis builds a PartialString on the way
@@ -702,10 +723,3 @@ class TestContract:
         connectivity_problem.cache_clear()
         assert code in (0, 2), err
         assert elapsed < 10
-
-    def test_env_budget_default(self, capsys, monkeypatch):
-        from logogram import sat_problem
-        sat_problem.cache_clear()
-        monkeypatch.setenv("LOGOGRAM_BUDGET_STRINGS", "2")
-        code, _, _ = run(capsys, "logogram", "sat", "2", "2")
-        assert code == 2

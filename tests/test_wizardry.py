@@ -1,5 +1,7 @@
 """Witness/wizard classification and the cover table."""
 
+import json
+
 import pytest
 
 import logogram.budget
@@ -10,6 +12,7 @@ from logogram import (
     composite_problem, connectivity_problem, cover, expand, generic_problem,
     in_logogram, reduced_logogram, sat_problem, witness_union_complete,
 )
+from logogram.cli import main
 
 SINGLE_REGION = {
     "alphabet": ["0", "1"], "length": 2, "universe": "all",
@@ -52,8 +55,9 @@ class TestClassify:
         assert [e.string for e in report.entries] == ["11_", "1_1", "_11"]
         assert report.wizards == ()
 
-    def test_json_shape(self):
-        doc = classify(composite_problem(4)).to_json_dict()
+    def test_json_shape(self, capsys):
+        assert main(["wizards", "composite", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["logogram_size"] == 4
         assert set(doc) == {"problem", "logogram_size", "wizards", "witnesses"}
         assert all(set(w) == {"string", "regions"} for w in doc["witnesses"])
@@ -150,9 +154,10 @@ class TestCover:
                         problem.slice.mask_of_words(expand([s], problem.slice)))) <= region]
                 assert charts_inside
 
-    def test_rows_for_csv(self):
-        rows = cover(sat_problem(1, 1)).rows()
-        assert rows == [("1", 1, 1), ("2", 1, 1)]
+    def test_rows_for_csv(self, capsys):
+        assert main(["cover", "sat", "1", "1", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows == ["1,1,1", "2,1,1"]
 
 
 def _doc(label, alphabet, length, in_universe, in_regions):
@@ -325,6 +330,6 @@ class TestRegionTestBudget:
     @pytest.mark.parametrize("run", [classify, cover])
     def test_report_unchanged_while_time_remains(self, monkeypatch, run):
         problem = composite_problem(6)
-        expected = run(problem).to_json_dict()
+        expected = run(problem)
         monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
-        assert run(problem, Budget(max_seconds=1e6)).to_json_dict() == expected
+        assert run(problem, Budget(max_seconds=1e6)) == expected
