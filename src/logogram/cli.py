@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_problem(kind: str, args: list[str]):
     def ints(count: int) -> list[int]:
-        if len(args) != count or not all(a.lstrip("-").isdigit() for a in args):
+        if len(args) != count or not all(a.lstrip("-").isdecimal() for a in args):
             raise ValueError(f"{kind} expects {count} integer argument(s), got {args!r}")
         return [int(a) for a in args]
 
@@ -287,14 +287,22 @@ def _render_text(doc: dict, indent: str = "") -> str:
             lines.append(_render_text(value, indent + "  "))
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{indent}{key}:")
-            for item in value:
-                cells = " ".join(f"{k}={v}" for k, v in item.items())
+            for item in value:  # a dict the document holds already (a slice) is left out
+                cells = " ".join(_cell(k, v) for k, v in item.items()
+                                 if not (isinstance(v, dict) and doc.get(k) == v))
                 lines.append(f"{indent}  - {cells}")
         elif isinstance(value, list):
             lines.append(f"{indent}{key}: " + " ".join(map(str, value)))
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(lines)
+
+
+def _cell(key: str, value) -> str:
+    """A list item's cell: a nested list comma-joined, a nested dict one dotted cell per key."""
+    if isinstance(value, dict):
+        return " ".join(_cell(f"{key}.{k}", v) for k, v in value.items())
+    return f"{key}=" + (",".join(map(str, value)) if isinstance(value, list) else str(value))
 
 
 def _emit(doc: dict, rows: list[tuple], ns) -> None:

@@ -11,11 +11,11 @@ also decides entanglement between string sets, exposes the
 expansion/logogram closure pair, and checks the three independence notions
 a decision problem may enjoy.
 
-Word sets are bitmasks over the slice (see :mod:`logogram.universe`): a
-cofactor is a shift and an AND, and entanglement, expansions,
-irreducibility, the independence checks and the closure laws are unions
-and differences of cylinders, not scans of completions. Strings are
-(position, letter index) pairs, kept by :class:`Antichain` up to the report.
+Word sets are bitmasks over the slice (see :mod:`logogram.universe`), so
+entanglement, expansions, irreducibility, the independence checks and the
+closure laws are unions and differences of cylinders, not scans of
+completions. Strings are (position, letter index) pairs, kept by
+:class:`Antichain` up to the report.
 
 Everything here is exhaustive over one slice: correctness comes from
 enumeration, and budgets keep the enumeration honest about its limits.
@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError, Meter
 from .strings import BLANK, Alphabet, PartialString
-from .universe import Pairs, Slice, expand_mask, letter_row, member_rows, members_inside, set_bits
+from .universe import Pairs, Slice, expand_mask, letter_row, lowest, member_rows, members_inside
 
 
 class Antichain(NamedTuple):
@@ -56,7 +56,7 @@ class Antichain(NamedTuple):
         for i, f in enumerate(members):
             below = members_inside(rows, letter_row(f, k, length)) ^ 1 << i  # f itself
             if below:
-                g = members[(below & -below).bit_length() - 1]
+                g = members[lowest(below)]
                 raise ValueError(
                     f"not an antichain: {given[g]!r} and {given[f]!r} are comparable")
         return cls(members, alphabet)
@@ -138,7 +138,7 @@ def _target_mask(target_words, slc: Slice) -> int:
     mask = slc.mask_of_words(target_words)
     outside = mask & ~slc.e_mask()
     if outside:
-        stray = slc.text_of_int(next(set_bits(outside)))
+        stray = slc.text_of_int(lowest(outside))
         raise ValueError(f"target word {stray!r} is outside the slice")
     return mask
 
@@ -165,8 +165,6 @@ def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
     the minimal tails over positions p..L for the words ``on`` and ``off``
     of the tail space: a tail is a member when its cylinder meets ``on``
     and misses ``off``, and minimal when every restriction meets ``off``.
-    Position p is the most significant digit of a packed tail, so the
-    cofactor of a mask on p = d is one run of k^(L-p) bits.
 
     - The tails blank at p are the minimal tails of the cofactors ORed over
       the letters of p.
@@ -186,8 +184,7 @@ def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
     budget error the frontier's ``live_count`` counts the whole memo.
     """
     meter = meter or Budget.default().start("reduced logogram")
-    k = len(slc.alphabet)
-    masks = slc.position_masks()
+    masks, cofactors = slc.position_masks(), slc.cofactors
     if memo is None:
         memo = {}
     found: list[Pairs] = []
@@ -207,15 +204,12 @@ def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
             return known
         meter.charge()
         deepest = max(deepest, p)
-        run = slc._word_weights[p - 1]
-        low = (1 << run) - 1
-        ons = [on >> d * run & low for d in range(k)]
-        offs = [off >> d * run & low for d in range(k)]
+        ons, offs = cofactors(on, p), cofactors(off, p)
         off_any = reduce(or_, offs)
         out = found if p == 1 else []  # top-level members are final at once
         out.extend(rl(p + 1, reduce(or_, ons), off_any))
-        for d in range(k):
-            for t in rl(p + 1, ons[d], offs[d]):
+        for d, (on_d, off_d) in enumerate(zip(ons, offs)):
+            for t in rl(p + 1, on_d, off_d):
                 meets = off_any
                 for q, e in t:
                     meets &= masks[q - 1][e]
@@ -291,12 +285,7 @@ def _closure_mask(on: int, slc: Slice, budget: Budget | None) -> int:
     """The words of the slice extending a member of the target's reduced
     logogram."""
     meter = (budget or Budget.default()).start("closure")
-    return _expansion(_minimal_pairs(on, slc, meter), slc)
-
-
-def _expansion(strings: Iterable[Pairs], slc: Slice) -> int:
-    """The union of the cylinders of strings given as pairs."""
-    return reduce(or_, map(slc.cylinder, strings), 0)
+    return slc.expansion(_minimal_pairs(on, slc, meter))
 
 
 def closure_ab_contains(string: PartialString, strings, slc: Slice) -> bool:
@@ -330,7 +319,7 @@ def is_complete(strings, problem, budget: Budget | None = None) -> bool:
     texts, and must be a subset of the problem's reduced logogram.
     """
     chosen = _chosen(strings, problem.logogram(budget), problem.slice)
-    return _expansion(chosen, problem.slice) == problem.f_mask()
+    return problem.slice.expansion(chosen) == problem.f_mask()
 
 
 def _chosen(strings, log: Antichain, slc: Slice) -> list[Pairs]:
@@ -393,7 +382,7 @@ def _unique_coverage(members: Sequence[Pairs], slc: Slice,
         unique = slc.cylinder(x) & single
         text = _text(x, slc.length, slc.alphabet.letters)
         if unique:
-            witnesses[text] = slc.text_of_int((unique & -unique).bit_length() - 1)
+            witnesses[text] = slc.text_of_int(lowest(unique))
         else:
             removable.append(text)
     return once, removable, witnesses
@@ -431,22 +420,19 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice,
     forced at p is that of the lowest word of f's cylinder.
     """
     n = len(pair_list)
-    k = len(slc.alphabet)
-    masks, weights = slc.position_masks(), slc._word_weights
+    k, masks = len(slc.alphabet), slc.position_masks()
     rows = member_rows(pair_list, k, slc.length)
     for i, f in enumerate(pair_list):
         meter.check(lambda: f"after {i * (n - 1)} pairs")
         cyl = slc.cylinder(f)
-        low = (cyl & -cyl).bit_length() - 1
         forced = [k] * slc.length
-        for p in range(slc.length):
-            d = low // weights[p] % k
+        for p, d in enumerate(slc.letters_of(lowest(cyl))):
             if cyl & masks[p][d] == cyl:
                 forced[p] = d
         entailed = members_inside(rows, forced)
         bad = entailed & ~members_inside(rows, letter_row(f, k, slc.length))
         if bad:
-            j = (bad & -bad).bit_length() - 1
+            j = lowest(bad)
             return i * (n - 1) + j + (j < i), (i, j)
     return n * (n - 1), None
 
@@ -596,7 +582,6 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
     e_ints = slc.word_ints()
     e = slc.e_mask()
     k = len(slc.alphabet)
-    positions = range(1, slc.length + 1)
 
     memo: dict[tuple[int, int, int], list[Pairs]] = {}
 
@@ -624,39 +609,38 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         H = []
         for _ in range(rng.randint(1, 3)):
             w = rng.choice(e_ints)
-            H.append(tuple((p, slc.letter_index(w, p)) for p in positions
+            H.append(tuple((p, d) for p, d in enumerate(slc.letters_of(w), 1)
                            if rng.random() < 0.5))
         # random extensions of random members: entangled with H by construction
         K = []
         for _ in range(rng.randint(1, 3)):
             base = rng.choice(H)
-            cyl = slc.cylinder(base)
-            w = (cyl & -cyl).bit_length() - 1  # first word of the slice extending base
             fixed = dict(base)
-            for p in positions:
+            # letters from the first word of the slice extending base
+            for p, d in enumerate(slc.letters_of(lowest(slc.cylinder(base))), 1):
                 if rng.random() < 0.3:
-                    fixed.setdefault(p, slc.letter_index(w, p))
+                    fixed.setdefault(p, d)
             K.append(tuple(sorted(fixed.items())))
         B = sorted(rng.sample(e_ints, rng.randint(0, len(e_ints))))
         A = [w for w in B if rng.random() < 0.6]
 
         # K extends members of H, so it forces H: its expansion lies inside H's
-        exp_h = _expansion(H, slc)
-        exp_k = _expansion(K, slc)
+        exp_h = slc.expansion(H)
+        exp_k = slc.expansion(K)
         record("antitone-expansion", not exp_k & ~exp_h, H=H, K=K)
 
         # nested targets have nested logograms, hence entangled logograms
         a_mask, b_mask = slc.mask_of_ints(A), slc.mask_of_ints(B)
         min_a, min_b = minimal(a_mask), minimal(b_mask)
         off_b = e & ~b_mask
-        closure_a = reduce(or_, map(slc.cylinder, min_a), 0)
+        closure_a = slc.expansion(min_a)
         ok = all(_log_probe(slc.cylinder(g), off_b) for g in min_a) \
-            and not closure_a & ~_expansion(min_b, slc)
+            and not closure_a & ~slc.expansion(min_b)
         record("antitone-logogram", ok, A=A, B=B)
 
         # the logogram of the expansion of H is forced back onto H
         min_exp_h = minimal(exp_h)
-        exp_min_exp_h = _expansion(min_exp_h, slc)
+        exp_min_exp_h = slc.expansion(min_exp_h)
         record("string-closure-covered", not exp_min_exp_h & ~exp_h, H=H)
 
         # a target is contained in its closure

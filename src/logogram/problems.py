@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 from .budget import Budget
 from .engine import Antichain, reduced_logogram_of_mask
 from .strings import BINARY, TERNARY, Alphabet, FormatError, PartialString, _immutable
-from .universe import Slice, full_slice, repeat_bits, set_bits
+from .universe import Slice, full_slice, lowest, repeat_bits
 
 
 class ProblemFormatError(ValueError):
@@ -190,15 +190,11 @@ def sat_problem(var_count: int, clause_count: int) -> ProblemSlice:
 
     # an assignment satisfies a formula when every clause holds a literal
     # it makes true: slot (c, v) coded 1 with x_v true, or 2 with x_v false
-    masks = slc.position_masks()
-
     def region(bits: tuple[bool, ...]) -> int:
         out = slc.e_mask()
         for c in range(1, m + 1):
-            clause = 0
-            for v in range(1, n + 1):
-                clause |= masks[shape.position(c, v) - 1][1 if bits[v - 1] else 2]
-            out &= clause
+            out &= slc.expansion(((shape.position(c, v), 1 if bits[v - 1] else 2),)
+                                 for v in range(1, n + 1))
         return out
 
     return ProblemSlice(slc, solutions, map(region, solutions), label=f"sat:{n}x{m}",
@@ -349,25 +345,16 @@ def connectivity_problem(vertices: int) -> ProblemSlice:
     trees = tuple(combo for combo in combinations(range(len(edges)), vertices - 1)
                   if reaches_all(combo))
 
-    absent, present = zip(*slc.position_masks())
-
     # a graph is disconnected when some vertex set S holding vertex 1 but
     # not every vertex has no edge leaving it: the target is the slice
-    # minus the OR over such S (bit v - 1 for vertex v) of the AND of the
-    # absent masks of the edges crossing S
-    disconnected = 0
-    for s in range(1, (1 << vertices) - 1, 2):
-        cut = slc.e_mask()
-        for e, (a, b) in enumerate(edges):
-            if (s >> (a - 1) ^ s >> (b - 1)) & 1:
-                cut &= absent[e]
-        disconnected |= cut
+    # minus the OR over such S (bit v - 1 for vertex v) of the cylinder of
+    # the edges crossing S, absent
+    disconnected = slc.expansion(
+        tuple((e + 1, 0) for e, (a, b) in enumerate(edges) if (s >> (a - 1) ^ s >> (b - 1)) & 1)
+        for s in range(1, (1 << vertices) - 1, 2))
 
     def region(tree: tuple[int, ...]) -> int:
-        out = slc.e_mask()
-        for e in tree:
-            out &= present[e]
-        return out
+        return slc.cylinder(tuple((e + 1, 1) for e in tree))
 
     def tree_text(tree: tuple[int, ...]) -> str:
         return "+".join(f"{edges[e][0]}-{edges[e][1]}" for e in tree)
@@ -435,7 +422,7 @@ def _generic_problem(doc: dict) -> ProblemSlice:
             raise ProblemFormatError(f"{what}: {exc}") from None
         outside = mask & ~slc.e_mask()
         if outside:
-            stray = slc.text_of_int(next(set_bits(outside)))
+            stray = slc.text_of_int(lowest(outside))
             raise ProblemFormatError(f"{what} word {stray!r} is outside the universe")
         return mask
 

@@ -18,11 +18,10 @@ walk runs a program across a slice, once per distinct probe trace on the
 lowest word not yet covered: :func:`kernel` folds it into the certifying
 strings and, when asked, streams it out as the trace dump, whose per-word
 records share one body across a cylinder. The walk's probe callback
-enforces the probe discipline and builds the trace while probing: it
-reads each letter from the packed word, ANDs the (position, letter) mask
-into the trace's cylinder and records the letter index per position, from
-which the certifying strings are one AND per position
-(:func:`logogram.universe.member_rows`).
+enforces the probe discipline and builds the trace while probing: it ANDs
+the (position, letter) mask into the trace's cylinder and records the
+letter index per position, from which the certifying strings are one AND
+per position (:func:`logogram.universe.member_rows`).
 
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
@@ -37,7 +36,7 @@ from typing import Callable, Iterator, NamedTuple, TextIO
 from .budget import Budget, Meter
 from .engine import Antichain
 from .strings import PartialString
-from .universe import member_rows, members_inside, set_bits
+from .universe import lowest, member_rows, members_inside, set_bits
 
 
 class Verdict(str, Enum):
@@ -115,13 +114,14 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
     slc, f = problem.slice, problem.f_mask()
     name, length, decide = program.name, slc.length, program.decide
     letters = slc.alphabet.letters
-    k, weights, masks, e = len(letters), slc._word_weights, slc.position_masks(), slc.e_mask()
+    k, masks, e = len(letters), slc.position_masks(), slc.e_mask()
     rows = member_rows(log.pairs, k, length)
     uncovered = e
     while uncovered:
-        i = (uncovered & -uncovered).bit_length() - 1
+        i = lowest(uncovered)
         if meter is not None:
             meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
+        digits = slc.letters_of(i)
         order: list[int] = []
         index = [k] * length
         cyl = e
@@ -134,7 +134,7 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
             p = position - 1
             if index[p] != k:
                 raise MalformedProgramError(f"{name}: position {position} probed twice")
-            d = index[p] = i // weights[p] % k
+            d = index[p] = digits[p]
             cyl &= masks[p][d]
             order.append(position)
             return letters[d]

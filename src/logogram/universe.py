@@ -14,14 +14,19 @@ per-position masks. Word lists from outside enter through one packer,
 :meth:`Slice.mask_of_words`; word tuples are decoded from a mask only
 where a caller lists words.
 
-It owns the bitset helpers the layers share: :func:`repeat_bits` builds
-periodic masks, :func:`set_bits` walks a mask's set bits, and
-:func:`member_rows`, :func:`letter_row` and :func:`members_inside` find
-the members of a list of strings that a restriction includes.
+It is the one place that layout lives: other layers decode a packed word
+with :meth:`Slice.letters_of`, split a mask with :meth:`Slice.cofactors`,
+build cylinders and their unions from :meth:`Slice.position_masks` and
+scan masks with :func:`lowest` and :func:`set_bits`. :func:`member_rows`,
+:func:`letter_row` and :func:`members_inside` find the members of a list
+of strings that a restriction includes.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .strings import Alphabet, FormatError, PartialString
@@ -61,7 +66,9 @@ class Slice:
         self.length = length
         self.label = label or f"{''.join(alphabet)}^{length}"
         self._word_weights = tuple(k ** (length - p) for p in range(1, length + 1))
+        self._splits = tuple(((1 << w) - 1, range(0, k * w, w)) for w in self._word_weights)
         self._position_masks: tuple[tuple[int, ...], ...] | None = None
+        self._halves: tuple | None = None
         self.is_full = membership == "all"
         if self.is_full:
             self._e_mask = (1 << self.total_words) - 1
@@ -79,18 +86,19 @@ class Slice:
     def word_of_int(self, value: int) -> PartialString:
         return PartialString(tuple(enumerate(self.text_of_int(value), 1)))
 
-    def letter_index(self, value: int, position: int) -> int:
-        """The letter index at ``position`` of the packed word ``value``."""
-        return value // self._word_weights[position - 1] % len(self.alphabet)
+    def letters_of(self, value: int) -> tuple[int, ...]:
+        """The letter index per position of the packed word ``value``, joined from
+        lazy tables of the first ceil(L/2) and last floor(L/2) positions' letters."""
+        if self._halves is None:
+            k, tail = len(self.alphabet), self.length // 2
+            self._halves = (k ** tail, tuple(product(range(k), repeat=self.length - tail)),
+                            tuple(product(range(k), repeat=tail)))
+        base, heads, tails = self._halves
+        head, tail = divmod(value, base)
+        return heads[head] + tails[tail]
 
     def text_of_int(self, value: int) -> str:
-        letters = self.alphabet.letters
-        k = len(letters)
-        cells = []
-        for _ in range(self.length):
-            value, d = divmod(value, k)
-            cells.append(letters[d])
-        return "".join(reversed(cells))
+        return "".join(map(self.alphabet.letters.__getitem__, self.letters_of(value)))
 
     def mask_of_words(self, words: Iterable) -> int:
         """Words from outside the slice as a mask over the cube: texts,
@@ -166,11 +174,21 @@ class Slice:
 
     def cylinder(self, pairs: Pairs) -> int:
         """The words of the slice extending the given pairs, as a mask."""
-        masks = self.position_masks()
-        out = self.e_mask()
+        masks, out = self.position_masks(), self._e_mask
         for p, d in pairs:
             out &= masks[p - 1][d]
         return out
+
+    def expansion(self, strings: Iterable[Pairs]) -> int:
+        """The union of the cylinders of strings given as pairs."""
+        return reduce(or_, map(self.cylinder, strings), 0)
+
+    def cofactors(self, mask: int, p: int) -> list[int]:
+        """The cofactors on p = 0..k-1 of a mask over positions p..L, each
+        over p + 1..L: p is a packed tail's most significant digit, so they
+        are its k runs of k^(L-p) bits."""
+        low, shifts = self._splits[p - 1]
+        return [mask >> shift & low for shift in shifts]
 
     # -- partial strings against this slice ------------------------------
 
@@ -218,10 +236,7 @@ def expand_mask(strings: Iterable[PartialString], slc: Slice) -> int:
     """The words of the slice that extend at least one of the strings, as a
     mask: the union of their cylinders. Strings that cannot occur in the
     slice contribute nothing."""
-    out = 0
-    for s in strings:
-        out |= slc.cylinder_of(s)
-    return out
+    return slc.expansion(x for x in map(slc.pairs_of, strings) if x is not None)
 
 
 def expand(strings: Iterable[PartialString], slc: Slice) -> tuple[PartialString, ...]:
@@ -241,6 +256,11 @@ def repeat_bits(pattern: int, span: int, n: int) -> int:
         pattern |= pattern << span
         span *= 2
     return pattern
+
+
+def lowest(mask: int) -> int:
+    """The index of the lowest set bit of a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
 
 
 def set_bits(mask: int) -> Iterator[int]:

@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .budget import _CLOCK_STRIDE, Budget
-from .engine import _expansion, _text
-from .universe import set_bits
+from .engine import _text
+from .universe import lowest, set_bits
 
 
 class ClassifiedString(NamedTuple):
@@ -91,7 +91,7 @@ def _charts(problem, budget: Budget | None, label: str):
     for n, x in enumerate(log.pairs):
         meter.check(done)
         cyl = slc.cylinder(x)
-        regions = holding.get((cyl & -cyl).bit_length() - 1, ())
+        regions = holding.get(lowest(cyl), ())
         yield (_text(x, slc.length, log.alphabet.letters), cyl,
                tuple(i for i in regions if cyl & masks[i] == cyl))
 
@@ -119,7 +119,7 @@ def witness_union_complete(problem, budget: Budget | None = None) -> bool:
     meter = (budget or Budget.default()).start(f"witness union: {problem.label}")
     union = 0
     for log in problem.region_logograms(meter=meter):
-        union |= _expansion(log.pairs, problem.slice)
+        union |= problem.slice.expansion(log.pairs)
     return union == problem.f_mask()
 
 

@@ -539,6 +539,20 @@ class TestReportBytes:
         assert code == expected, err
         assert out.encode() == path.read_bytes()
 
+    def test_failing_law_evidence_prints_without_python_syntax(self, capsys, monkeypatch):
+        # a failing law's evidence is a dict of word lists inside a list
+        # item: one dotted cell per key, each list comma-joined
+        from logogram import Slice
+        expansion = Slice.expansion
+        monkeypatch.setattr(Slice, "expansion",
+                            lambda slc, strings: expansion(slc, list(strings)[:1]))
+        code, out, err = run(capsys, "galois", "sat", "1", "2", "--samples", "20",
+                             "--format", "text")
+        assert code == 3, err
+        assert ("  - eq=antitone-expansion samples=20 verdict=fail "
+                "counterexample.H=0_,12,2_ counterexample.K=2_\n") in out
+        assert not set("[{'") & set(out)
+
 
 class TestStringsOnlyAtTheEdge:
     # reports hold the texts they print, rendered from (position, letter
@@ -636,6 +650,13 @@ class TestContract:
         code, out, err = run(capsys, "logogram", "generic", "a.json", "b.json")
         assert code == 1 and out == ""
         assert "generic expects one descriptor path" in err
+
+    @pytest.mark.parametrize("args", [("sat", "²", "2"), ("composite", "¹")])
+    def test_integer_arguments_are_decimal_digits(self, capsys, args):
+        # "²".isdigit() holds, but int("²") raises
+        code, out, err = run(capsys, "logogram", *args)
+        assert code == 1 and out == ""
+        assert "integer argument(s)" in err
 
     @pytest.mark.parametrize("command", ["logogram", "wizards", "independence",
                                          "irreducible", "kernel", "cover"])

@@ -66,6 +66,20 @@ class TestOneNamePerJob:
         assert set(logogram.__all__) - referenced - exempt == set()
 
 
+class TestOneOwnerForTheWordLayout:
+    def test_only_universe_decodes_packed_words(self):
+        # how words pack into ints and word sets into masks is universe's
+        # decision: the other layers call its primitives (letters_of,
+        # cofactors, expansion, lowest) and never do the arithmetic
+        layout = {"_word_weights", "bit_length", "letter_index"}
+        for path in (SRC / "logogram").glob("*.py"):
+            if path.name == "universe.py":
+                continue
+            used = {getattr(node, "attr", getattr(node, "id", None))
+                    for node in ast.walk(ast.parse(path.read_text(), str(path)))} & layout
+            assert not used, f"{path.name} uses {sorted(used)}"
+
+
 def modules_after(code: str) -> set[str]:
     """The modules loaded by ``code`` in a fresh interpreter without site
     packages, with the checkout's ``src`` first on the path."""

@@ -189,9 +189,10 @@ class TestCylinder:
             assert {i for i in range(slc.total_words) if mask >> i & 1} == direct
 
 
-class TestCylinderOfAndLetterIndex:
-    """``Slice.cylinder_of`` against ``cylinder(pairs_of(...))`` and
-    ``letter_index`` against ``word_of_int`` on random slices."""
+class TestCylinderOfAndLettersOf:
+    """``Slice.cylinder_of`` against ``cylinder(pairs_of(...))`` on random
+    slices, and the decoding and splitting of packed words against counting
+    order over the letter indices."""
 
     @staticmethod
     def random_slices(rng):
@@ -225,13 +226,33 @@ class TestCylinderOfAndLetterIndex:
         assert slc.cylinder_of(PartialString.of({1: "2"})) == 0
         assert slc.cylinder_of(VOID) == slc.e_mask()
 
-    def test_letter_index_matches_word_of_int(self):
+    @staticmethod
+    def cubes():
+        # k = 1..3, odd and even L, L = 1 among them
+        return [full_slice(alphabet, length) for alphabet in (Alphabet.of("a"), BINARY, TERNARY)
+                for length in range(1, 6)]
+
+    def test_letters_of_matches_counting_order(self):
         rng = random.Random(42)
-        for slc in self.random_slices(rng):
-            for i in range(slc.total_words):
-                word = slc.word_of_int(i)
-                assert [slc.letter_index(i, p) for p in range(1, slc.length + 1)] == [
-                    slc.alphabet.index(word.get(p)) for p in range(1, slc.length + 1)]
+        for slc in [*self.random_slices(rng), *self.cubes()]:
+            k, letters = len(slc.alphabet), slc.alphabet.letters
+            for i, digits in enumerate(product(range(k), repeat=slc.length)):
+                assert slc.letters_of(i) == digits
+                assert slc.text_of_int(i) == "".join(letters[d] for d in digits)
+                assert slc.word_of_int(i) == PartialString(tuple(enumerate(slc.text_of_int(i), 1)))
+
+    def test_cofactors_match_direct_filter(self):
+        rng = random.Random(43)
+        for slc in self.cubes():
+            k, length = len(slc.alphabet), slc.length
+            for p in range(1, length + 1):
+                tails = list(product(range(k), repeat=length - p + 1))
+                rest = {t: j for j, t in enumerate(product(range(k), repeat=length - p))}
+                for _ in range(10):
+                    mask = rng.getrandbits(len(tails))
+                    direct = [sum(1 << rest[t[1:]] for j, t in enumerate(tails)
+                                  if t[0] == d and mask >> j & 1) for d in range(k)]
+                    assert slc.cofactors(mask, p) == direct
 
 
 class TestExpand:
