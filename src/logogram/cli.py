@@ -298,6 +298,14 @@ def _render_text(doc: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
+def _check_text_letters(letters) -> None:
+    """Refuse an alphabet the text form cannot show unambiguously: it
+    comma-joins nested lists and separates cells with spaces."""
+    for ch in letters:
+        if ch == "," or ch.isspace():
+            raise ValueError(f"--format text cannot show the letter {ch!r}; use json or csv")
+
+
 def _cell(key: str, value) -> str:
     """A list item's cell: a nested list comma-joined, a nested dict one dotted cell per key."""
     if isinstance(value, dict):
@@ -335,6 +343,8 @@ def main(argv=None) -> int:
         # one clock for the whole subcommand, started before the problem is built
         budget = Budget(ns.budget_strings, ns.budget_seconds).start(ns.command)
         problem = _resolve_problem(ns.problem, ns.args)
+        if ns.format == "text":
+            _check_text_letters(problem.slice.alphabet.letters)
         doc, rows, violation = HANDLERS[ns.command](ns, problem, budget)
         _emit(doc, rows, ns)
     except BudgetExceededError as err:

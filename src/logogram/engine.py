@@ -136,10 +136,9 @@ def _target_mask(target_words, slc: Slice) -> int:
     """A target word set (packed words, texts or words) as a mask, checking
     it lies in the slice."""
     mask = slc.mask_of_words(target_words)
-    outside = mask & ~slc.e_mask()
-    if outside:
-        stray = slc.text_of_int(lowest(outside))
-        raise ValueError(f"target word {stray!r} is outside the slice")
+    stray = slc.stray(mask)
+    if stray is not None:
+        raise ValueError(f"target word {slc.text_of_int(stray)!r} is outside the slice")
     return mask
 
 
@@ -149,7 +148,7 @@ def _target_mask(target_words, slc: Slice) -> int:
 def in_logogram(string: PartialString, target_words, slc: Slice) -> bool:
     """Does the presence of ``string`` in a word of the slice force
     membership in the target set?"""
-    off = slc.e_mask() & ~_target_mask(target_words, slc)
+    off = slc.complement(_target_mask(target_words, slc))
     return _log_probe(slc.cylinder_of(string), off)
 
 
@@ -173,18 +172,18 @@ def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
       letter, else t with p blank would be a member already. Since t misses
       the off cofactor of d, the test is against the OR of them all.
 
-    ``rl`` depends only on k, L and its arguments (the position masks are
-    the full cube's; the slice's words enter only through ``off``), so one
-    memo may serve every search over slices of one alphabet and length. The
-    search works in the caller's ``memo``, or in a fresh one freed on
-    return, and returns a copy of the top-level list, which is itself a
-    memo value. Each distinct (p, on, off) is solved and charged to the
-    meter once per memo, and callers running several searches pass one
-    meter too, so that their total work stays within one budget; on a
-    budget error the frontier's ``live_count`` counts the whole memo.
+    ``rl`` depends only on k, L and its arguments (:meth:`Slice.restrict`
+    reads the full cube's position masks; the slice's words enter only
+    through ``off``), so one memo may serve every search over slices of one
+    alphabet and length. The search works in the caller's ``memo``, or in a
+    fresh one freed on return, and returns a copy of the top-level list,
+    which is itself a memo value. Each distinct (p, on, off) is solved and
+    charged to the meter once per memo, and callers running several searches
+    pass one meter too, so that their total work stays within one budget; on
+    a budget error the frontier's ``live_count`` counts the whole memo.
     """
     meter = meter or Budget.default().start("reduced logogram")
-    masks, cofactors = slc.position_masks(), slc.cofactors
+    restrict, cofactors = slc.restrict, slc.cofactors
     if memo is None:
         memo = {}
     found: list[Pairs] = []
@@ -210,16 +209,13 @@ def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
         out.extend(rl(p + 1, reduce(or_, ons), off_any))
         for d, (on_d, off_d) in enumerate(zip(ons, offs)):
             for t in rl(p + 1, on_d, off_d):
-                meets = off_any
-                for q, e in t:
-                    meets &= masks[q - 1][e]
-                if meets:
+                if restrict(off_any, t):
                     out.append(((p, d),) + t)
         memo[key] = out
         return out
 
     try:
-        return list(rl(1, on, slc.e_mask() & ~on))
+        return list(rl(1, on, slc.complement(on)))
     except BudgetExceededError as err:
         err.partial = SearchFrontier(
             minimal_so_far=Antichain(_canonical(found), slc.alphabet),
@@ -242,8 +238,9 @@ def reduced_logogram_of_mask(on: int, slc: Slice, budget: Budget | None = None,
                              memo: dict | None = None) -> Antichain:
     """The reduced logogram of a target given as a mask of words of the
     slice (:meth:`Slice.mask_of_ints`), which the caller guarantees lies
-    inside :meth:`Slice.e_mask`. The search returns prime implicants,
-    pairwise incomparable by construction, so they are not checked again.
+    inside the slice (:meth:`Slice.stray` finds no word outside it). The
+    search returns prime implicants, pairwise incomparable by construction,
+    so they are not checked again.
     A ``memo`` shared by several calls is passed to :func:`_minimal_pairs`."""
     meter = meter or (budget or Budget.default()).start("reduced logogram")
     return Antichain(_canonical(_minimal_pairs(on, slc, meter, memo)), slc.alphabet)
@@ -291,7 +288,7 @@ def _closure_mask(on: int, slc: Slice, budget: Budget | None) -> int:
 def closure_ab_contains(string: PartialString, strings, slc: Slice) -> bool:
     """Is ``string`` in the closure of the string set ``strings``, i.e. in
     the logogram of their expansion?"""
-    off = slc.e_mask() & ~expand_mask(strings, slc)
+    off = slc.complement(expand_mask(strings, slc))
     return _log_probe(slc.cylinder_of(string), off)
 
 
@@ -416,20 +413,15 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice,
     strings f entails are the members of the list inside f's restriction of
     forced letters, and the strings f extends are the members inside f: each
     f costs one cylinder and a test per position, not a search for a
-    separating word per g. The strings all occur in the slice, so a letter
-    forced at p is that of the lowest word of f's cylinder.
+    separating word per g. The strings all occur in the slice, so f's
+    cylinder is not empty and :meth:`Slice.forced_row` reads its forced
+    letters.
     """
-    n = len(pair_list)
-    k, masks = len(slc.alphabet), slc.position_masks()
+    n, k = len(pair_list), len(slc.alphabet)
     rows = member_rows(pair_list, k, slc.length)
     for i, f in enumerate(pair_list):
         meter.check(lambda: f"after {i * (n - 1)} pairs")
-        cyl = slc.cylinder(f)
-        forced = [k] * slc.length
-        for p, d in enumerate(slc.letters_of(lowest(cyl))):
-            if cyl & masks[p][d] == cyl:
-                forced[p] = d
-        entailed = members_inside(rows, forced)
+        entailed = members_inside(rows, slc.forced_row(slc.cylinder(f)))
         bad = entailed & ~members_inside(rows, letter_row(f, k, slc.length))
         if bad:
             j = lowest(bad)
@@ -474,7 +466,6 @@ def _sigma_pairs(slc: Slice, cap: int) -> tuple[list[Pairs], bool]:
     """
     k = len(slc.alphabet)
     L = slc.length
-    masks = slc.position_masks()
     out: list[Pairs] = []
 
     def walk(pairs: Pairs, cyl: int, start: int, left: int) -> bool:
@@ -485,14 +476,14 @@ def _sigma_pairs(slc: Slice, cap: int) -> tuple[list[Pairs], bool]:
             return len(out) > cap
         for p in range(start, L - left + 2):
             for d in range(k):
-                sub = cyl & masks[p - 1][d]
+                sub = slc.restrict(cyl, ((p, d),))
                 if sub and walk(pairs + ((p, d),), sub, p + 1, left - 1):
                     return True
         return False
 
     for size in range(L + 1):
         before = len(out)
-        if walk((), slc.e_mask(), 1, size) or len(out) == before:
+        if walk((), slc.cylinder(()), 1, size) or len(out) == before:
             break
     return out[:cap], len(out) <= cap
 
@@ -580,7 +571,6 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
     meter = (budget or Budget.default()).start("galois suite")
     rng = random.Random(seed)
     e_ints = slc.word_ints()
-    e = slc.e_mask()
     k = len(slc.alphabet)
 
     memo: dict[tuple[int, int, int], list[Pairs]] = {}
@@ -632,7 +622,7 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         # nested targets have nested logograms, hence entangled logograms
         a_mask, b_mask = slc.mask_of_ints(A), slc.mask_of_ints(B)
         min_a, min_b = minimal(a_mask), minimal(b_mask)
-        off_b = e & ~b_mask
+        off_b = slc.complement(b_mask)
         closure_a = slc.expansion(min_a)
         ok = all(_log_probe(slc.cylinder(g), off_b) for g in min_a) \
             and not closure_a & ~slc.expansion(min_b)

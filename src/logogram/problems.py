@@ -14,13 +14,13 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import isqrt
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Iterable
 
 from .budget import Budget
 from .engine import Antichain, reduced_logogram_of_mask
 from .strings import BINARY, TERNARY, Alphabet, FormatError, PartialString, _immutable
-from .universe import Slice, full_slice, lowest, repeat_bits
+from .universe import Slice, count, full_slice, repeat_bits
 
 
 class ProblemFormatError(ValueError):
@@ -59,14 +59,14 @@ class ProblemSlice:
         if target_mask is not None and target_mask != union:
             raise ProblemFormatError(
                 f"{label}: regions do not cover the target exactly "
-                f"({union.bit_count()} region words vs "
-                f"{target_mask.bit_count()} target words)")
-        if union & ~slc.e_mask():
+                f"({count(union)} region words vs "
+                f"{count(target_mask)} target words)")
+        if slc.stray(union) is not None:
             raise ProblemFormatError(f"{label}: regions hold words outside the slice")
         self._f_mask = union
         if not union:
             raise DegenerateProblemError(f"{label}: empty target set")
-        if union == slc.e_mask():
+        if not slc.complement(union):
             raise DegenerateProblemError(f"{label}: target set is the whole slice")
         self._logogram: Antichain | None = None
         self._region_logograms: tuple[Antichain, ...] | None = None
@@ -191,11 +191,10 @@ def sat_problem(var_count: int, clause_count: int) -> ProblemSlice:
     # an assignment satisfies a formula when every clause holds a literal
     # it makes true: slot (c, v) coded 1 with x_v true, or 2 with x_v false
     def region(bits: tuple[bool, ...]) -> int:
-        out = slc.e_mask()
-        for c in range(1, m + 1):
-            out &= slc.expansion(((shape.position(c, v), 1 if bits[v - 1] else 2),)
-                                 for v in range(1, n + 1))
-        return out
+        return reduce(and_, (
+            slc.expansion(((shape.position(c, v), 1 if bits[v - 1] else 2),)
+                          for v in range(1, n + 1))
+            for c in range(1, m + 1)))
 
     return ProblemSlice(slc, solutions, map(region, solutions), label=f"sat:{n}x{m}",
                         solution_text=_assignment_text, cnf_shape=shape)
@@ -360,7 +359,7 @@ def connectivity_problem(vertices: int) -> ProblemSlice:
         return "+".join(f"{edges[e][0]}-{edges[e][1]}" for e in tree)
 
     return ProblemSlice(slc, trees, map(region, trees), label=f"connectivity:{vertices}",
-                        target_mask=slc.e_mask() ^ disconnected, solution_text=tree_text)
+                        target_mask=slc.complement(disconnected), solution_text=tree_text)
 
 
 # -- table-driven problems ---------------------------------------------------
@@ -420,10 +419,10 @@ def _generic_problem(doc: dict) -> ProblemSlice:
             mask = slc.mask_of_words(_words(texts, what))
         except FormatError as exc:
             raise ProblemFormatError(f"{what}: {exc}") from None
-        outside = mask & ~slc.e_mask()
-        if outside:
-            stray = slc.text_of_int(lowest(outside))
-            raise ProblemFormatError(f"{what} word {stray!r} is outside the universe")
+        stray = slc.stray(mask)
+        if stray is not None:
+            raise ProblemFormatError(
+                f"{what} word {slc.text_of_int(stray)!r} is outside the universe")
         return mask
 
     target = words_of(doc["target"], "target")

@@ -18,10 +18,10 @@ walk runs a program across a slice, once per distinct probe trace on the
 lowest word not yet covered: :func:`kernel` folds it into the certifying
 strings and, when asked, streams it out as the trace dump, whose per-word
 records share one body across a cylinder. The walk's probe callback
-enforces the probe discipline and builds the trace while probing: it ANDs
-the (position, letter) mask into the trace's cylinder and records the
-letter index per position, from which the certifying strings are one AND
-per position (:func:`logogram.universe.member_rows`).
+enforces the probe discipline and records each probe's (position, letter
+index) pair and the letter index per position; once the program returns,
+the trace's cylinder is built from the pairs, and the certifying strings
+are one AND per position of the letters (:func:`logogram.universe.member_rows`).
 
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
@@ -36,7 +36,7 @@ from typing import Callable, Iterator, NamedTuple, TextIO
 from .budget import Budget, Meter
 from .engine import Antichain
 from .strings import PartialString
-from .universe import lowest, member_rows, members_inside, set_bits
+from .universe import holds, lowest, member_rows, members_inside, set_bits
 
 
 class Verdict(str, Enum):
@@ -97,7 +97,7 @@ def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
     """
     slc = problem.slice
     restriction = PartialString(trace.probes)
-    if not (slc.mask_of_words([word]) & slc.e_mask() and word >= restriction):
+    if slc.stray(slc.mask_of_words([word])) is not None or not word >= restriction:
         raise ValueError(f"{trace.probes!r} are not probes of a word of the slice: {word!r}")
     cyl = slc.cylinder(slc.pairs_of(restriction))
     return _justified(trace.verdict == Verdict.ACCEPT, cyl, problem.f_mask())
@@ -107,27 +107,25 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
     """The one loop that runs a program across the slice: once per distinct
     probe trace, on the lowest word not yet covered, which covers every word
     extending the trace's probed restriction. Yields per run the word, the
-    cylinder, the verdict, whether the restriction justifies it, the probed
-    positions, the letter indices (``k``, the alphabet size, marks a
-    position not probed) and, as bits, the members of ``log`` an accepting
-    restriction includes. Given a meter, it reads the clock before each run."""
+    cylinder, the verdict, whether the restriction justifies it, the probes
+    as (position, letter index) pairs in probe order and, as bits, the
+    members of ``log`` an accepting restriction includes. Given a meter, it
+    reads the clock before each run."""
     slc, f = problem.slice, problem.f_mask()
     name, length, decide = program.name, slc.length, program.decide
     letters = slc.alphabet.letters
-    k, masks, e = len(letters), slc.position_masks(), slc.e_mask()
+    k = len(letters)
     rows = member_rows(log.pairs, k, length)
-    uncovered = e
+    uncovered = slc.cylinder(())
     while uncovered:
         i = lowest(uncovered)
         if meter is not None:
             meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
         digits = slc.letters_of(i)
-        order: list[int] = []
-        index = [k] * length
-        cyl = e
+        pairs: list[tuple[int, int]] = []
+        index = [k] * length  # k marks a position not probed
 
         def probe(position: int) -> str:
-            nonlocal cyl
             if not isinstance(position, int) or not 1 <= position <= length:
                 raise MalformedProgramError(
                     f"{name}: probe outside positions 1..{length}: {position!r}")
@@ -135,13 +133,13 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
             if index[p] != k:
                 raise MalformedProgramError(f"{name}: position {position} probed twice")
             d = index[p] = digits[p]
-            cyl &= masks[p][d]
-            order.append(position)
+            pairs.append((position, d))
             return letters[d]
 
         accepted = bool(decide(probe))
+        cyl = slc.cylinder(pairs)
         uncovered &= ~cyl
-        yield (i, cyl, accepted, _justified(accepted, cyl, f), order, index,
+        yield (i, cyl, accepted, _justified(accepted, cyl, f), pairs,
                members_inside(rows, index) if accepted else 0)
 
 
@@ -166,12 +164,11 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
         nonlocal used
         for run in _walk(program, problem, log, meter if dump is None else None):
             i, _, accepted, just, *_, bits = run
-            if accepted != bool(f >> i & 1):
-                raise ProgramFaultError(slc.text_of_int(i),
-                                        f"{program.name} gave the wrong verdict")
+            # word i lies in its own cylinder, so a justified verdict is right
             if not just:
-                raise ProgramFaultError(slc.text_of_int(i), f"{program.name} was not "
-                                        f"justified in its {_VERDICTS[accepted].value}")
+                reason = ("gave the wrong verdict" if accepted != holds(f, i)
+                          else f"was not justified in its {_VERDICTS[accepted].value}")
+                raise ProgramFaultError(slc.text_of_int(i), f"{program.name} {reason}")
             used |= bits
             yield run
 
@@ -192,9 +189,9 @@ def _records(slc, texts: list[str], runs, meter: Meter) -> Iterator[dict]:
     for i in slc.word_ints():
         meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
         if i not in pending:  # the walk's next run is on the lowest word left
-            _, cyl, accepted, just, order, index, bits = next(runs)
+            _, cyl, accepted, just, pairs, bits = next(runs)
             pending.update(dict.fromkeys(set_bits(cyl), {
-                "probes": [[p, slc.alphabet.letters[index[p - 1]]] for p in order],
+                "probes": [[p, slc.alphabet.letters[d]] for p, d in pairs],
                 "verdict": _VERDICTS[accepted].value, "justified": just,
                 "certifying_strings": [texts[j] for j in set_bits(bits)]}))
         yield {"input": slc.text_of_int(i), **pending.pop(i)}

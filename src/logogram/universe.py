@@ -9,17 +9,32 @@ lexicographic order. A partial string restricted to a slice is a tuple of
 members in; :meth:`Slice.cylinder_of` takes strings from outside it. A set
 of words is held as a bitmask, bit i standing for packed word i, and this
 is the only form a word set takes: the slice's own membership is one mask,
-and the words extending a string (its cylinder) are that mask ANDed with
+E, and the words extending a string (its cylinder) are that mask ANDed with
 per-position masks. Word lists from outside enter through one packer,
 :meth:`Slice.mask_of_words`; word tuples are decoded from a mask only
 where a caller lists words.
 
-It is the one place that layout lives: other layers decode a packed word
-with :meth:`Slice.letters_of`, split a mask with :meth:`Slice.cofactors`,
-build cylinders and their unions from :meth:`Slice.position_masks` and
-scan masks with :func:`lowest` and :func:`set_bits`. :func:`member_rows`,
-:func:`letter_row` and :func:`members_inside` find the members of a list
-of strings that a restriction includes.
+It is the one place that layout lives, and the only module that reads E,
+the per-position masks or single bits of a mask. Other layers reach a word
+set through these primitives:
+
+- :meth:`Slice.letters_of` decodes a packed word and
+  :meth:`Slice.cofactors` splits a mask on one position;
+- :meth:`Slice.restrict` keeps the words of a mask that extend some pairs,
+  :meth:`Slice.cylinder` is that restriction of E, and
+  :meth:`Slice.expansion` the union of cylinders;
+- :meth:`Slice.complement` is a mask's complement within E, and
+  :meth:`Slice.stray` the lowest word of a mask outside E, for the caller
+  to name in its own error;
+- :meth:`Slice.forced_row` is the letter row a non-empty mask forces;
+- :func:`count`, :func:`holds`, :func:`lowest` and :func:`set_bits` count,
+  test and scan the words of a mask.
+
+``&``, ``|``, ``^`` and ``~`` between two word sets are the set algebra
+itself, so callers use them as they are: a method per operator would only
+rename it and add a call to the search's innermost loop.
+:func:`member_rows`, :func:`letter_row` and :func:`members_inside` find the
+members of a list of strings that a restriction includes.
 """
 
 from __future__ import annotations
@@ -69,9 +84,10 @@ class Slice:
         self._splits = tuple(((1 << w) - 1, range(0, k * w, w)) for w in self._word_weights)
         self._position_masks: tuple[tuple[int, ...], ...] | None = None
         self._halves: tuple | None = None
+        self._cube = (1 << self.total_words) - 1
         self.is_full = membership == "all"
         if self.is_full:
-            self._e_mask = (1 << self.total_words) - 1
+            self._e_mask = self._cube
         else:
             self._e_mask = self.mask_of_words(membership)
             if not self._e_mask:
@@ -127,7 +143,7 @@ class Slice:
         return self.ints_of_mask(self.e_mask())
 
     def word_count(self) -> int:
-        return self.e_mask().bit_count()
+        return count(self._e_mask)
 
     # -- word sets as bitmasks -------------------------------------------
 
@@ -163,8 +179,7 @@ class Slice:
         """
         if self._position_masks is None:
             k = len(self.alphabet)
-            n = self.total_words
-            full = (1 << n) - 1
+            n, full = self.total_words, self._cube
             rows = []
             for run in self._word_weights:
                 pattern = repeat_bits((1 << run) - 1, k * run, n)
@@ -172,16 +187,46 @@ class Slice:
             self._position_masks = tuple(rows)
         return self._position_masks
 
+    def restrict(self, mask: int, pairs: Pairs) -> int:
+        """The words of ``mask`` extending the given pairs. A mask over the
+        tail positions p..L may be restricted by pairs at those positions:
+        the low k^(L-p+1) bits of a position mask are the tail space's."""
+        masks = self._position_masks or self.position_masks()
+        for p, d in pairs:
+            mask &= masks[p - 1][d]
+        return mask
+
     def cylinder(self, pairs: Pairs) -> int:
         """The words of the slice extending the given pairs, as a mask."""
-        masks, out = self.position_masks(), self._e_mask
-        for p, d in pairs:
-            out &= masks[p - 1][d]
-        return out
+        return self.restrict(self._e_mask, pairs)
 
     def expansion(self, strings: Iterable[Pairs]) -> int:
-        """The union of the cylinders of strings given as pairs."""
-        return reduce(or_, map(self.cylinder, strings), 0)
+        """The union of the cylinders of strings given as pairs: their
+        cylinders in the full cube ORed, then ANDed with E once."""
+        cube = self._cube
+        return reduce(or_, (self.restrict(cube, x) for x in strings), 0) & self._e_mask
+
+    def complement(self, mask: int) -> int:
+        """The words of the slice outside ``mask``."""
+        return self._e_mask & ~mask
+
+    def stray(self, mask: int) -> int | None:
+        """The lowest word of ``mask`` that is not a word of the slice, or
+        None when the mask lies inside it."""
+        outside = mask & ~self._e_mask
+        return lowest(outside) if outside else None
+
+    def forced_row(self, mask: int) -> list[int]:
+        """The letter index per position that every word of the non-empty
+        ``mask`` holds, k (the alphabet size) where its words differ: the
+        restriction :func:`members_inside` reads. A forced letter is the
+        lowest word's."""
+        masks, k = self.position_masks(), len(self.alphabet)
+        row = list(self.letters_of(lowest(mask)))
+        for p, d in enumerate(row):
+            if mask & masks[p][d] != mask:
+                row[p] = k
+        return row
 
     def cofactors(self, mask: int, p: int) -> list[int]:
         """The cofactors on p = 0..k-1 of a mask over positions p..L, each
@@ -256,6 +301,16 @@ def repeat_bits(pattern: int, span: int, n: int) -> int:
         pattern |= pattern << span
         span *= 2
     return pattern
+
+
+def count(mask: int) -> int:
+    """The number of words in ``mask``."""
+    return mask.bit_count()
+
+
+def holds(mask: int, word: int) -> bool:
+    """Is the packed ``word`` in ``mask``?"""
+    return bool(mask >> word & 1)
 
 
 def lowest(mask: int) -> int:

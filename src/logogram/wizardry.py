@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .budget import _CLOCK_STRIDE, Budget
 from .engine import _text
-from .universe import lowest, set_bits
+from .universe import count, lowest, set_bits
 
 
 class ClassifiedString(NamedTuple):
@@ -58,8 +58,8 @@ def _charts(problem, budget: Budget | None, label: str):
 
     The candidates for a string are the regions holding its lowest word
     (its cylinder is non-empty, being in the target's logogram), indexed
-    by that word's bit position; each cylinder is built again for its
-    tests rather than kept. The search and the region tests run on one
+    by that packed word; the lowest words are kept, and each cylinder is
+    built again for its tests. The search and the region tests run on one
     meter, whose clock is checked after the search, every
     ``_CLOCK_STRIDE`` cylinders and regions while the index is built, and
     then once per string.
@@ -73,14 +73,14 @@ def _charts(problem, budget: Budget | None, label: str):
 
     meter.check(done)
     slc = problem.slice
-    lows = 0
+    firsts = []  # the lowest word of each string's cylinder
     for built, x in enumerate(log.pairs, 1):
-        cyl = slc.cylinder(x)
-        lows |= cyl & -cyl
+        firsts.append(lowest(slc.cylinder(x)))
         if not built % _CLOCK_STRIDE:
             meter.check(done)
+    lows = slc.mask_of_ints(firsts)
     masks = []
-    holding: dict[int, list[int]] = {}  # bit of a lowest word -> regions holding it
+    holding: dict[int, list[int]] = {}  # a lowest word -> regions holding it
     for i in range(problem.alpha):
         m = problem.region_mask(i)
         masks.append(m)
@@ -91,7 +91,7 @@ def _charts(problem, budget: Budget | None, label: str):
     for n, x in enumerate(log.pairs):
         meter.check(done)
         cyl = slc.cylinder(x)
-        regions = holding.get(lowest(cyl), ())
+        regions = holding.get(firsts[n], ())
         yield (_text(x, slc.length, log.alphabet.letters), cyl,
                tuple(i for i in regions if cyl & masks[i] == cyl))
 
@@ -154,6 +154,6 @@ def cover(problem, budget: Budget | None = None) -> CoverReport:
     how many regions contain that expansion entirely, both read off the
     string's cylinder and the region masks."""
     charts = tuple(
-        Chart(string=s, expansion_size=cyl.bit_count(), containing_regions=len(regions))
+        Chart(string=s, expansion_size=count(cyl), containing_regions=len(regions))
         for s, cyl, regions in _charts(problem, budget, "cover"))
     return CoverReport(problem.label, charts, problem.alpha)

@@ -106,6 +106,24 @@ class TestLogogramCommand:
         assert code == 0
         assert "count: 2" in out
 
+    @pytest.mark.parametrize("letter", [",", " ", "\t"])
+    def test_text_format_refuses_letters_it_cannot_show(self, capsys, tmp_path, letter):
+        # with a comma letter the strings ",_" and "_," would both print as
+        # "strings=,_,_,"; a space would split a cell
+        doc = {"alphabet": [letter, "a"], "length": 2, "universe": "all",
+               "target": [letter * 2, letter + "a", "a" + letter],
+               "regions": [[letter * 2, letter + "a", "a" + letter]]}
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps(doc))
+        argv = ("logogram", "generic", str(path), "--regions")
+        code, out, err = run(capsys, *argv, "--format", "text")
+        assert (code, out) == (1, "")
+        assert err == f"error: --format text cannot show the letter {letter!r}; use json or csv\n"
+        for fmt in ("json", "csv"):
+            assert run(capsys, *argv, "--format", fmt)[0] == 0
+        _, report = run_json(capsys, *argv)
+        assert report["regions"][0]["strings"] == [letter + "_", "_" + letter]
+
 
 class TestWizardsCommand:
     def test_sat_2x2(self, capsys):

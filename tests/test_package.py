@@ -66,18 +66,35 @@ class TestOneNamePerJob:
         assert set(logogram.__all__) - referenced - exempt == set()
 
 
+def other_modules():
+    """(name, syntax tree) of each package module but ``universe``."""
+    for path in (SRC / "logogram").glob("*.py"):
+        if path.name != "universe.py":
+            yield path.name, ast.parse(path.read_text(), str(path))
+
+
 class TestOneOwnerForTheWordLayout:
     def test_only_universe_decodes_packed_words(self):
         # how words pack into ints and word sets into masks is universe's
         # decision: the other layers call its primitives (letters_of,
-        # cofactors, expansion, lowest) and never do the arithmetic
-        layout = {"_word_weights", "bit_length", "letter_index"}
-        for path in (SRC / "logogram").glob("*.py"):
-            if path.name == "universe.py":
-                continue
+        # cofactors, restrict, complement, stray, forced_row, count, lowest)
+        # and never read E, a position mask or a bit count themselves
+        layout = {"_word_weights", "bit_length", "letter_index",
+                  "position_masks", "e_mask", "bit_count"}
+        for name, tree in other_modules():
             used = {getattr(node, "attr", getattr(node, "id", None))
-                    for node in ast.walk(ast.parse(path.read_text(), str(path)))} & layout
-            assert not used, f"{path.name} uses {sorted(used)}"
+                    for node in ast.walk(tree)} & layout
+            assert not used, f"{name} uses {sorted(used)}"
+
+    def test_only_universe_isolates_a_lowest_bit(self):
+        # x & -x is the lowest word of a mask: universe's lowest()
+        for name, tree in other_modules():
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                        and isinstance(node.right, ast.UnaryOp)
+                        and isinstance(node.right.op, ast.USub)):
+                    assert ast.dump(node.left) != ast.dump(node.right.operand), \
+                        f"{name}:{node.lineno} takes a lowest bit"
 
 
 def modules_after(code: str) -> set[str]:

@@ -11,6 +11,7 @@ from logogram import (
     BINARY, TERNARY, VOID, Alphabet, DegenerateSliceError, PartialString, Slice,
     expand, full_slice,
 )
+from logogram.universe import count, holds
 
 
 def texts(words, length):
@@ -253,6 +254,95 @@ class TestCylinderOfAndLettersOf:
                     direct = [sum(1 << rest[t[1:]] for j, t in enumerate(tails)
                                   if t[0] == d and mask >> j & 1) for d in range(k)]
                     assert slc.cofactors(mask, p) == direct
+
+
+class TestWordSetPrimitives:
+    """Each word-set primitive against a loop over the words of the cube,
+    word i holding the i-th letter tuple in counting order."""
+
+    SLICES = [
+        lambda: full_slice(BINARY, 3),
+        lambda: full_slice(TERNARY, 2),
+        lambda: full_slice(Alphabet.of("abcd"), 3),
+        lambda: Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w[1] != "1")),
+        lambda: Slice(TERNARY, 3, oracles.words_where("012", 3, lambda w: w.count("2") == 1)),
+        lambda: Slice(TERNARY, 2, ["21"]),
+    ]
+
+    @staticmethod
+    def cube(slc):
+        """(packed word, letter indices, in E) for every word of the cube."""
+        e = set(slc.word_ints())
+        return [(i, digits, i in e) for i, digits in
+                enumerate(product(range(len(slc.alphabet)), repeat=slc.length))]
+
+    @staticmethod
+    def masks(slc, rng):
+        """Random masks over the cube, and the empty, E and whole-cube masks."""
+        n = slc.total_words
+        return [0, slc.e_mask(), (1 << n) - 1, *(rng.getrandbits(n) for _ in range(20))]
+
+    @staticmethod
+    def random_pairs(slc, rng):
+        k = len(slc.alphabet)
+        return tuple((p, rng.randrange(k))
+                     for p in range(1, slc.length + 1) if rng.random() < 0.4)
+
+    @pytest.mark.parametrize("make", SLICES)
+    def test_restrict_cylinder_and_expansion(self, make):
+        slc, rng = make(), random.Random(51)
+        cube = self.cube(slc)
+
+        def extending(mask, pairs):
+            return sum(1 << i for i, digits, _ in cube
+                       if mask >> i & 1 and all(digits[p - 1] == d for p, d in pairs))
+
+        for mask in self.masks(slc, rng):
+            assert slc.restrict(mask, ()) == mask  # the empty restriction
+            for _ in range(10):
+                pairs = self.random_pairs(slc, rng)
+                assert slc.restrict(mask, pairs) == extending(mask, pairs)
+        for _ in range(20):
+            pairs = self.random_pairs(slc, rng)
+            assert slc.cylinder(pairs) == extending(slc.e_mask(), pairs)
+            strings = [self.random_pairs(slc, rng) for _ in range(rng.randrange(4))]
+            assert slc.expansion(strings) == sum(
+                1 << i for i, digits, in_e in cube
+                if in_e and any(all(digits[p - 1] == d for p, d in x) for x in strings))
+
+    @pytest.mark.parametrize("make", SLICES)
+    def test_complement_and_stray(self, make):
+        slc, rng = make(), random.Random(52)
+        cube = self.cube(slc)
+        for mask in self.masks(slc, rng):
+            assert slc.complement(mask) == sum(
+                1 << i for i, _, in_e in cube if in_e and not mask >> i & 1)
+            outside = [i for i, _, in_e in cube if mask >> i & 1 and not in_e]
+            assert slc.stray(mask) == (outside[0] if outside else None)
+            # a mask with no word outside E
+            assert slc.stray(mask & slc.e_mask()) is None
+
+    @pytest.mark.parametrize("make", SLICES)
+    def test_forced_row(self, make):
+        slc, rng = make(), random.Random(53)
+        cube, k = self.cube(slc), len(slc.alphabet)
+        for mask in self.masks(slc, rng):
+            if not mask:
+                continue
+            held = [digits for i, digits, _ in cube if mask >> i & 1]
+            assert slc.forced_row(mask) == [
+                column[0] if len(set(column)) == 1 else k for column in zip(*held)]
+        if slc.is_full:  # the void string's cylinder forces no letter
+            assert slc.forced_row(slc.cylinder(())) == [k] * slc.length
+
+    @pytest.mark.parametrize("make", SLICES)
+    def test_count_and_holds(self, make):
+        slc, rng = make(), random.Random(54)
+        for mask in self.masks(slc, rng):
+            words = [i for i, _, _ in self.cube(slc) if mask >> i & 1]
+            assert count(mask) == len(words)
+            assert [i for i in range(slc.total_words) if holds(mask, i)] == words
+        assert slc.word_count() == count(slc.e_mask())
 
 
 class TestExpand:
