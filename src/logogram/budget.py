@@ -15,7 +15,7 @@ internal-independence string cap, as ``budget_exhausted``.
 A budget's limits are the built-in defaults unless its caller passes others,
 as the CLI does from ``--budget-strings`` and ``--budget-seconds``; nothing
 is read from the environment. Loops of cheap steps read the clock once
-every ``_CLOCK_STRIDE`` steps.
+every ``CLOCK_STRIDE`` steps.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+from .values import Value
+
 DEFAULT_MAX_STRINGS = 5_000_000
 DEFAULT_MAX_SECONDS = 300.0
 
-_CLOCK_STRIDE = 256  # steps between clock reads, wherever a step loop reads it
+CLOCK_STRIDE = 256  # steps between clock reads, wherever a step loop reads it
 
 
 class BudgetExceededError(RuntimeError):
@@ -37,34 +39,19 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
-class Budget:
+class Budget(Value):
     """Limits of one operation: charged steps and wall-clock seconds.
 
     Budgets are immutable values, equal when both limits are.
     """
 
+    _fields = ("max_strings", "max_seconds")
+
     def __init__(self, max_strings: int = DEFAULT_MAX_STRINGS,
                  max_seconds: float = DEFAULT_MAX_SECONDS):
         if not (max_strings > 0 and max_seconds > 0):  # also rejects NaN
             raise ValueError("budget limits must be positive")
-        object.__setattr__(self, "max_strings", max_strings)
-        object.__setattr__(self, "max_seconds", max_seconds)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"Budget.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_strings, self.max_seconds) == (other.max_strings, other.max_seconds)
-
-    def __hash__(self) -> int:
-        return hash((self.max_strings, self.max_seconds))
-
-    def __repr__(self) -> str:
-        return f"Budget(max_strings={self.max_strings!r}, max_seconds={self.max_seconds!r})"
+        super().__init__(max_strings, max_seconds)
 
     @classmethod
     def default(cls) -> "Budget":
@@ -93,7 +80,7 @@ class Meter:
         if self.count > self.budget.max_strings:
             raise BudgetExceededError(
                 f"{self.label}: exceeded {self.budget.max_strings} sub-problems")
-        if self.count % _CLOCK_STRIDE == 0:
+        if self.count % CLOCK_STRIDE == 0:
             self.check(lambda: f"after {self.count} sub-problems")
 
     def check(self, progress: Callable[[], str]) -> None:

@@ -88,22 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_problem(kind: str, args: list[str]):
-    def ints(count: int) -> list[int]:
-        if len(args) != count or not all(a.lstrip("-").isdecimal() for a in args):
-            raise ValueError(f"{kind} expects {count} integer argument(s), got {args!r}")
-        return [int(a) for a in args]
-
-    if kind == "sat":
-        n, m = ints(2)
-        return _cli.sat_problem(n, m)
-    if kind == "composite":
-        return _cli.composite_problem(ints(1)[0])
-    if kind == "connectivity":
-        return _cli.connectivity_problem(ints(1)[0])
-    if len(args) != 1:
-        raise ValueError("generic expects one descriptor path")
-    with open(args[0], encoding="utf-8") as fh:
-        return _cli.generic_problem(json.load(fh))
+    """The problem a run names, built afresh past the adapter's cache
+    (``__wrapped__``): a search cached by an earlier caller charges nothing."""
+    if kind == "generic":
+        if len(args) != 1:
+            raise ValueError("generic expects one descriptor path")
+        with open(args[0], encoding="utf-8") as fh:
+            return _cli.generic_problem(json.load(fh))
+    count = 2 if kind == "sat" else 1
+    if len(args) != count or not all(a.lstrip("-").isdecimal() for a in args):
+        raise ValueError(f"{kind} expects {count} integer argument(s), got {args!r}")
+    adapter = getattr(_cli, f"{kind}_problem")
+    return getattr(adapter, "__wrapped__", adapter)(*map(int, args))
 
 
 def _antichain_doc(chain, problem, set_label: str) -> dict:
@@ -234,7 +230,9 @@ def cmd_kernel(ns, problem, budget):
             with open(ns.dump_traces, "w", encoding="utf-8") as fh:
                 fh.writelines(scratch)
     all_equal = len({tuple(e["kernel"]) for e in entries}) <= 1
-    irreducible = _cli.irreducibility_report(log, problem, budget).irreducible
+    # a fault may mean the search missed a member, leaving the logogram incomplete
+    irreducible = (fault is None or _cli.is_complete(log, problem, budget)) and \
+        _cli.irreducibility_report(log, problem, budget).irreducible
     doc = {
         "problem": problem.label,
         "logogram_size": len(log),

@@ -28,16 +28,17 @@ from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError, Meter
-from .strings import BLANK, Alphabet, PartialString
-from .universe import Pairs, Slice, expand_mask, letter_row, lowest, member_rows, members_inside
+from .strings import Alphabet, PartialString
+from .universe import (Pairs, Slice, expand_mask, letter_row, lowest, member_rows,
+                       members_inside, text_of_pairs)
+from .values import Value
 
 
-class Antichain(NamedTuple):
+class Antichain(Value):
     """Pairwise incomparable strings over one alphabet, as (position, letter
     index) pairs in canonical order; ``elements`` builds the strings."""
 
-    pairs: tuple[Pairs, ...]
-    alphabet: Alphabet
+    _fields = ("pairs", "alphabet")
 
     @classmethod
     def of(cls, strings: Iterable[PartialString], alphabet: Alphabet) -> "Antichain":
@@ -71,10 +72,6 @@ class Antichain(NamedTuple):
         letters = self.alphabet.letters
         return (PartialString(tuple((p, letters[d]) for p, d in x)) for x in self.pairs)
 
-    def __reduce__(self):
-        # copy and pickle would rebuild from the iterated elements
-        return Antichain, (self.pairs, self.alphabet)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -84,21 +81,13 @@ class Antichain(NamedTuple):
             (p, letters.index(ch)) for p, ch in string.pairs) in self.pairs
 
     def texts(self, length: int) -> list[str]:
-        return [_text(x, length, self.alphabet.letters) for x in self.pairs]
+        return [text_of_pairs(x, length, self.alphabet.letters) for x in self.pairs]
 
 
 def _canonical(members: Iterable[Pairs]) -> tuple[Pairs, ...]:
     """Members in canonical order: domain size first, then the pairs, whose
     letter indices follow the alphabet's order."""
     return tuple(sorted(members, key=lambda x: (len(x), x)))
-
-
-def _text(pairs: Pairs, length: int, letters: tuple[str, ...]) -> str:
-    """The text of a string given as pairs, padded with blanks to ``length``."""
-    cells = [BLANK] * length
-    for p, d in pairs:
-        cells[p - 1] = letters[d]
-    return "".join(cells)
 
 
 class SearchFrontier(NamedTuple):
@@ -377,7 +366,7 @@ def _unique_coverage(members: Sequence[Pairs], slc: Slice,
     for i, x in enumerate(members):
         meter.check(lambda: f"after {i} of {n} strings")
         unique = slc.cylinder(x) & single
-        text = _text(x, slc.length, slc.alphabet.letters)
+        text = text_of_pairs(x, slc.length, slc.alphabet.letters)
         if unique:
             witnesses[text] = slc.text_of_int(lowest(unique))
         else:
@@ -446,7 +435,7 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
     pairs_checked, hit = _first_entailment(pair_list, slc, meter)
     counterexample = None
     if hit is not None:
-        f, g = (_text(pair_list[x], slc.length, slc.alphabet.letters) for x in hit)
+        f, g = (text_of_pairs(pair_list[x], slc.length, slc.alphabet.letters) for x in hit)
         counterexample = {"f": f, "g": g, "entangled": True, "extends": False}
     return IndependenceReport(
         kind="internal", passed=hit is None, strings_checked=len(pair_list),
@@ -497,7 +486,7 @@ def simple_independence(problem, budget: Budget | None = None) -> IndependenceRe
     pairs_checked, hit = _first_entailment(log.pairs, slc, meter)
     counterexample = None
     if hit is not None:
-        f, g = (_text(log.pairs[x], slc.length, slc.alphabet.letters) for x in hit)
+        f, g = (text_of_pairs(log.pairs[x], slc.length, slc.alphabet.letters) for x in hit)
         counterexample = {"f": f, "g": g, "entangled": True}
     return IndependenceReport(
         kind="simple", passed=hit is None, strings_checked=len(log),
@@ -587,7 +576,7 @@ def verify_galois(slc: Slice, sample_count: int = 1000, seed: int = 0,
         if not ok and law not in failures:
             failures[law] = {
                 key: [slc.text_of_int(x) if isinstance(x, int)
-                      else _text(x, slc.length, slc.alphabet.letters) for x in items]
+                      else text_of_pairs(x, slc.length, slc.alphabet.letters) for x in items]
                 for key, items in evidence.items()}
 
     laws = ["antitone-expansion", "antitone-logogram",

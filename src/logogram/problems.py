@@ -19,8 +19,9 @@ from typing import Callable, Iterable
 
 from .budget import Budget
 from .engine import Antichain, reduced_logogram_of_mask
-from .strings import BINARY, TERNARY, Alphabet, FormatError, PartialString, _immutable
+from .strings import BINARY, TERNARY, Alphabet, FormatError, PartialString
 from .universe import Slice, count, full_slice, repeat_bits
+from .values import Value
 
 
 class ProblemFormatError(ValueError):
@@ -129,30 +130,18 @@ class ProblemSlice:
 # -- CNF satisfiability ----------------------------------------------------
 
 
-class CnfShape:
+class CnfShape(Value):
     """Instance size of the clause encoding: words of length
     var_count * clause_count over {0,1,2}, one block of var_count codes per
     clause; 0 = variable absent, 1 = positive literal, 2 = negated.
     Shapes are immutable values, equal when both counts are."""
 
+    _fields = ("var_count", "clause_count")
+
     def __init__(self, var_count: int, clause_count: int):
         if var_count < 1 or clause_count < 1:
             raise ValueError("var_count and clause_count must be >= 1")
-        object.__setattr__(self, "var_count", var_count)
-        object.__setattr__(self, "clause_count", clause_count)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.var_count, self.clause_count) == (other.var_count, other.clause_count)
-
-    def __hash__(self) -> int:
-        return hash((self.var_count, self.clause_count))
-
-    def __repr__(self) -> str:
-        return f"CnfShape(var_count={self.var_count!r}, clause_count={self.clause_count!r})"
+        super().__init__(var_count, clause_count)
 
     @property
     def length(self) -> int:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
+from .values import Value
+
 BLANK = "_"
 
 
@@ -26,19 +28,15 @@ class IncompatibleStrings(ValueError):
     """Join requested for strings that disagree on a shared position."""
 
 
-def _immutable(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of the value types: fields are
-    set once, in ``__init__``."""
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-
-class Alphabet:
+class Alphabet(Value):
     """An ordered set of single-character letters.
 
     The declared order is the canonical one; it drives word enumeration
     and every deterministic ordering of output. Alphabets are immutable
     values: equal when their letters are.
     """
+
+    _fields = ("letters",)
 
     def __init__(self, letters: tuple[str, ...]):
         if not letters:
@@ -50,20 +48,7 @@ class Alphabet:
                 raise ValueError(f"{BLANK!r} is reserved for blank positions")
         if len(set(letters)) != len(letters):
             raise ValueError("letters must be distinct")
-        object.__setattr__(self, "letters", letters)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def __repr__(self) -> str:
-        return f"Alphabet(letters={self.letters!r})"
+        super().__init__(letters)
 
     @classmethod
     def of(cls, letters: Iterable[str]) -> "Alphabet":
@@ -89,12 +74,14 @@ BINARY = Alphabet.of("01")
 TERNARY = Alphabet.of("012")
 
 
-class PartialString:
+class PartialString(Value):
     """An immutable finite map from positions (>= 1) to letters.
 
     ``pairs`` is kept sorted by position; equality and hashing follow from
     that canonical form.
     """
+
+    _fields = ("pairs",)
 
     def __init__(self, pairs: Iterable[tuple[int, str]]):
         pairs = tuple(sorted(pairs))
@@ -106,17 +93,7 @@ class PartialString:
         for _, ch in pairs:
             if not isinstance(ch, str) or len(ch) != 1:
                 raise ValueError(f"letters must be single characters, got {ch!r}")
-        object.__setattr__(self, "pairs", pairs)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
+        super().__init__(pairs)
 
     @classmethod
     def of(cls, assignments: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PartialString":

@@ -52,7 +52,8 @@ class MalformedProgramError(RuntimeError):
 
 
 class ProgramFaultError(RuntimeError):
-    """A program was wrong or unjustified on a specific input."""
+    """A program was wrong or unjustified on a specific input, or certified
+    its accept with no member of the reduced logogram given to the sweep."""
 
     def __init__(self, word_text: str, reason: str):
         super().__init__(f"on input {word_text!r}: {reason}")
@@ -148,13 +149,15 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
     """The reduced-logogram strings the program actually certifies with.
 
     Walks the slice, reading the clock once per trace. The program must be
-    correct and justified throughout: traces are met in order of their
-    lowest word and a fault taints its whole trace, so the input reported is
-    the first faulty word in canonical order. Given a writable text stream
-    as ``dump``, it also writes there the program's trace dump, one JSON
-    line per input word as :func:`trace_records` gives them with the
-    program's name added, while it walks: dumping costs no second walk,
-    and the clock is read once per word instead."""
+    correct and justified throughout, and each accepting restriction, being
+    in the logogram, must include a member of ``problem.logogram()``, else
+    the search missed one: traces are met in order of their lowest word and
+    a fault taints its whole trace, so the input reported is the first
+    faulty word in canonical order. Given a writable text stream as
+    ``dump``, it also writes there the program's trace dump, one JSON line
+    per input word as :func:`trace_records` gives them with the program's
+    name added, while it walks: dumping costs no second walk, and the clock
+    is read once per word instead."""
     meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
     slc, f = problem.slice, problem.f_mask()
@@ -169,6 +172,9 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
                 reason = ("gave the wrong verdict" if accepted != holds(f, i)
                           else f"was not justified in its {_VERDICTS[accepted].value}")
                 raise ProgramFaultError(slc.text_of_int(i), f"{program.name} {reason}")
+            if accepted and not bits:  # a justified accept's restriction is in the logogram
+                raise ProgramFaultError(slc.text_of_int(i), f"{program.name} accepted on probes "
+                                        "that include no reduced-logogram member")
             used |= bits
             yield run
 

@@ -6,13 +6,13 @@ checkable. Words are packed into integers (base k, position 1 most
 significant) so that ascending integer order is exactly the canonical
 lexicographic order. A partial string restricted to a slice is a tuple of
 (position, letter index) pairs, the form the engine keeps reduced-logogram
-members in; :meth:`Slice.cylinder_of` takes strings from outside it. A set
-of words is held as a bitmask, bit i standing for packed word i, and this
-is the only form a word set takes: the slice's own membership is one mask,
-E, and the words extending a string (its cylinder) are that mask ANDed with
-per-position masks. Word lists from outside enter through one packer,
-:meth:`Slice.mask_of_words`; word tuples are decoded from a mask only
-where a caller lists words.
+members in and :func:`text_of_pairs` renders; :meth:`Slice.cylinder_of`
+takes strings from outside it. A set of words is held as a bitmask, bit i
+standing for packed word i, and this is the only form a word set takes:
+the slice's own membership is one mask, E, and the words extending a
+string (its cylinder) are that mask ANDed with per-position masks. Word
+lists from outside enter through one packer, :meth:`Slice.mask_of_words`;
+word tuples are decoded from a mask only where a caller lists words.
 
 It is the one place that layout lives, and the only module that reads E,
 the per-position masks or single bits of a mask. Other layers reach a word
@@ -44,7 +44,7 @@ from itertools import product
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .strings import Alphabet, FormatError, PartialString
+from .strings import BLANK, Alphabet, FormatError, PartialString
 
 # Hard cap on materialized universes; desk-scale analyses stay far below it.
 MAX_UNIVERSE = 1 << 22
@@ -351,6 +351,14 @@ def letter_row(pairs: Pairs, k: int, length: int) -> list[int]:
     for p, d in pairs:
         row[p - 1] = d
     return row
+
+
+def text_of_pairs(pairs: Pairs, length: int, letters: Sequence[str]) -> str:
+    """The text of a string given as pairs, padded with blanks to ``length``."""
+    cells = [BLANK] * length
+    for p, d in pairs:
+        cells[p - 1] = letters[d]
+    return "".join(cells)
 
 
 def members_inside(rows: list[tuple[int, ...]], index: Sequence[int]) -> int:

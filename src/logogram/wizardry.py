@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .budget import _CLOCK_STRIDE, Budget
-from .engine import _text
-from .universe import count, lowest, set_bits
+from .budget import CLOCK_STRIDE, Budget
+from .universe import count, lowest, set_bits, text_of_pairs
 
 
 class ClassifiedString(NamedTuple):
@@ -61,7 +60,7 @@ def _charts(problem, budget: Budget | None, label: str):
     by that packed word; the lowest words are kept, and each cylinder is
     built again for its tests. The search and the region tests run on one
     meter, whose clock is checked after the search, every
-    ``_CLOCK_STRIDE`` cylinders and regions while the index is built, and
+    ``CLOCK_STRIDE`` cylinders and regions while the index is built, and
     then once per string.
     """
     meter = (budget or Budget.default()).start(f"{label}: {problem.label}")
@@ -76,7 +75,7 @@ def _charts(problem, budget: Budget | None, label: str):
     firsts = []  # the lowest word of each string's cylinder
     for built, x in enumerate(log.pairs, 1):
         firsts.append(lowest(slc.cylinder(x)))
-        if not built % _CLOCK_STRIDE:
+        if not built % CLOCK_STRIDE:
             meter.check(done)
     lows = slc.mask_of_ints(firsts)
     masks = []
@@ -86,13 +85,13 @@ def _charts(problem, budget: Budget | None, label: str):
         masks.append(m)
         for low in set_bits(m & lows):
             holding.setdefault(low, []).append(i)
-        if not (i + 1) % _CLOCK_STRIDE:
+        if not (i + 1) % CLOCK_STRIDE:
             meter.check(done)
     for n, x in enumerate(log.pairs):
         meter.check(done)
         cyl = slc.cylinder(x)
         regions = holding.get(firsts[n], ())
-        yield (_text(x, slc.length, log.alphabet.letters), cyl,
+        yield (text_of_pairs(x, slc.length, log.alphabet.letters), cyl,
                tuple(i for i in regions if cyl & masks[i] == cyl))
 
 

@@ -37,11 +37,9 @@ class TickingClock:
 
 
 def ticking_run(capsys, monkeypatch, *argv):
-    """One run on a fresh problem under a :class:`TickingClock`: the exit
-    code, the output and how many times the run read the clock."""
+    """One run under a :class:`TickingClock`: the exit code, the output and
+    how many times the run read the clock."""
     import logogram.budget
-    from logogram import sat_problem
-    sat_problem.cache_clear()
     clock = TickingClock()
     monkeypatch.setattr(logogram.budget, "time", clock)
     code, out, _ = run(capsys, *argv)
@@ -66,12 +64,7 @@ class TestLogogramCommand:
 
     def test_connectivity_6_within_default_budget(self, capsys):
         # 2^15 words and 1,296 minimal strings, far inside the default budget
-        from logogram import connectivity_problem
-        connectivity_problem.cache_clear()
-        try:
-            code, doc = run_json(capsys, "logogram", "connectivity", "6")
-        finally:
-            connectivity_problem.cache_clear()
+        code, doc = run_json(capsys, "logogram", "connectivity", "6")
         assert code == 0
         assert doc["count"] == 1296
 
@@ -85,15 +78,8 @@ class TestLogogramCommand:
         # the target search, then one memo for all the region searches: the
         # least passing budget is the target's sub-problems plus the distinct
         # ones of the regions (5,782 and 1,314 with a memo per region)
-        from logogram import composite_problem, connectivity_problem
-        codes = []
-        for limit in (least, least - 1):
-            composite_problem.cache_clear()
-            connectivity_problem.cache_clear()
-            codes.append(run(capsys, "logogram", *problem.split(), "--regions",
-                             "--budget-strings", str(limit))[0])
-        composite_problem.cache_clear()
-        connectivity_problem.cache_clear()
+        codes = [run(capsys, "logogram", *problem.split(), "--regions",
+                     "--budget-strings", str(limit))[0] for limit in (least, least - 1)]
         assert codes == [0, 2]
 
     def test_csv_format(self, capsys):
@@ -307,8 +293,6 @@ class TestKernelCommand:
         # every meter of the run counts on its own against the one deadline
         # set when the first meter read the clock; the dumps run on the sweeps'
         import logogram.budget
-        from logogram import sat_problem
-        sat_problem.cache_clear()
         clock = TickingClock()
         monkeypatch.setattr(logogram.budget, "time", clock)
         meters = []
@@ -445,15 +429,28 @@ class TestKernelCommand:
         assert doc["fault"] == "on input '10': first-position gave the wrong verdict"
         assert doc["programs"] == []
 
+    def test_accept_without_a_member_is_a_fault(self, capsys, monkeypatch):
+        # with "1" dropped from the problem's cached logogram, the accepting
+        # run on "1" includes no member: the search missed one
+        import logogram.cli
+        from logogram import Antichain, sat_problem
+        problem = sat_problem.__wrapped__(1, 1)
+        log = problem.logogram()
+        problem._logogram = Antichain(log.pairs[1:], log.alphabet)
+        monkeypatch.setattr(logogram.cli, "sat_problem", lambda n, m: problem)
+        code, doc = run_json(capsys, "kernel", "sat", "1", "1")
+        assert code == 3
+        assert doc["fault"] == ("on input '1': forward-assignment-scan accepted on probes "
+                                "that include no reduced-logogram member")
+        assert doc["programs"] == [] and doc["logogram_irreducible"] is False
+
     def test_non_clause_problem_rejected(self, capsys):
         code, _, err = run(capsys, "kernel", "composite", "4")
         assert code == 1
         assert "clause" in err
 
     def test_non_clause_problem_rejected_before_the_search(self, capsys, monkeypatch):
-        import logogram.cli
         import logogram.problems
-        from logogram import composite_problem
         search = logogram.problems.reduced_logogram_of_mask
         calls = []
 
@@ -462,8 +459,6 @@ class TestKernelCommand:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(logogram.problems, "reduced_logogram_of_mask", counted)
-        # an uncached problem, whose logogram no earlier test has computed
-        monkeypatch.setattr(logogram.cli, "composite_problem", composite_problem.__wrapped__)
         code, _, err = run(capsys, "kernel", "composite", "4")
         assert code == 1
         assert "clause" in err
@@ -491,12 +486,7 @@ class TestCoverCommand:
     def test_composite_14_within_ten_seconds(self, capsys):
         # 15,378 strings and 16,382 regions: each string is tested only
         # against the regions holding its lowest word
-        from logogram import composite_problem
-        composite_problem.cache_clear()
-        try:
-            code, doc = run_json(capsys, "cover", "composite", "14", "--budget-seconds", "10")
-        finally:
-            composite_problem.cache_clear()
+        code, doc = run_json(capsys, "cover", "composite", "14", "--budget-seconds", "10")
         assert code == 0
         assert doc["total_charts"] == 15378
 
@@ -584,9 +574,8 @@ class TestStringsOnlyAtTheEdge:
         "logogram composite 9 --regions",
     ])
     def test_analysis_builds_no_partial_string(self, capsys, monkeypatch, argv):
-        from logogram import PartialString, composite_problem, sat_problem
-        sat_problem.cache_clear()  # count the construction and search too
-        composite_problem.cache_clear()
+        # the construction and the search count too: each run builds its problem
+        from logogram import PartialString
         built = []
         init = PartialString.__init__
 
@@ -596,8 +585,6 @@ class TestStringsOnlyAtTheEdge:
 
         monkeypatch.setattr(PartialString, "__init__", counted)
         code, _, err = run(capsys, *argv.split())
-        sat_problem.cache_clear()
-        composite_problem.cache_clear()
         assert code in (0, 3), err
         assert built == []
 
@@ -693,13 +680,19 @@ class TestContract:
         assert "target" in err
 
     def test_budget_exhaustion_exits_2(self, capsys):
-        # a fresh process has no cached logograms; mimic that here
-        from logogram import sat_problem
-        sat_problem.cache_clear()
         code, _, err = run(capsys, "logogram", "sat", "2", "2",
                            "--budget-strings", "2")
         assert code == 2
         assert "budget" in err
+
+    def test_a_run_depends_only_on_its_arguments(self, capsys):
+        # each run builds its own problem: an earlier run's search, cached
+        # in the adapter's problem, would charge this run nothing
+        argv = ("logogram", "sat", "2", "4", "--budget-strings", "1")
+        stopped = (2, "", "budget exhausted: logogram: sat:2x4: exceeded 1 sub-problems\n")
+        assert run(capsys, *argv) == stopped
+        assert run(capsys, "logogram", "sat", "2", "4")[0] == 0
+        assert run(capsys, *argv) == stopped
 
     def test_identical_runs_are_byte_identical(self, capsys):
         _, first, _ = run(capsys, "galois", "sat", "1", "1",
@@ -752,13 +745,8 @@ class TestContract:
     def test_budget_seconds_bounds_construction_and_search(self, capsys, argv):
         # sizes whose per-(word, solution) problem construction once ran
         # for tens of seconds outside any budget
-        from logogram import composite_problem, connectivity_problem
-        composite_problem.cache_clear()
-        connectivity_problem.cache_clear()
         start = time.perf_counter()
         code, _, err = run(capsys, *argv, "--budget-seconds", "2")
         elapsed = time.perf_counter() - start
-        composite_problem.cache_clear()
-        connectivity_problem.cache_clear()
         assert code in (0, 2), err
         assert elapsed < 10

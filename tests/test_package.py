@@ -1,5 +1,6 @@
-"""The package surface: names resolved on first use, lean start-up, and
-the value types' equality, hashing, immutability and repr."""
+"""The package surface: names resolved on first use, private names kept
+private, lean start-up, and the value types' equality, hashing,
+immutability and repr."""
 
 import ast
 import copy
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import logogram
-from logogram import Alphabet, Antichain, Budget, CnfShape, PartialString, sat_problem
+from logogram import BINARY, Alphabet, Antichain, Budget, CnfShape, PartialString, sat_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ANALYSIS_LAYERS = {"logogram.engine", "logogram.problems", "logogram.tracer",
@@ -97,6 +98,16 @@ class TestOneOwnerForTheWordLayout:
                         f"{name}:{node.lineno} takes a lowest bit"
 
 
+class TestPrivateNamesStayPrivate:
+    def test_no_module_imports_a_private_name(self):
+        # a name another module needs is public, in one home
+        for path in (SRC / "logogram").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    private = [a.name for a in node.names if a.name.startswith("_")]
+                    assert not private, f"{path.name}:{node.lineno} imports {private}"
+
+
 def modules_after(code: str) -> set[str]:
     """The modules loaded by ``code`` in a fresh interpreter without site
     packages, with the checkout's ``src`` first on the path."""
@@ -114,7 +125,9 @@ def cli_modules(*argv: str) -> set[str]:
 
 class TestLeanStartup:
     def test_help_loads_no_analysis_layer(self):
-        assert not cli_modules("--help") & ANALYSIS_LAYERS
+        # every process compiles what it imports when bytecode is not written
+        loaded = {m for m in cli_modules("--help") if m.split(".")[0] == "logogram"}
+        assert loaded <= {"logogram", "logogram.cli", "logogram.budget", "logogram.values"}
 
     def test_logogram_loads_neither_tracer_nor_wizardry(self):
         loaded = cli_modules("logogram", "sat", "2", "2")
@@ -143,7 +156,14 @@ VALUES = [
      lambda: CnfShape(3, 2), "var_count", "CnfShape(var_count=2, clause_count=3)"),
     (lambda: Budget(10, 2.5), lambda: Budget(max_strings=10, max_seconds=2.5),
      lambda: Budget(10), "max_seconds", "Budget(max_strings=10, max_seconds=2.5)"),
+    (lambda: Antichain((((1, 1),), ((2, 0),)), BINARY),
+     lambda: Antichain.of([PartialString.parse("_0", BINARY), PartialString.parse("1", BINARY)],
+                          Alphabet.of("01")),
+     lambda: Antichain((((1, 1),),), BINARY), "pairs",
+     "Antichain(pairs=(((1, 1),), ((2, 0),)), alphabet=Alphabet(letters=('0', '1')))"),
 ]
+
+VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__"}
 
 
 class TestValueTypes:
@@ -167,6 +187,17 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             value.extra = 1
         assert getattr(value, field) == before
+
+    def test_only_value_writes_value_methods(self):
+        # equality, hashing, read-only fields and pickling come from one base
+        for path in (SRC / "logogram").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ClassDef) and node.name != "Value":
+                    defined = {t.id for n in node.body if isinstance(n, ast.Assign)
+                               for t in n.targets if isinstance(t, ast.Name)}
+                    defined |= {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                    assert not defined & VALUE_METHODS, \
+                        f"{path.name}: {node.name} defines {sorted(defined & VALUE_METHODS)}"
 
     def test_antichain_copies_and_pickles_whole(self):
         # a record that iterates its elements must still copy both fields

@@ -5,7 +5,7 @@ import pytest
 import logogram.budget
 import oracles
 from logogram import (
-    Budget, BudgetExceededError, DecisionProgram, MalformedProgramError, ProbeTrace, ProgramFaultError,
+    Antichain, Budget, BudgetExceededError, DecisionProgram, MalformedProgramError, ProbeTrace, ProgramFaultError,
     Verdict, backward_assignment_scan, built_in_programs, clause_first_scan,
     PartialString, forward_assignment_scan, generic_problem, irreducibility_report,
     justified, kernel, sat_problem, trace_records, TERNARY,
@@ -139,6 +139,19 @@ class TestKernel:
         with pytest.raises(ProgramFaultError) as err:
             kernel(DecisionProgram("always-accept", lambda probe: True), p)
         assert err.value.word_text == "0"
+
+    def test_accept_without_a_member_means_a_missed_member(self):
+        # a justified accept's restriction lies in the logogram, so it
+        # includes a reduced-logogram member; with "1" dropped from the
+        # cached logogram, the accept on "1" includes none
+        p = sat_problem.__wrapped__(1, 1)
+        log = p.logogram()
+        p._logogram = Antichain(log.pairs[1:], log.alphabet)
+        with pytest.raises(ProgramFaultError) as err:
+            kernel(forward_assignment_scan(p), p)
+        assert (err.value.word_text, err.value.reason) == (
+            "1", "forward-assignment-scan accepted on probes that include no "
+                 "reduced-logogram member")
 
     def test_underprobing_program_is_unjustified(self):
         # right verdicts on every input of the sweep, but with no probes the
