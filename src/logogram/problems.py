@@ -157,6 +157,13 @@ class CnfShape(Value):
     def clause_of(self, position: int) -> int:
         return (position - 1) // self.var_count + 1
 
+    def true_literals(self, bits: tuple[bool, ...]) -> tuple[tuple[tuple[int, str], ...], ...]:
+        """Per clause, each slot's position with the code the assignment
+        makes true there: 1 where its variable is true, 2 where false."""
+        codes = ["1" if b else "2" for b in bits]
+        return tuple(tuple((self.position(c, v), code) for v, code in enumerate(codes, 1))
+                     for c in range(1, self.clause_count + 1))
+
 
 def _assignment_text(bits: tuple[bool, ...]) -> str:
     return " ".join(f"x{i}={int(b)}" for i, b in enumerate(bits, start=1))
@@ -177,13 +184,10 @@ def sat_problem(var_count: int, clause_count: int) -> ProblemSlice:
     solutions = tuple(
         tuple(bool((i >> v) & 1) for v in range(n)) for i in range(2 ** n))
 
-    # an assignment satisfies a formula when every clause holds a literal
-    # it makes true: slot (c, v) coded 1 with x_v true, or 2 with x_v false
+    # an assignment satisfies a formula when every clause holds a literal it makes true
     def region(bits: tuple[bool, ...]) -> int:
-        return reduce(and_, (
-            slc.expansion(((shape.position(c, v), 1 if bits[v - 1] else 2),)
-                          for v in range(1, n + 1))
-            for c in range(1, m + 1)))
+        return reduce(and_, (slc.expansion(((p, TERNARY.index(code)),) for p, code in clause)
+                             for clause in shape.true_literals(bits)))
 
     return ProblemSlice(slc, solutions, map(region, solutions), label=f"sat:{n}x{m}",
                         solution_text=_assignment_text, cnf_shape=shape)
@@ -191,28 +195,15 @@ def sat_problem(var_count: int, clause_count: int) -> ProblemSlice:
 
 def predicted_sat_logogram(shape: CnfShape) -> Antichain:
     """The closed-form candidate for the reduced logogram of SAT: every
-    consistent choice of one literal per clause.
+    choice of one literal per clause that a single assignment makes true.
 
-    A choice is consistent when no variable is picked positively in one
-    clause and negatively in another. Whether this equals the computed
+    These are the consistent choices: no variable is picked positively in
+    one clause and negatively in another. Whether this equals the computed
     reduced logogram is checked by the acceptance suite, not assumed.
     """
-    n, m = shape.var_count, shape.clause_count
-    per_clause = [
-        [(shape.position(c, v), ch) for v in range(1, n + 1) for ch in ("1", "2")]
-        for c in range(1, m + 1)]
-    strings = []
-    for selection in product(*per_clause):
-        wanted: dict[int, str] = {}
-        ok = True
-        for pos, ch in selection:
-            var = shape.var_of(pos)
-            if wanted.setdefault(var, ch) != ch:
-                ok = False
-                break
-        if ok:
-            strings.append(PartialString(tuple(selection)))
-    return Antichain.of(strings, TERNARY)
+    choices = {choice for bits in product((False, True), repeat=shape.var_count)
+               for choice in product(*shape.true_literals(bits))}
+    return Antichain.of(map(PartialString, choices), TERNARY)
 
 
 def gamma(string: PartialString, shape: CnfShape) -> PartialString:

@@ -124,17 +124,8 @@ class PartialString(Value):
         """Greatest defined position; 0 for the void string."""
         return self.pairs[-1][0] if self.pairs else 0
 
-    def get(self, position: int) -> str | None:
-        for p, ch in self.pairs:
-            if p == position:
-                return ch
-        return None
-
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, str]]:
-        return iter(self.pairs)
 
     def render(self, length: int | None = None) -> str:
         """Text form, padded with blanks to ``length`` (defaults to size)."""

@@ -110,8 +110,9 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
     extending the trace's probed restriction. Yields per run the word, the
     cylinder, the verdict, whether the restriction justifies it, the probes
     as (position, letter index) pairs in probe order and, as bits, the
-    members of ``log`` an accepting restriction includes. Given a meter, it
-    reads the clock before each run."""
+    members of ``log`` an accepting restriction includes; a justified accept
+    that includes none raises :class:`ProgramFaultError`, as the search
+    missed a member. Given a meter, it reads the clock before each run."""
     slc, f = problem.slice, problem.f_mask()
     name, length, decide = program.name, slc.length, program.decide
     letters = slc.alphabet.letters
@@ -140,8 +141,12 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
         accepted = bool(decide(probe))
         cyl = slc.cylinder(pairs)
         uncovered &= ~cyl
-        yield (i, cyl, accepted, _justified(accepted, cyl, f), pairs,
-               members_inside(rows, index) if accepted else 0)
+        just = _justified(accepted, cyl, f)
+        bits = members_inside(rows, index) if accepted else 0
+        if accepted and just and not bits:  # a justified accept's restriction is in the logogram
+            raise ProgramFaultError(slc.text_of_int(i), f"{name} accepted on probes "
+                                    "that include no reduced-logogram member")
+        yield i, cyl, accepted, just, pairs, bits
 
 
 def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
@@ -172,9 +177,6 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
                 reason = ("gave the wrong verdict" if accepted != holds(f, i)
                           else f"was not justified in its {_VERDICTS[accepted].value}")
                 raise ProgramFaultError(slc.text_of_int(i), f"{program.name} {reason}")
-            if accepted and not bits:  # a justified accept's restriction is in the logogram
-                raise ProgramFaultError(slc.text_of_int(i), f"{program.name} accepted on probes "
-                                        "that include no reduced-logogram member")
             used |= bits
             yield run
 
@@ -206,7 +208,8 @@ def _records(slc, texts: list[str], runs, meter: Meter) -> Iterator[dict]:
 def trace_records(program: DecisionProgram, problem,
                   budget: Budget | None = None) -> Iterator[dict]:
     """JSON-ready trace dump, one record per input word, in word order, from
-    one walk of the slice; faults are recorded, not raised."""
+    one walk of the slice; program faults are recorded, not raised, but a
+    missed logogram member raises as in :func:`kernel`."""
     meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
     log = problem.logogram(meter=meter)
     yield from _records(problem.slice, log.texts(problem.slice.length),
@@ -225,17 +228,14 @@ def _require_shape(problem):
 
 def _assignment_scan(problem, name: str, backward: bool) -> DecisionProgram:
     shape = _require_shape(problem)
-    n, m = shape.var_count, shape.clause_count
     assignments = tuple(reversed(problem.solutions)) if backward else problem.solutions
     # per assignment, per clause: each slot's position with the letter that
     # makes its literal true under the assignment
-    checks = tuple(
-        tuple(tuple((c * n + v + 1, "1" if bits[v] else "2") for v in range(n))
-              for c in range(m))
-        for bits in assignments)
+    checks = tuple(map(shape.true_literals, assignments))
+    slots = shape.length + 1
 
     def decide(probe):
-        known: list[str | None] = [None] * (n * m + 1)
+        known: list[str | None] = [None] * slots
         for clauses in checks:
             for clause in clauses:
                 for p, true_letter in clause:
@@ -270,26 +270,27 @@ def clause_first_scan(problem) -> DecisionProgram:
     that satisfy everything probed so far; reject as soon as it empties,
     accept once every block has been read with survivors left.
 
-    The assignments are bits of a mask, with one mask per (variable, slot
+    The assignments are bits of a mask, with one mask per (position, slot
     code) of the assignments that code makes true there: a block keeps the
     viable assignments ANDed with the OR of its slots' masks.
     """
     shape = _require_shape(problem)
-    n, m = shape.var_count, shape.clause_count
-    makes_true: list[dict[str, int]] = [{} for _ in range(n)]
+    makes_true: dict[int, dict[str, int]] = {}
     for j, bits in enumerate(problem.solutions):
-        for v in range(n):
-            code = "1" if bits[v] else "2"
-            makes_true[v][code] = makes_true[v].get(code, 0) | 1 << j
+        for clause in shape.true_literals(bits):
+            for p, code in clause:
+                masks = makes_true.setdefault(p, {})
+                masks[code] = masks.get(code, 0) | 1 << j
+    blocks = tuple(tuple((p, makes_true[p]) for p, _ in clause)  # slots in probe order
+                   for clause in shape.true_literals(problem.solutions[0]))
     everyone = (1 << len(problem.solutions)) - 1
 
     def decide(probe):
         viable = everyone
-        for c in range(m):
-            base = c * n
+        for slots in blocks:
             block = 0
-            for v in range(n):
-                block |= makes_true[v].get(probe(base + v + 1), 0)
+            for p, masks in slots:
+                block |= masks.get(probe(p), 0)
             viable &= block
             if not viable:
                 return False

@@ -289,6 +289,19 @@ class TestKernelCommand:
             "clause-first-scan"}
         assert all(r["justified"] for r in records)
 
+    def test_dumps_keep_their_bytes(self, capsys, tmp_path):
+        # the sha256 of the trace dumps of two shapes, recorded before the
+        # built-in solvers read their slots and codes from CnfShape
+        expected = {
+            ("2", "2"): "8f52ee883fc2f50429ea6d82c76d42913dd6775035a97675f87a9f25ee3aaf45",
+            ("2", "3"): "57464a1ccb2cb997de3b07e594b589650b643a41b377f15c6faf180edc9cb8f7",
+        }
+        path = tmp_path / "traces.jsonl"
+        for shape, digest in expected.items():
+            code, _ = run_json(capsys, "kernel", "sat", *shape, "--dump-traces", str(path))
+            assert code == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, shape
+
     def test_dump_traces_share_one_clock(self, capsys, monkeypatch, tmp_path):
         # every meter of the run counts on its own against the one deadline
         # set when the first meter read the clock; the dumps run on the sweeps'

@@ -98,6 +98,23 @@ class TestOneOwnerForTheWordLayout:
                         f"{name}:{node.lineno} takes a lowest bit"
 
 
+class TestOneOwnerForTheClauseEncoding:
+    def test_only_problems_reads_the_clause_encoding(self):
+        # CnfShape says which slot and code an assignment makes true: the
+        # other modules read its tables and never count variables or
+        # clauses, and the solvers spell no literal code
+        for path in (SRC / "logogram").glob("*.py"):
+            if path.name == "problems.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                name = getattr(node, "attr", getattr(node, "id", getattr(node, "arg", None)))
+                assert name not in ("var_count", "clause_count"), \
+                    f"{path.name}:{node.lineno} names {name}"
+                if path.name == "tracer.py" and isinstance(node, ast.Constant):
+                    assert node.value not in ("1", "2"), \
+                        f"tracer.py:{node.lineno} spells the code {node.value!r}"
+
+
 class TestPrivateNamesStayPrivate:
     def test_no_module_imports_a_private_name(self):
         # a name another module needs is public, in one home

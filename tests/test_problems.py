@@ -63,6 +63,10 @@ class TestSatEncoding:
         with pytest.raises(ProblemFormatError):
             formula_word({"clauses": [[1]]})
 
+    def test_no_clauses(self):
+        with pytest.raises(ProblemFormatError, match="at least one clause is required"):
+            formula_word({"n": 2, "clauses": []})
+
 
 class TestSatProblem:
     def test_1x1_target(self):
@@ -220,6 +224,10 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(ps("1"), CnfShape(1, 2))  # second clause unconstrained
 
+    def test_rejects_positions_outside_the_shape(self):
+        with pytest.raises(ValueError, match="position 7 outside the 6-letter shape"):
+            gamma(ps("1___2_1"), CnfShape(3, 2))
+
 
 class TestComposite:
     def test_width_4_target(self):
@@ -359,6 +367,11 @@ class TestGeneric:
     def test_malformed_word_names_field_and_text(self, key, value, message):
         with pytest.raises(ProblemFormatError, match=message):
             generic_problem(dict(self.GOOD, **{key: value}))
+
+    def test_value_of_the_wrong_json_type(self):
+        with pytest.raises(ProblemFormatError,
+                           match="malformed descriptor: 'int' object is not iterable"):
+            generic_problem(dict(self.GOOD, regions=5))
 
     def test_missing_key(self):
         doc = {k: v for k, v in self.GOOD.items() if k != "regions"}

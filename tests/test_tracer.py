@@ -140,15 +140,18 @@ class TestKernel:
             kernel(DecisionProgram("always-accept", lambda probe: True), p)
         assert err.value.word_text == "0"
 
-    def test_accept_without_a_member_means_a_missed_member(self):
+    @pytest.mark.parametrize("sweep", [kernel, lambda prog, p: list(trace_records(prog, p))],
+                             ids=["kernel", "trace-records"])
+    def test_accept_without_a_member_means_a_missed_member(self, sweep):
         # a justified accept's restriction lies in the logogram, so it
         # includes a reduced-logogram member; with "1" dropped from the
-        # cached logogram, the accept on "1" includes none
+        # cached logogram, the accept on "1" includes none, and the dump
+        # raises on it as the kernel does
         p = sat_problem.__wrapped__(1, 1)
         log = p.logogram()
         p._logogram = Antichain(log.pairs[1:], log.alphabet)
         with pytest.raises(ProgramFaultError) as err:
-            kernel(forward_assignment_scan(p), p)
+            sweep(forward_assignment_scan(p), p)
         assert (err.value.word_text, err.value.reason) == (
             "1", "forward-assignment-scan accepted on probes that include no "
                  "reduced-logogram member")
