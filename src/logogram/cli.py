@@ -202,7 +202,6 @@ def cmd_galois(ns, problem, budget):
 
 
 def cmd_kernel(ns, problem, budget):
-    import tempfile
     programs = _cli.built_in_programs(problem)  # rejects non-clause problems
     log = problem.logogram(budget)
     L = problem.slice.length
@@ -210,6 +209,8 @@ def cmd_kernel(ns, problem, budget):
     fault = None
     # the sweeps stream their dumps to scratch; PATH is opened only once all
     # have passed, so a fault or a time-out leaves whatever it held
+    if ns.dump_traces:
+        import tempfile
     scratch = tempfile.TemporaryFile("w+", encoding="utf-8") if ns.dump_traces else None
     with scratch or contextlib.nullcontext():
         for prog in programs:

@@ -137,6 +137,7 @@ class CnfShape(Value):
     Shapes are immutable values, equal when both counts are."""
 
     _fields = ("var_count", "clause_count")
+    CODES = ("2", "1")  # a literal's slot code, by polarity: negated, positive
 
     def __init__(self, var_count: int, clause_count: int):
         if var_count < 1 or clause_count < 1:
@@ -160,7 +161,7 @@ class CnfShape(Value):
     def true_literals(self, bits: tuple[bool, ...]) -> tuple[tuple[tuple[int, str], ...], ...]:
         """Per clause, each slot's position with the code the assignment
         makes true there: 1 where its variable is true, 2 where false."""
-        codes = ["1" if b else "2" for b in bits]
+        codes = [self.CODES[b] for b in bits]
         return tuple(tuple((self.position(c, v), code) for v, code in enumerate(codes, 1))
                      for c in range(1, self.clause_count + 1))
 
@@ -214,24 +215,18 @@ def gamma(string: PartialString, shape: CnfShape) -> PartialString:
     The result is a satisfiable word extending the selection, and the
     selection is the only reduced-logogram member it contains.
     """
-    n, m = shape.var_count, shape.clause_count
-    per_clause: dict[int, int] = {}
-    wanted: dict[int, str] = {}
+    wanted: dict[int, str] = {}  # variable -> the code its literals carry
     for p, ch in string.pairs:
         if not 1 <= p <= shape.length:
             raise ValueError(f"position {p} outside the {shape.length}-letter shape")
-        if ch not in ("1", "2"):
+        if ch not in shape.CODES:
             raise ValueError(f"selections prescribe only literal codes, got {ch!r}")
-        c = shape.clause_of(p)
-        per_clause[c] = per_clause.get(c, 0) + 1
-        var = shape.var_of(p)
-        if wanted.setdefault(var, ch) != ch:
-            raise ValueError(f"variable x{var} prescribed with both polarities")
-    if sorted(per_clause) != list(range(1, m + 1)) or any(v != 1 for v in per_clause.values()):
+        if wanted.setdefault(shape.var_of(p), ch) != ch:
+            raise ValueError(f"variable x{shape.var_of(p)} prescribed with both polarities")
+    if sorted(shape.clause_of(p) for p, _ in string.pairs) != [*range(1, shape.clause_count + 1)]:
         raise ValueError("selection must prescribe exactly one literal per clause")
     fixed = dict(string.pairs)
-    return PartialString(tuple(
-        (p, fixed.get(p, "0")) for p in range(1, shape.length + 1)))
+    return PartialString(tuple((p, fixed.get(p, "0")) for p in range(1, shape.length + 1)))
 
 
 def formula_word(doc: dict) -> tuple[CnfShape, PartialString]:
@@ -252,7 +247,7 @@ def formula_word(doc: dict) -> tuple[CnfShape, PartialString]:
             if not 1 <= var <= n:
                 raise ProblemFormatError(f"literal {lit} outside variables 1..{n}")
             p = shape.position(c, var)
-            code = "1" if lit > 0 else "2"
+            code = shape.CODES[lit > 0]
             if cells[p] not in ("0", code):
                 raise ProblemFormatError(
                     f"clause {c} uses x{var} with both polarities; "

@@ -12,16 +12,14 @@ certifies with: those included in the probed restriction of some accepted
 input. A correct, justified program always has a complete kernel, and when
 the reduced logogram is irreducible every such program has the same one.
 
-Programs are deterministic given the letters they observe, so every word
-extending a trace's probed restriction runs through that same trace. One
-walk runs a program across a slice, once per distinct probe trace on the
-lowest word not yet covered: :func:`kernel` folds it into the certifying
-strings and, when asked, streams it out as the trace dump, whose per-word
-records share one body across a cylinder. The walk's probe callback
-enforces the probe discipline and records each probe's (position, letter
-index) pair and the letter index per position; once the program returns,
-the trace's cylinder is built from the pairs, and the certifying strings
-are one AND per position of the letters (:func:`logogram.universe.member_rows`).
+Programs are deterministic given the letters they observe, so the runs of a
+program are the leaves of its decision tree, whose restrictions partition
+E. One walk, depth first over that tree pruned to E, runs a program once
+per leaf: :func:`kernel` folds it into the certifying strings and, when
+asked, streams it out as the trace dump, whose per-word records share one
+body across a leaf. A node splits F and E∖F on its path by its letter
+(:meth:`logogram.universe.Slice.branches`), so a leaf is justified by a zero
+test, and its certifying strings are one AND per position of its letters.
 
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
@@ -45,10 +43,11 @@ class Verdict(str, Enum):
 
 
 _VERDICTS = (Verdict.REJECT, Verdict.ACCEPT)  # indexed by accepted
+_MISSED = "accepted on probes that include no reduced-logogram member"
 
 
 class MalformedProgramError(RuntimeError):
-    """The program broke the probe discipline (bad position, revisit)."""
+    """The program broke the probe discipline (bad position, revisit, nondeterminism)."""
 
 
 class ProgramFaultError(RuntimeError):
@@ -82,12 +81,6 @@ class DecisionProgram(NamedTuple):
     decide: Callable[[Callable[[int], str]], bool]
 
 
-def _justified(accepted: bool, cyl: int, f: int) -> bool:
-    """A restriction's non-empty cylinder justifies an accept when it lies
-    in the target ``f``, a reject when it misses it."""
-    return (cyl & f) == cyl if accepted else not cyl & f
-
-
 def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
     """Is the verdict forced by the probed restriction alone?
 
@@ -96,110 +89,122 @@ def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
     ``ValueError`` unless the word is a word of the slice that agrees with
     every probe.
     """
-    slc = problem.slice
+    slc, f = problem.slice, problem.f_mask()
     restriction = PartialString(trace.probes)
     if slc.stray(slc.mask_of_words([word])) is not None or not word >= restriction:
         raise ValueError(f"{trace.probes!r} are not probes of a word of the slice: {word!r}")
     cyl = slc.cylinder(slc.pairs_of(restriction))
-    return _justified(trace.verdict == Verdict.ACCEPT, cyl, problem.f_mask())
+    return (cyl & f) == cyl if trace.verdict == Verdict.ACCEPT else not cyl & f
 
 
 def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None = None):
-    """The one loop that runs a program across the slice: once per distinct
-    probe trace, on the lowest word not yet covered, which covers every word
-    extending the trace's probed restriction. Yields per run the word, the
-    cylinder, the verdict, whether the restriction justifies it, the probes
-    as (position, letter index) pairs in probe order and, as bits, the
-    members of ``log`` an accepting restriction includes; a justified accept
-    that includes none raises :class:`ProgramFaultError`, as the search
-    missed a member. Given a meter, it reads the clock before each run."""
+    """The one loop that runs a program across the slice, once per leaf: a run
+    replays the path to the node last advanced, a new node takes its lowest
+    letter whose branch meets E, and then the deepest node with a later such
+    letter takes it, like an odometer. Yields per leaf F and E∖F on its path,
+    the verdict, whether the path justifies it, the path's (position, letter
+    index) pairs, valid until the next run, and as bits the members of
+    ``log`` an accept includes. Given a meter, it reads the clock per run."""
     slc, f = problem.slice, problem.f_mask()
-    name, length, decide = program.name, slc.length, program.decide
-    letters = slc.alphabet.letters
-    k = len(letters)
+    name, length, decide, branches = program.name, slc.length, program.decide, slc.branches
+    letters, k = slc.alphabet.letters, len(slc.alphabet)
     rows = member_rows(log.pairs, k, length)
-    uncovered = slc.cylinder(())
-    while uncovered:
-        i = lowest(uncovered)
-        if meter is not None:
-            meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
-        digits = slc.letters_of(i)
-        pairs: list[tuple[int, int]] = []
-        index = [k] * length  # k marks a position not probed
+    index = [k] * length  # letter index per position on the path, k where open
+    path, later = [], []  # per depth: (position, letter index), and the letters left
+    masks = [(f, slc.complement(f))]  # F and E∖F on the path, per depth
 
-        def probe(position: int) -> str:
-            if not isinstance(position, int) or not 1 <= position <= length:
-                raise MalformedProgramError(
-                    f"{name}: probe outside positions 1..{length}: {position!r}")
-            p = position - 1
-            if index[p] != k:
-                raise MalformedProgramError(f"{name}: position {position} probed twice")
-            d = index[p] = digits[p]
-            pairs.append((position, d))
+    def probe(position: int) -> str:
+        for p, d in replay:  # the path's next step, with no mask work
+            if position != p:
+                raise MalformedProgramError(f"{name}: nondeterministic: probed {position!r} "
+                                            f"where a run on the same letters probed {p}")
             return letters[d]
+        if not isinstance(position, int) or not 1 <= position <= length:
+            raise MalformedProgramError(
+                f"{name}: probe outside positions 1..{length}: {position!r}")
+        if index[position - 1] != k:
+            raise MalformedProgramError(f"{name}: position {position} probed twice")
+        later.append(iter(branches(position, *masks[-1])))
+        d, split = next(later[-1])
+        index[position - 1] = d
+        path.append((position, d))
+        masks.append(split)
+        return letters[d]
 
+    while True:
+        if meter is not None:
+            meter.check(lambda: f"at word {slc.text_of_int(lowest(masks[-1][0] | masks[-1][1]))!r}")
+        replay = iter(path)
         accepted = bool(decide(probe))
-        cyl = slc.cylinder(pairs)
-        uncovered &= ~cyl
-        just = _justified(accepted, cyl, f)
-        bits = members_inside(rows, index) if accepted else 0
-        if accepted and just and not bits:  # a justified accept's restriction is in the logogram
-            raise ProgramFaultError(slc.text_of_int(i), f"{name} accepted on probes "
-                                    "that include no reduced-logogram member")
-        yield i, cyl, accepted, just, pairs, bits
+        for p, _ in replay:
+            raise MalformedProgramError(f"{name}: nondeterministic: stopped where a run "
+                                        f"on the same letters probed {p}")
+        on, off = masks[-1]
+        yield (on, off, accepted, not (off if accepted else on), path,
+               members_inside(rows, index) if accepted else 0)
+        while path:  # advance the deepest node with a letter left
+            p, _ = path.pop()
+            d, masks[-1] = next(later[-1], (k, None))
+            index[p - 1] = d
+            if d < k:
+                path.append((p, d))
+                break
+            del later[-1], masks[-1]
+        else:
+            return
 
 
 def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
            dump: TextIO | None = None) -> Antichain:
     """The reduced-logogram strings the program actually certifies with.
 
-    Walks the slice, reading the clock once per trace. The program must be
-    correct and justified throughout, and each accepting restriction, being
-    in the logogram, must include a member of ``problem.logogram()``, else
-    the search missed one: traces are met in order of their lowest word and
-    a fault taints its whole trace, so the input reported is the first
-    faulty word in canonical order. Given a writable text stream as
-    ``dump``, it also writes there the program's trace dump, one JSON line
-    per input word as :func:`trace_records` gives them with the program's
-    name added, while it walks: dumping costs no second walk, and the clock
-    is read once per word instead."""
+    Walks the program's decision tree, reading the clock once per run. The
+    program must be correct and justified throughout, and each accepting
+    restriction, being in the logogram, must include a member of
+    ``problem.logogram()``, else the search missed one. After the walk it
+    raises on the least lowest word of a faulty leaf, the first faulty word
+    in canonical order. Given a text stream ``dump``, it writes there as it
+    walks, whole before any such error, the :func:`trace_records` dump with
+    the program's name added, reading the clock once per word instead."""
     meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
-    slc, f = problem.slice, problem.f_mask()
-    used = 0
+    slc, used, faults = problem.slice, 0, []
 
-    def checked():
+    def tallied():
         nonlocal used
-        for run in _walk(program, problem, log, meter if dump is None else None):
-            i, _, accepted, just, *_, bits = run
-            # word i lies in its own cylinder, so a justified verdict is right
-            if not just:
-                reason = ("gave the wrong verdict" if accepted != holds(f, i)
-                          else f"was not justified in its {_VERDICTS[accepted].value}")
-                raise ProgramFaultError(slc.text_of_int(i), f"{program.name} {reason}")
+        for leaf in _walk(program, problem, log, meter if dump is None else None):
+            on, off, accepted, just, _, bits = leaf
+            if not just or accepted and not bits:
+                faults.append((lowest(on | off), accepted, just))
             used |= bits
-            yield run
+            yield leaf
 
     if dump is None:
-        for _ in checked():
+        for _ in tallied():
             pass
     else:
         dump.writelines(json.dumps({"program": program.name, **record}, sort_keys=True) + "\n"
-                        for record in _records(slc, log.texts(slc.length), checked(), meter))
+                        for record in _records(slc, log.texts(slc.length), tallied(), meter))
+    if faults:  # the word lies in its leaf, so a verdict justified there is right
+        w, accepted, just = min(faults)
+        wrong = accepted != holds(problem.f_mask(), w)
+        reason = (_MISSED if just else "gave the wrong verdict" if wrong else
+                  f"was not justified in its {_VERDICTS[accepted].value}")
+        raise ProgramFaultError(slc.text_of_int(w), f"{program.name} {reason}")
     return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
 
 
-def _records(slc, texts: list[str], runs, meter: Meter) -> Iterator[dict]:
+def _records(slc, texts: list[str], leaves, meter: Meter) -> Iterator[dict]:
     """Per-word records in word order, reading the clock once per word, from
-    the walk's runs, drawn as the words need them. The words a run's
-    cylinder covers share one record body."""
-    pending: dict[int, dict] = {}  # covered words not yet dumped -> body
+    the walk's leaves, pulled while the next word is not yet pending. The
+    words of a leaf share one record body."""
+    pending: dict[int, dict] = {}  # words of pulled leaves not yet dumped -> body
     for i in slc.word_ints():
         meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
-        if i not in pending:  # the walk's next run is on the lowest word left
-            _, cyl, accepted, just, pairs, bits = next(runs)
-            pending.update(dict.fromkeys(set_bits(cyl), {
-                "probes": [[p, slc.alphabet.letters[d]] for p, d in pairs],
+        while i not in pending:
+            on, off, accepted, just, path, bits = next(leaves)
+            pending.update(dict.fromkeys(set_bits(on | off), {
+                "probes": [[p, slc.alphabet.letters[d]] for p, d in path],
                 "verdict": _VERDICTS[accepted].value, "justified": just,
                 "certifying_strings": [texts[j] for j in set_bits(bits)]}))
         yield {"input": slc.text_of_int(i), **pending.pop(i)}
@@ -208,12 +213,15 @@ def _records(slc, texts: list[str], runs, meter: Meter) -> Iterator[dict]:
 def trace_records(program: DecisionProgram, problem,
                   budget: Budget | None = None) -> Iterator[dict]:
     """JSON-ready trace dump, one record per input word, in word order, from
-    one walk of the slice; program faults are recorded, not raised, but a
-    missed logogram member raises as in :func:`kernel`."""
+    one walk of the program's decision tree; program faults are recorded,
+    not raised, but a missed logogram member raises as in :func:`kernel`."""
     meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
     log = problem.logogram(meter=meter)
-    yield from _records(problem.slice, log.texts(problem.slice.length),
-                        _walk(program, problem, log), meter)
+    slc = problem.slice
+    for rec in _records(slc, log.texts(slc.length), _walk(program, problem, log), meter):
+        if rec["verdict"] == "accept" and rec["justified"] and not rec["certifying_strings"]:
+            raise ProgramFaultError(rec["input"], f"{program.name} {_MISSED}")
+        yield rec
 
 
 # -- built-in traced solvers for the clause encoding ----------------------

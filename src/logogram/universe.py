@@ -18,8 +18,8 @@ It is the one place that layout lives, and the only module that reads E,
 the per-position masks or single bits of a mask. Other layers reach a word
 set through these primitives:
 
-- :meth:`Slice.letters_of` decodes a packed word and
-  :meth:`Slice.cofactors` splits a mask on one position;
+- :meth:`Slice.letters_of` decodes a packed word; :meth:`Slice.cofactors`
+  and :meth:`Slice.branches` split one mask, or two, on one position;
 - :meth:`Slice.restrict` keeps the words of a mask that extend some pairs,
   :meth:`Slice.cylinder` is that restriction of E, and
   :meth:`Slice.expansion` the union of cylinders;
@@ -227,6 +227,12 @@ class Slice:
             if mask & masks[p][d] != mask:
                 row[p] = k
         return row
+
+    def branches(self, position: int, yes: int, no: int) -> list[tuple[int, tuple[int, int]]]:
+        """The letter indices d at ``position`` held by a word of ``yes`` or of
+        ``no``, ascending, each with the words of both masks that hold it."""
+        masks = (self._position_masks or self.position_masks())[position - 1]
+        return [(d, pair) for d, m in enumerate(masks) if (pair := (yes & m, no & m)) != (0, 0)]
 
     def cofactors(self, mask: int, p: int) -> list[int]:
         """The cofactors on p = 0..k-1 of a mask over positions p..L, each

@@ -196,19 +196,26 @@ def sweep_kernel(decide, name: str, alphabet: str, length: int,
                  e_words, a_words, minimal) -> tuple[list[str] | None, tuple[str, str] | None]:
     """A decision program's kernel by running it on every word of E.
 
-    Words are visited in alphabet order. On each, the verdict must match
-    membership in A, and the probed restriction (padded text) must be
-    justified: every word of E completing it lies in A for an accept, none
-    does for a reject. Returns (sorted kernel texts, None), or (None,
-    (word, reason)) for the first word where the program fails.
+    Words are visited in alphabet order. On each, the runs so far must form
+    one decision tree: after the same probes and letters, the program makes
+    the same next probe or stops. The verdict must match membership in A,
+    and the probed restriction (padded text) must be justified: every word
+    of E completing it lies in A for an accept, none does for a reject.
+    Returns (sorted kernel texts, None), or (None, (word, reason)) for the
+    first word where the program fails.
     """
     e, a = set(e_words), set(a_words)
     sides: dict[str, set[bool]] = {}  # restriction -> membership of its completions
+    tree: dict[tuple, int | None] = {}  # probes so far -> next position, None to stop
     used: set[str] = set()
     for w in all_words(alphabet, length):
         if w not in e:
             continue
         probes, accepted = run_once(decide, w)
+        for j in range(len(probes) + 1):
+            step = probes[j][0] if j < len(probes) else None
+            if tree.setdefault(probes[:j], step) != step:
+                return None, (w, f"{name} is nondeterministic")
         if accepted != (w in a):
             return None, (w, f"{name} gave the wrong verdict")
         r = "".join(dict(probes).get(p, BLANK) for p in range(1, length + 1))

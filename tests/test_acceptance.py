@@ -169,10 +169,11 @@ def test_criterion_galois_laws():
 
 
 def test_criterion_all_solvers_share_the_kernel():
+    started = time.monotonic()
     with criterion("the three traced solvers are correct and justified on "
-                   "every input up to shapes 2x3, 3x2 and 2x4, with complete, "
-                   "identical kernels equal to the full logogram"):
-        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (2, 4)]:
+                   "every input up to shapes 2x3, 3x2, 2x4, 4x2 and 3x3, with "
+                   "complete, identical kernels equal to the full logogram (< 30 s)"):
+        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]:
             p = sat_problem(n, m)
             log = p.logogram()
             kernels = []
@@ -181,6 +182,8 @@ def test_criterion_all_solvers_share_the_kernel():
                 assert is_complete(k.elements, p), (n, m, prog.name)
                 kernels.append(k.elements)
             assert all(k == log.elements for k in kernels), (n, m)
+        elapsed = time.monotonic() - started
+        assert elapsed < 30, f"took {elapsed:.1f}s"
 
 
 def test_criterion_order_and_entanglement_laws():

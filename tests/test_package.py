@@ -4,6 +4,7 @@ immutability and repr."""
 
 import ast
 import copy
+import os
 import pickle
 import re
 import subprocess
@@ -114,6 +115,16 @@ class TestOneOwnerForTheClauseEncoding:
                     assert node.value not in ("1", "2"), \
                         f"tracer.py:{node.lineno} spells the code {node.value!r}"
 
+    def test_only_cnf_shape_spells_a_literal_code(self):
+        # within problems, CnfShape alone maps a literal's polarity to its code
+        tree = ast.parse((SRC / "logogram" / "problems.py").read_text())
+        shape = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "CnfShape")
+        inside = {id(node) for node in ast.walk(shape)}
+        outside = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                   and node.value in ("1", "2") and id(node) not in inside]
+        assert not outside, f"problems.py spells a literal code on lines {outside}"
+
 
 class TestPrivateNamesStayPrivate:
     def test_no_module_imports_a_private_name(self):
@@ -155,6 +166,10 @@ class TestLeanStartup:
         loaded = cli_modules("kernel", "sat", "1", "1")
         assert "logogram.tracer" in loaded
         assert "logogram.wizardry" not in loaded
+
+    def test_kernel_loads_tempfile_only_for_a_dump(self):
+        assert "tempfile" not in cli_modules("kernel", "sat", "1", "1")
+        assert "tempfile" in cli_modules("kernel", "sat", "1", "1", "--dump-traces", os.devnull)
 
     def test_public_names_need_no_dataclasses(self):
         loaded = modules_after(

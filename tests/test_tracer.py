@@ -1,5 +1,7 @@
 """Probe traces, justification, kernels of traced programs."""
 
+import io
+
 import pytest
 
 import logogram.budget
@@ -329,6 +331,122 @@ class TestKernelOracle:
                     "certifying_strings": [g for g in log if accepted
                                            and oracles.includes(restriction, g)],
                 }, (prog.name, record["input"])
+
+
+def scrambled(probe):
+    # reads position 3 first, then 1, or else 4 and then 2: on even-parity
+    # words, position 1 is the parity of 2..4
+    if probe(3) == "1":
+        return probe(1) == "1"
+    return [probe(4), probe(2)].count("1") == 1
+
+
+def reverse_reader(p, flipped, seen):
+    """A program that reads every position from L down to 1, so its walk
+    meets words in the order of their reversed texts, and answers
+    membership in the target except on the ``flipped`` words."""
+    slc = p.slice
+    target = {slc.text_of_int(i) for i in slc.ints_of_mask(p.f_mask())}
+
+    def decide(probe):
+        word = "".join(reversed([probe(q) for q in range(slc.length, 0, -1)]))
+        seen.append(word)
+        return (word in target) != (word in flipped)
+
+    return DecisionProgram("reverse-reader", decide)
+
+
+def changing_after_one_run(first, then):
+    """A program that decides by ``first`` on its first run and by ``then``
+    on every later one."""
+    runs = []
+
+    def decide(probe):
+        runs.append(probe)
+        return (first if len(runs) == 1 else then)(probe)
+
+    return DecisionProgram("counted", decide)
+
+
+def reads_both(first, second):
+    # on sat 2 1 the one clause holds a literal unless both slots are 0
+    return lambda probe: [probe(first), probe(second)] != ["0", "0"]
+
+
+# the sweeps of the walk, as functions of (program, problem): the kernel,
+# the kernel with its trace dump, and the dump on its own
+SWEEPS = (kernel, lambda prog, p: kernel(prog, p, dump=io.StringIO()),
+          lambda prog, p: list(trace_records(prog, p)))
+
+
+class TestTreeWalk:
+    def test_fault_names_the_lower_word_met_second(self):
+        # the walk reads position 4 first, so it meets the leaf of "1000"
+        # before that of "0001", and both are wrong; the lower one is named
+        p = sat_problem(2, 2)
+        seen = []
+        prog = reverse_reader(p, {"0001", "1000"}, seen)
+        assert oracle_sweep(prog, p)[1] == ("0001", "reverse-reader gave the wrong verdict")
+        seen.clear()
+        for sweep in SWEEPS[:2]:
+            with pytest.raises(ProgramFaultError) as err:
+                sweep(prog, p)
+            assert (err.value.word_text, err.value.reason) == (
+                "0001", "reverse-reader gave the wrong verdict")
+        assert seen.index("1000") < seen.index("0001")
+        unjustified = [r["input"] for r in trace_records(prog, p) if not r["justified"]]
+        assert unjustified == ["0001", "1000"]
+
+    @pytest.mark.parametrize("then,message", [
+        (reads_both(2, 1), "probed 2 where a run on the same letters probed 1"),
+        (lambda probe: probe(1) == "1", "stopped where a run on the same letters probed 2"),
+    ], ids=["probe-order-changes", "stops-before-an-earlier-probe"])
+    def test_nondeterministic_programs_are_malformed(self, then, message):
+        # right and justified on the first word, "00", after which the
+        # probe order, or the probes made, differ on the same letters
+        p = sat_problem(2, 1)
+        _, fault = oracle_sweep(changing_after_one_run(reads_both(1, 2), then), p)
+        assert fault == ("01", "counted is nondeterministic")
+        for sweep in SWEEPS:
+            with pytest.raises(MalformedProgramError) as err:
+                sweep(changing_after_one_run(reads_both(1, 2), then), p)
+            assert str(err.value) == f"counted: nondeterministic: {message}"
+
+    def test_out_of_order_probes_on_an_explicit_universe(self):
+        p = generic_problem(EVEN4_DOC)
+        prog = DecisionProgram("scrambled", scrambled)
+        expected, fault = oracle_sweep(prog, p)
+        assert fault is None
+        assert sorted(kernel(prog, p).texts(4)) == expected == ["1___", "_001", "_100"]
+        records = list(trace_records(prog, p))
+        assert [r["input"] for r in records] == [
+            p.slice.text_of_int(i) for i in p.slice.word_ints()]
+        for record in records:
+            probes, accepted = oracles.run_once(scrambled, record["input"])
+            assert record["probes"] == [[q, ch] for q, ch in probes]
+            assert record["verdict"] == ("accept" if accepted else "reject")
+
+    def test_missed_member_named_in_word_order(self):
+        # with "1_" and "_1" dropped, the accepts on "01", "10" and "11"
+        # include no member left; the walk meets "10" first
+        p = sat_problem.__wrapped__(2, 1)
+        seen = []
+        prog = reverse_reader(p, set(), seen)
+        assert oracle_sweep(prog, p)[1] is None
+        log = p.logogram()
+        kept = [g for g in log.texts(2) if g not in ("1_", "_1")]
+        p._logogram = Antichain.of([ps(g) for g in kept], TERNARY)
+        missed = [w for w in oracles.all_words("012", 2)
+                  if w != "00" and not any(oracles.includes(w, g) for g in kept)]
+        assert missed == ["01", "10", "11"]
+        for sweep in SWEEPS:
+            seen.clear()
+            with pytest.raises(ProgramFaultError) as err:
+                sweep(prog, p)
+            assert (err.value.word_text, err.value.reason) == (
+                "01", "reverse-reader accepted on probes that include no "
+                      "reduced-logogram member")
+            assert seen.index("10") < seen.index("01")
 
 
 class TestKernelLaws:
