@@ -6,10 +6,11 @@ elements form the reduced logogram, the irredundant certificate set of the
 target. They are the prime implicants, among those meeting A, of the
 function that is on over A, off over the rest of the slice and free outside
 it, and this module computes them by the classical recursion for primes on
-Shannon cofactors, memoized per call or across the calls of one suite. It
-also decides entanglement between string sets, exposes the
-expansion/logogram closure pair, and checks the three independence notions
-a decision problem may enjoy.
+Shannon cofactors, memoized per call or across the calls of one suite: a
+prime of a letter's cofactors needs the letter unless it is a prime of their
+OR, which is when it misses the OR's off. It also decides entanglement
+between string sets, exposes the expansion/logogram closure pair, and checks
+the three independence notions a decision problem may enjoy.
 
 Word sets are bitmasks over the slice (see :mod:`logogram.universe`), so
 entanglement, expansions, irreducibility, the independence checks and the
@@ -144,35 +145,32 @@ def in_logogram(string: PartialString, target_words, slc: Slice) -> bool:
 def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
                    memo: dict[tuple[int, int, int], list[Pairs]] | None = None,
                    ) -> list[Pairs]:
-    """The reduced logogram of the target mask ``on``, as pairs, by
-    memoized recursion on Shannon cofactors.
+    """The reduced logogram of the target mask ``on``, as pairs: the prime
+    implicants meeting it, by memoized recursion on Shannon cofactors.
 
-    The minimal logogram strings are the prime implicants, among those that
-    meet the target, of the function that is on over the target, off over
-    the rest of the slice and free outside it. ``rl(p, on, off)`` returns
-    the minimal tails over positions p..L for the words ``on`` and ``off``
-    of the tail space: a tail is a member when its cylinder meets ``on``
-    and misses ``off``, and minimal when every restriction meets ``off``.
+    ``rl(p, on, off)`` returns the minimal tails over positions p..L for
+    the words ``on`` and ``off`` of the tail space: a tail is a member when
+    its cylinder meets ``on`` and misses ``off``, and minimal when every
+    restriction meets ``off``.
 
     - The tails blank at p are the minimal tails of the cofactors ORed over
       the letters of p.
     - The tails setting p = d are (p, d) before each minimal tail t of the
-      cofactors on p = d whose cylinder meets the off cofactor of another
-      letter, else t with p blank would be a member already. Since t misses
-      the off cofactor of d, the test is against the OR of them all.
+      cofactors on p = d that is not a minimal blank tail: t meets the ORed
+      on and each restriction of t meets the ORed off, so t is a minimal
+      blank tail exactly when it misses the ORed off, when p is not needed.
 
-    ``rl`` depends only on k, L and its arguments (:meth:`Slice.restrict`
-    reads the full cube's position masks; the slice's words enter only
-    through ``off``), so one memo may serve every search over slices of one
-    alphabet and length. The search works in the caller's ``memo``, or in a
-    fresh one freed on return, and returns a copy of the top-level list,
+    ``rl`` depends only on k, L and its arguments (the slice's words enter
+    only through ``off``), so one memo may serve every search over slices of
+    one alphabet and length. The search works in the caller's ``memo``, or
+    in a fresh one freed on return, and returns a copy of the top-level list,
     which is itself a memo value. Each distinct (p, on, off) is solved and
     charged to the meter once per memo, and callers running several searches
     pass one meter too, so that their total work stays within one budget; on
     a budget error the frontier's ``live_count`` counts the whole memo.
     """
     meter = meter or Budget.default().start("reduced logogram")
-    restrict, cofactors = slc.restrict, slc.cofactors
+    cofactors = slc.cofactors
     if memo is None:
         memo = {}
     found: list[Pairs] = []
@@ -193,12 +191,13 @@ def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
         meter.charge()
         deepest = max(deepest, p)
         ons, offs = cofactors(on, p), cofactors(off, p)
-        off_any = reduce(or_, offs)
         out = found if p == 1 else []  # top-level members are final at once
-        out.extend(rl(p + 1, reduce(or_, ons), off_any))
+        blank = rl(p + 1, reduce(or_, ons), reduce(or_, offs))
+        out.extend(blank)
+        blank = set(blank)
         for d, (on_d, off_d) in enumerate(zip(ons, offs)):
             for t in rl(p + 1, on_d, off_d):
-                if restrict(off_any, t):
+                if t not in blank:
                     out.append(((p, d),) + t)
         memo[key] = out
         return out

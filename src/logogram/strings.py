@@ -86,7 +86,7 @@ class PartialString(Value):
     def __init__(self, pairs: Iterable[tuple[int, str]]):
         pairs = tuple(sorted(pairs))
         positions = [p for p, _ in pairs]
-        if any(not isinstance(p, int) or p < 1 for p in positions):
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in positions):
             raise ValueError("positions must be integers >= 1")
         if len(set(positions)) != len(positions):
             raise ValueError("duplicate position in partial string")

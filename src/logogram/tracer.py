@@ -115,11 +115,11 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
 
     def probe(position: int) -> str:
         for p, d in replay:  # the path's next step, with no mask work
-            if position != p:
+            if position != p or position is True:  # True == 1
                 raise MalformedProgramError(f"{name}: nondeterministic: probed {position!r} "
                                             f"where a run on the same letters probed {p}")
             return letters[d]
-        if not isinstance(position, int) or not 1 <= position <= length:
+        if position is True or not isinstance(position, int) or not 1 <= position <= length:
             raise MalformedProgramError(
                 f"{name}: probe outside positions 1..{length}: {position!r}")
         if index[position - 1] != k:

@@ -18,10 +18,11 @@ It is the one place that layout lives, and the only module that reads E,
 the per-position masks or single bits of a mask. Other layers reach a word
 set through these primitives:
 
-- :meth:`Slice.letters_of` decodes a packed word; :meth:`Slice.cofactors`
-  and :meth:`Slice.branches` split one mask, or two, on one position;
-- :meth:`Slice.restrict` keeps the words of a mask that extend some pairs,
-  :meth:`Slice.cylinder` is that restriction of E, and
+- :meth:`Slice.letters_of` decodes a packed word; :meth:`Slice.branches`
+  splits two masks on one position; :meth:`Slice.cofactors`, the only
+  primitive over a tail space (positions p..L), splits one mask on p;
+- :meth:`Slice.restrict` keeps the words of a mask over the cube that
+  extend some pairs, :meth:`Slice.cylinder` is that restriction of E, and
   :meth:`Slice.expansion` the union of cylinders;
 - :meth:`Slice.complement` is a mask's complement within E, and
   :meth:`Slice.stray` the lowest word of a mask outside E, for the caller
@@ -188,9 +189,8 @@ class Slice:
         return self._position_masks
 
     def restrict(self, mask: int, pairs: Pairs) -> int:
-        """The words of ``mask`` extending the given pairs. A mask over the
-        tail positions p..L may be restricted by pairs at those positions:
-        the low k^(L-p+1) bits of a position mask are the tail space's."""
+        """The words of ``mask``, a mask over the full cube, extending the
+        given pairs."""
         masks = self._position_masks or self.position_masks()
         for p, d in pairs:
             mask &= masks[p - 1][d]

@@ -19,8 +19,8 @@ from logogram import (
     irreducibility_report, is_closed, is_complete,
     isoexpansive, reduced_logogram, simple_independence,
     strong_independence, verify_galois, generic_problem, predicted_sat_logogram,
-    sat_problem, composite_problem, classify, cover, forward_assignment_scan,
-    kernel, trace_records,
+    sat_problem, composite_problem, connectivity_problem, classify, cover,
+    forward_assignment_scan, kernel, trace_records,
 )
 from logogram.cli import main
 from logogram.universe import lowest
@@ -398,6 +398,43 @@ class TestSharedMemo:
                        for a in self.random_targets(rng, e, 8)]
             rng.shuffle(queries)
             self.run_through_one_memo(queries)
+
+
+class TestSearchSplitsByCofactorsAlone:
+    """The search reads its word sets through ``Slice.cofactors`` alone:
+    with the position masks and every cylinder primitive disabled, fresh
+    searches and searches through one shared memo still give the closed
+    form and the oracle."""
+
+    @staticmethod
+    def brute(slc, on):
+        e = [slc.text_of_int(i) for i in slc.word_ints()]
+        a = [slc.text_of_int(i) for i in slc.ints_of_mask(on)]
+        return oracles.canonical_order(oracles.brute_reduced_logogram(e, a),
+                                       "".join(slc.alphabet.letters))
+
+    def test_searches_split_by_cofactors_alone(self, monkeypatch):
+        sat = sat_problem(3, 3)
+        others = [composite_problem(9), connectivity_problem(5), generic_problem(EVEN4)]
+        fresh = [(sat.slice, sat.f_mask(), predicted_sat_logogram(sat.cnf_shape).texts(9))]
+        shared = []  # per slice: the target, then the rest of the slice
+        for p in others:
+            slc, on = p.slice, p.f_mask()
+            fresh.append((slc, on, self.brute(slc, on)))
+            shared.append([(slc, t, self.brute(slc, t)) for t in (on, slc.complement(on))])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the search read a mask other than by its cofactors")
+
+        for name in ("restrict", "position_masks", "branches", "cylinder"):
+            monkeypatch.setattr(Slice, name, forbidden)
+        search = logogram.engine.reduced_logogram_of_mask
+        for slc, on, expected in fresh:
+            assert search(on, slc, memo={}).texts(slc.length) == expected
+        for queries in shared:
+            memo, meter = {}, Budget().start("shared")
+            for slc, on, expected in queries:
+                assert search(on, slc, meter=meter, memo=memo).texts(slc.length) == expected
 
 
 class TestEntanglement:

@@ -249,6 +249,7 @@ class TestValueTypes:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: PartialString(((0, "1"),)), "positions must be integers >= 1"),
+        (lambda: PartialString(((True, "1"),)), "positions must be integers >= 1"),
         (lambda: PartialString(((1, "1"), (1, "2"))), "duplicate position"),
         (lambda: PartialString(((1, "12"),)), "single characters"),
         (lambda: Alphabet(()), "nonempty"),

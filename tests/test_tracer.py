@@ -261,7 +261,8 @@ class TestKernelOracle:
          "malformed: probe outside positions 1..2: 7"),
         (lambda probe: probe(1.0) == "1", "malformed: probe outside positions 1..2: 1.0"),
         (lambda probe: probe("1") == "1", "malformed: probe outside positions 1..2: '1'"),
-    ], ids=["revisit", "out-of-range", "float", "text"])
+        (lambda probe: probe(True) == "1", "malformed: probe outside positions 1..2: True"),
+    ], ids=["revisit", "out-of-range", "float", "text", "bool"])
     def test_probe_discipline(self, decide, message):
         p = sat_problem(2, 1)
         prog = DecisionProgram("malformed", decide)
@@ -270,6 +271,27 @@ class TestKernelOracle:
         assert str(err.value) == message
         with pytest.raises(MalformedProgramError) as err:
             list(trace_records(prog, p))
+        assert str(err.value) == message
+
+    def test_bool_probe_on_a_replayed_step(self):
+        # True == 1, so a run probing True where the run before probed 1
+        # must not pass for a replay of position 1
+        p = sat_problem(2, 1)
+
+        def flipping():
+            runs = []
+
+            def decide(probe):
+                runs.append(None)
+                return probe(True if len(runs) > 1 else 1) == "1" or probe(2) == "1"
+            return DecisionProgram("flipping", decide)
+
+        message = "flipping: nondeterministic: probed True where a run on the same letters probed 1"
+        with pytest.raises(MalformedProgramError) as err:
+            kernel(flipping(), p)
+        assert str(err.value) == message
+        with pytest.raises(MalformedProgramError) as err:
+            list(trace_records(flipping(), p))
         assert str(err.value) == message
 
     def test_runs_once_per_distinct_trace(self):
