@@ -17,9 +17,10 @@ program are the leaves of its decision tree, whose restrictions partition
 E. One walk, depth first over that tree pruned to E, runs a program once
 per leaf: :func:`kernel` folds it into the certifying strings and, when
 asked, streams it out as the trace dump, whose per-word records share one
-body across a leaf. A node splits F and E∖F on its path by its letter
-(:meth:`logogram.universe.Slice.branches`), so a leaf is justified by a zero
-test, and its certifying strings are one AND per position of its letters.
+body across a leaf. No word set is kept per node: while the reduced
+logogram expands to exactly F, an accept that includes a member and a
+reject that agrees with none are justified, as on the full cube every
+justified reject is; any other leaf is judged by its cylinder.
 
 Three traced solvers for the clause encoding are built in; all probe
 lazily and read each position at most once.
@@ -29,12 +30,14 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from functools import cache, reduce
+from operator import and_
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .budget import Budget, Meter
-from .engine import Antichain
+from .engine import Antichain, is_complete
 from .strings import PartialString
-from .universe import holds, lowest, member_rows, members_inside, set_bits
+from .universe import holds, lowest, member_rows, set_bits
 
 
 class Verdict(str, Enum):
@@ -101,55 +104,64 @@ def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None
     """The one loop that runs a program across the slice, once per leaf: a run
     replays the path to the node last advanced, a new node takes its lowest
     letter whose branch meets E, and then the deepest node with a later such
-    letter takes it, like an odometer. Yields per leaf F and E∖F on its path,
-    the verdict, whether the path justifies it, the path's (position, letter
-    index) pairs, valid until the next run, and as bits the members of
-    ``log`` an accept includes. Given a meter, it reads the clock per run."""
+    letter takes it, like an odometer. A leaf is settled by the members of
+    ``log`` its path agrees with while ``log`` expands to exactly F, else by
+    its cylinder. Yields per leaf the verdict, whether the path justifies it,
+    its (position, letter index) pairs, valid until the next run, and as bits
+    the members an accept includes; given a meter, reads the clock per run."""
     slc, f = problem.slice, problem.f_mask()
-    name, length, decide, branches = program.name, slc.length, program.decide, slc.branches
+    name, length, decide, cylinder = program.name, slc.length, program.decide, slc.cylinder
     letters, k = slc.alphabet.letters, len(slc.alphabet)
-    rows = member_rows(log.pairs, k, length)
-    index = [k] * length  # letter index per position on the path, k where open
+    rows, exact = member_rows(log.pairs, k, length), is_complete(log, problem)
     path, later = [], []  # per depth: (position, letter index), and the letters left
-    masks = [(f, slc.complement(f))]  # F and E∖F on the path, per depth
+    agree = [(1 << len(log)) - 1]  # per depth, the members the path agrees with
+    probed = 0  # the positions on the path, as bits
+    within = cache(lambda positions: reduce(  # the members with no letter outside the positions
+        and_, (row[k] for q, row in enumerate(rows, 1) if not positions >> q & 1), -1))
+    # the letters at a position held by some word of the mask e, to prune to E
+    pruned = lambda position, e: [d for d in range(k) if slc.restrict(e, ((position, d),))]
 
     def probe(position: int) -> str:
-        for p, d in replay:  # the path's next step, with no mask work
-            if position != p or position is True:  # True == 1
+        nonlocal probed
+        for p, d in replay:  # the path's next step
+            if position is not p and (position != p or position is True):  # True == 1
                 raise MalformedProgramError(f"{name}: nondeterministic: probed {position!r} "
                                             f"where a run on the same letters probed {p}")
             return letters[d]
         if position is True or not isinstance(position, int) or not 1 <= position <= length:
             raise MalformedProgramError(
                 f"{name}: probe outside positions 1..{length}: {position!r}")
-        if index[position - 1] != k:
+        if probed >> position & 1:
             raise MalformedProgramError(f"{name}: position {position} probed twice")
-        later.append(iter(branches(position, *masks[-1])))
-        d, split = next(later[-1])
-        index[position - 1] = d
+        later.append(iter(range(k) if slc.is_full else pruned(position, cylinder(path))))
+        d = next(later[-1])
+        probed |= 1 << position
         path.append((position, d))
-        masks.append(split)
+        agree.append(agree[-1] & rows[position - 1][d])
         return letters[d]
 
+    where = lambda: f"at word {slc.text_of_int(lowest(cylinder(path)))!r}"  # if time runs out
     while True:
         if meter is not None:
-            meter.check(lambda: f"at word {slc.text_of_int(lowest(masks[-1][0] | masks[-1][1]))!r}")
+            meter.check(where)
         replay = iter(path)
         accepted = bool(decide(probe))
         for p, _ in replay:
             raise MalformedProgramError(f"{name}: nondeterministic: stopped where a run "
                                         f"on the same letters probed {p}")
-        on, off = masks[-1]
-        yield (on, off, accepted, not (off if accepted else on), path,
-               members_inside(rows, index) if accepted else 0)
+        bits = agree[-1] & within(probed) if accepted else 0
+        settled = exact and (bits != 0 if accepted else not agree[-1])  # by the members alone
+        just = settled or not cylinder(path) & (~f if accepted else f)  # else by its cylinder
+        yield accepted, just, path, bits
         while path:  # advance the deepest node with a letter left
             p, _ = path.pop()
-            d, masks[-1] = next(later[-1], (k, None))
-            index[p - 1] = d
+            d = next(later[-1], k)
             if d < k:
                 path.append((p, d))
+                agree[-1] = agree[-2] & rows[p - 1][d]
                 break
-            del later[-1], masks[-1]
+            del later[-1], agree[-1]
+            probed ^= 1 << p
         else:
             return
 
@@ -158,14 +170,14 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
            dump: TextIO | None = None) -> Antichain:
     """The reduced-logogram strings the program actually certifies with.
 
-    Walks the program's decision tree, reading the clock once per run. The
-    program must be correct and justified throughout, and each accepting
-    restriction, being in the logogram, must include a member of
-    ``problem.logogram()``, else the search missed one. After the walk it
-    raises on the least lowest word of a faulty leaf, the first faulty word
-    in canonical order. Given a text stream ``dump``, it writes there as it
-    walks, whole before any such error, the :func:`trace_records` dump with
-    the program's name added, reading the clock once per word instead."""
+    Walks the program's decision tree, reading the clock once per run and
+    judging each leaf as :func:`_walk` does, by the members of
+    ``problem.logogram()`` or its cylinder. The program must be correct and
+    justified throughout, and an accept must include a member, else the
+    search missed one. After the walk it raises on the least lowest word of a
+    faulty leaf. Given a text stream ``dump``, it writes there as it walks,
+    whole before any such error, the :func:`trace_records` dump with the
+    program's name added, reading the clock once per word instead."""
     meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
     slc, used, faults = problem.slice, 0, []
@@ -173,9 +185,9 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
     def tallied():
         nonlocal used
         for leaf in _walk(program, problem, log, meter if dump is None else None):
-            on, off, accepted, just, _, bits = leaf
+            accepted, just, path, bits = leaf
             if not just or accepted and not bits:
-                faults.append((lowest(on | off), accepted, just))
+                faults.append((lowest(slc.cylinder(path)), accepted, just))
             used |= bits
             yield leaf
 
@@ -195,15 +207,14 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
 
 
 def _records(slc, texts: list[str], leaves, meter: Meter) -> Iterator[dict]:
-    """Per-word records in word order, reading the clock once per word, from
-    the walk's leaves, pulled while the next word is not yet pending. The
-    words of a leaf share one record body."""
+    """Records in word order, one clock read per word, from the walk's leaves, pulled
+    while the next word is not pending; a leaf's body goes to each word of its cylinder."""
     pending: dict[int, dict] = {}  # words of pulled leaves not yet dumped -> body
     for i in slc.word_ints():
         meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
         while i not in pending:
-            on, off, accepted, just, path, bits = next(leaves)
-            pending.update(dict.fromkeys(set_bits(on | off), {
+            accepted, just, path, bits = next(leaves)
+            pending.update(dict.fromkeys(set_bits(slc.cylinder(path)), {
                 "probes": [[p, slc.alphabet.letters[d]] for p, d in path],
                 "verdict": _VERDICTS[accepted].value, "justified": just,
                 "certifying_strings": [texts[j] for j in set_bits(bits)]}))
@@ -216,8 +227,7 @@ def trace_records(program: DecisionProgram, problem,
     one walk of the program's decision tree; program faults are recorded,
     not raised, but a missed logogram member raises as in :func:`kernel`."""
     meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
-    log = problem.logogram(meter=meter)
-    slc = problem.slice
+    log, slc = problem.logogram(meter=meter), problem.slice
     for rec in _records(slc, log.texts(slc.length), _walk(program, problem, log), meter):
         if rec["verdict"] == "accept" and rec["justified"] and not rec["certifying_strings"]:
             raise ProgramFaultError(rec["input"], f"{program.name} {_MISSED}")

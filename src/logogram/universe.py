@@ -18,9 +18,8 @@ It is the one place that layout lives, and the only module that reads E,
 the per-position masks or single bits of a mask. Other layers reach a word
 set through these primitives:
 
-- :meth:`Slice.letters_of` decodes a packed word; :meth:`Slice.branches`
-  splits two masks on one position; :meth:`Slice.cofactors`, the only
-  primitive over a tail space (positions p..L), splits one mask on p;
+- :meth:`Slice.letters_of` decodes a packed word; :meth:`Slice.cofactors`
+  splits a mask over positions p..L on p, the only tail-space primitive;
 - :meth:`Slice.restrict` keeps the words of a mask over the cube that
   extend some pairs, :meth:`Slice.cylinder` is that restriction of E, and
   :meth:`Slice.expansion` the union of cylinders;
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import and_, getitem, or_
 from typing import Iterable, Iterator, Sequence
 
 from .strings import BLANK, Alphabet, FormatError, PartialString
@@ -228,12 +227,6 @@ class Slice:
                 row[p] = k
         return row
 
-    def branches(self, position: int, yes: int, no: int) -> list[tuple[int, tuple[int, int]]]:
-        """The letter indices d at ``position`` held by a word of ``yes`` or of
-        ``no``, ascending, each with the words of both masks that hold it."""
-        masks = (self._position_masks or self.position_masks())[position - 1]
-        return [(d, pair) for d, m in enumerate(masks) if (pair := (yes & m, no & m)) != (0, 0)]
-
     def cofactors(self, mask: int, p: int) -> list[int]:
         """The cofactors on p = 0..k-1 of a mask over positions p..L, each
         over p + 1..L: p is a packed tail's most significant digit, so they
@@ -370,7 +363,4 @@ def text_of_pairs(pairs: Pairs, length: int, letters: Sequence[str]) -> str:
 def members_inside(rows: list[tuple[int, ...]], index: Sequence[int]) -> int:
     """The bitset of members included in the restriction whose letter index
     per position is ``index``, with ``k`` for a position left open."""
-    out = -1
-    for row, d in zip(rows, index):
-        out &= row[d]
-    return out
+    return reduce(and_, map(getitem, rows, index), -1)

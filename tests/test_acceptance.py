@@ -186,6 +186,22 @@ def test_criterion_all_solvers_share_the_kernel():
         assert elapsed < 30, f"took {elapsed:.1f}s"
 
 
+def test_criterion_kernel_sweep_at_3_to_the_12():
+    # 531,441 words each: about 9 s on a 2-core VM, searches included; the
+    # sweeps alone are in BENCH_kernel_rows.json, where a walk that split
+    # word sets per node took about 20 s
+    started = time.monotonic()
+    with criterion("the three traced solvers' kernels on shapes 4x3 and 3x4 "
+                   "equal the closed-form logogram (< 30 s)"):
+        for n, m in [(4, 3), (3, 4)]:
+            p = sat_problem(n, m)
+            predicted = predicted_sat_logogram(CnfShape(n, m))
+            for prog in built_in_programs(p):
+                assert program_kernel(prog, p).elements == predicted.elements, (n, m, prog.name)
+        elapsed = time.monotonic() - started
+        assert elapsed < 30, f"took {elapsed:.1f}s"
+
+
 def test_criterion_order_and_entanglement_laws():
     started = time.monotonic()
     with criterion("lattice laws, expansion laws, logogram-union inclusion, "

@@ -426,7 +426,7 @@ class TestSearchSplitsByCofactorsAlone:
         def forbidden(*args, **kwargs):
             raise AssertionError("the search read a mask other than by its cofactors")
 
-        for name in ("restrict", "position_masks", "branches", "cylinder"):
+        for name in ("restrict", "position_masks", "cylinder"):
             monkeypatch.setattr(Slice, name, forbidden)
         search = logogram.engine.reduced_logogram_of_mask
         for slc, on, expected in fresh:

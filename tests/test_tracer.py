@@ -10,7 +10,7 @@ from logogram import (
     Antichain, Budget, BudgetExceededError, DecisionProgram, MalformedProgramError, ProbeTrace, ProgramFaultError,
     Verdict, backward_assignment_scan, built_in_programs, clause_first_scan,
     PartialString, forward_assignment_scan, generic_problem, irreducibility_report,
-    justified, kernel, sat_problem, trace_records, TERNARY,
+    justified, kernel, sat_problem, trace_records, BINARY, TERNARY,
 )
 
 
@@ -469,6 +469,64 @@ class TestTreeWalk:
                 "01", "reverse-reader accepted on probes that include no "
                       "reduced-logogram member")
             assert seen.index("10") < seen.index("01")
+
+
+# the binary words of length 2 but "11": its reduced logogram is "0_", "_0"
+NAND2_DOC = {"alphabet": ["0", "1"], "length": 2, "universe": "all",
+             "target": ["00", "01", "10"], "regions": [["00", "01", "10"]], "label": "nand:2"}
+
+
+class TestJudgedByMembers:
+    """The members a leaf agrees with settle it only while the cached
+    logogram expands to exactly F, and settle a reject agreeing with one
+    only on the full cube; every other leaf is judged by its cylinder, as
+    the oracle judges every leaf."""
+
+    def test_member_leaving_f_justifies_no_accept(self):
+        # "1_" is added, though "11" is no word of F: the accept on "1_"
+        # includes it, and is still unjustified at "10", where it is right
+        p = generic_problem(NAND2_DOC)
+        prog = DecisionProgram("reads-one", lambda probe: probe(1) in "01")
+        fault = ("10", "reads-one was not justified in its accept")
+        assert oracle_sweep(prog, p)[1] == fault
+        p._logogram = Antichain.of([ps(g, BINARY) for g in ("0_", "_0", "1_")], BINARY)
+        assert oracle_sweep(prog, p)[1] == fault
+        for sweep in SWEEPS[:2]:
+            with pytest.raises(ProgramFaultError) as err:
+                sweep(prog, p)
+            assert (err.value.word_text, err.value.reason) == fault
+        record = record_of(prog, p, "10")
+        assert record["certifying_strings"] == ["1_"] and record["justified"] is False
+
+    def test_dropped_member_clears_no_reject(self):
+        # with "_2" dropped, no member agrees with "02", the only word of F
+        # that it alone covered; the reject there is still wrong
+        p = sat_problem.__wrapped__(2, 1)
+        prog = DecisionProgram("misses-02", lambda probe: probe(1) != "0" or probe(2) == "1")
+        fault = ("02", "misses-02 gave the wrong verdict")
+        assert oracle_sweep(prog, p)[1] == fault
+        kept = [g for g in p.logogram().texts(2) if g != "_2"]
+        p._logogram = Antichain.of([ps(g) for g in kept], TERNARY)
+        assert not any(all(c in ("_", w) for c, w in zip(g, "02")) for g in kept)
+        assert oracle_sweep(prog, p)[1] == fault
+        for sweep in SWEEPS[:2]:
+            with pytest.raises(ProgramFaultError) as err:
+                sweep(prog, p)
+            assert (err.value.word_text, err.value.reason) == fault
+        assert record_of(prog, p, "02")["justified"] is False
+
+    def test_reject_agreeing_with_a_member_off_the_cube(self):
+        # on even-parity words, "0___" agrees with "_001", yet no word of E
+        # extending it starts with 1: the reject there is justified
+        p = generic_problem(EVEN4_DOC)
+        prog = DecisionProgram("first-position", first_position)
+        assert "_001" in p.logogram().texts(4)
+        expected, fault = oracle_sweep(prog, p)
+        assert fault is None and expected == ["1___"]
+        assert kernel(prog, p).texts(4) == expected
+        records = [r for r in trace_records(prog, p) if r["verdict"] == "reject"]
+        assert [r["input"] for r in records] == ["0000", "0011", "0101", "0110"]
+        assert all(r["probes"] == [[1, "0"]] and r["justified"] for r in records)
 
 
 class TestKernelLaws:
