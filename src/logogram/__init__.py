@@ -32,8 +32,8 @@ _EXPORTS = {
         "BINARY", "BLANK", "TERNARY", "VOID", "Alphabet", "FormatError",
         "IncompatibleStrings", "PartialString"),
     "tracer": (
-        "DecisionProgram", "MalformedProgramError", "ProbeTrace", "ProgramFaultError",
-        "Verdict", "backward_assignment_scan", "built_in_programs", "clause_first_scan",
+        "DecisionProgram", "MalformedProgramError", "ProgramFaultError",
+        "backward_assignment_scan", "built_in_programs", "clause_first_scan",
         "forward_assignment_scan", "justified", "kernel", "trace_records"),
     "universe": (
         "DegenerateSliceError", "Slice", "expand", "full_slice"),

@@ -99,11 +99,11 @@ class ProblemSlice:
                                                       meter=meter)
         return self._logogram
 
-    def region_logograms(self, budget: Budget | None = None, meter=None) -> tuple[Antichain, ...]:
+    def region_logograms(self, meter=None) -> tuple[Antichain, ...]:
         """Every region's reduced logogram, in solution order, by searches sharing one
         meter and one cofactor memo: each distinct sub-problem is charged once."""
         if self._region_logograms is None:
-            meter = meter or (budget or Budget.default()).start("region logograms")
+            meter = meter or Budget.default().start("region logograms")
             memo: dict = {}
             self._region_logograms = tuple(
                 reduced_logogram_of_mask(m, self.slice, meter=meter, memo=memo)

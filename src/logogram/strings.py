@@ -84,7 +84,7 @@ class PartialString(Value):
     _fields = ("pairs",)
 
     def __init__(self, pairs: Iterable[tuple[int, str]]):
-        pairs = tuple(sorted(pairs))
+        pairs = tuple(pairs)
         positions = [p for p, _ in pairs]
         if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in positions):
             raise ValueError("positions must be integers >= 1")
@@ -93,7 +93,7 @@ class PartialString(Value):
         for _, ch in pairs:
             if not isinstance(ch, str) or len(ch) != 1:
                 raise ValueError(f"letters must be single characters, got {ch!r}")
-        super().__init__(pairs)
+        super().__init__(tuple(sorted(pairs)))
 
     @classmethod
     def of(cls, assignments: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PartialString":

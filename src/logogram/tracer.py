@@ -7,6 +7,10 @@ be justified by that restriction alone: an accept is justified when the
 restriction already forces membership in the target, a reject when the
 restriction has no accepted extension at all.
 
+A run's one public form is its trace-dump record: input, [position,
+letter] probes and ``"accept"`` or ``"reject"``. :func:`justified` judges
+it by its cylinder, re-checking the ``justified`` field the walk wrote.
+
 The kernel of a program is the set of reduced-logogram strings it actually
 certifies with: those included in the probed restriction of some accepted
 input. A correct, justified program always has a complete kernel, and when
@@ -29,7 +33,6 @@ lazily and read each position at most once.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from functools import cache, reduce
 from operator import and_
 from typing import Callable, Iterator, NamedTuple, TextIO
@@ -40,12 +43,7 @@ from .strings import PartialString
 from .universe import holds, lowest, member_rows, set_bits
 
 
-class Verdict(str, Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
-
-
-_VERDICTS = (Verdict.REJECT, Verdict.ACCEPT)  # indexed by accepted
+_VERDICTS = ("reject", "accept")  # indexed by accepted
 _MISSED = "accepted on probes that include no reduced-logogram member"
 
 
@@ -63,14 +61,6 @@ class ProgramFaultError(RuntimeError):
         self.reason = reason
 
 
-class ProbeTrace(NamedTuple):
-    """Ordered positions read during one run, with the observed letters and
-    the final verdict."""
-
-    probes: tuple[tuple[int, str], ...]
-    verdict: Verdict
-
-
 class DecisionProgram(NamedTuple):
     """A named decision procedure driven through a probe callback.
 
@@ -84,20 +74,27 @@ class DecisionProgram(NamedTuple):
     decide: Callable[[Callable[[int], str]], bool]
 
 
-def justified(trace: ProbeTrace, word: PartialString, problem) -> bool:
-    """Is the verdict forced by the probed restriction alone?
+def justified(record: dict, problem) -> bool:
+    """Is the run's verdict forced by its probed restriction alone?
 
+    ``record`` is a run as :func:`trace_records` yields it, or one line of
+    the CLI's trace dump: its ``input``, its ``probes`` as [position, letter]
+    pairs and its ``verdict`` are read, and any other field is ignored.
     Accepts need the restriction to force the target; rejects need the
     restriction to admit no accepted extension within the slice. Raises
-    ``ValueError`` unless the word is a word of the slice that agrees with
-    every probe.
+    ``ValueError`` on an unknown verdict, an input that is no word of the
+    slice, or a probe that disagrees with the input or lies past its length.
     """
-    slc, f = problem.slice, problem.f_mask()
-    restriction = PartialString(trace.probes)
-    if slc.stray(slc.mask_of_words([word])) is not None or not word >= restriction:
-        raise ValueError(f"{trace.probes!r} are not probes of a word of the slice: {word!r}")
+    slc, f, text, verdict = problem.slice, problem.f_mask(), record["input"], record["verdict"]
+    if verdict not in _VERDICTS:
+        raise ValueError(f"unknown verdict {verdict!r}, not one of {_VERDICTS}")
+    if not isinstance(text, str) or slc.stray(slc.mask_of_words([text])) is not None:
+        raise ValueError(f"{text!r} is no word of the slice")
+    restriction = PartialString(map(tuple, record["probes"]))
+    if not PartialString.parse(text, slc.alphabet) >= restriction:
+        raise ValueError(f"{record['probes']!r} are not probes of the input {text!r}")
     cyl = slc.cylinder(slc.pairs_of(restriction))
-    return (cyl & f) == cyl if trace.verdict == Verdict.ACCEPT else not cyl & f
+    return not cyl & (~f if verdict == "accept" else f)
 
 
 def _walk(program: DecisionProgram, problem, log: Antichain, meter: Meter | None = None):
@@ -201,7 +198,7 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
         w, accepted, just = min(faults)
         wrong = accepted != holds(problem.f_mask(), w)
         reason = (_MISSED if just else "gave the wrong verdict" if wrong else
-                  f"was not justified in its {_VERDICTS[accepted].value}")
+                  f"was not justified in its {_VERDICTS[accepted]}")
         raise ProgramFaultError(slc.text_of_int(w), f"{program.name} {reason}")
     return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
 
@@ -216,7 +213,7 @@ def _records(slc, texts: list[str], leaves, meter: Meter) -> Iterator[dict]:
             accepted, just, path, bits = next(leaves)
             pending.update(dict.fromkeys(set_bits(slc.cylinder(path)), {
                 "probes": [[p, slc.alphabet.letters[d]] for p, d in path],
-                "verdict": _VERDICTS[accepted].value, "justified": just,
+                "verdict": _VERDICTS[accepted], "justified": just,
                 "certifying_strings": [texts[j] for j in set_bits(bits)]}))
         yield {"input": slc.text_of_int(i), **pending.pop(i)}
 
@@ -288,17 +285,18 @@ def clause_first_scan(problem) -> DecisionProgram:
     that satisfy everything probed so far; reject as soon as it empties,
     accept once every block has been read with survivors left.
 
-    The assignments are bits of a mask, with one mask per (position, slot
-    code) of the assignments that code makes true there: a block keeps the
-    viable assignments ANDed with the OR of its slots' masks.
+    The assignments are bits of a mask, with one mask per position and
+    letter of the assignments that letter makes true there, empty for a
+    letter that makes none true: a block keeps the viable assignments ANDed
+    with the OR of its slots' masks.
     """
     shape = _require_shape(problem)
-    makes_true: dict[int, dict[str, int]] = {}
+    letters = problem.slice.alphabet.letters
+    makes_true = {p: dict.fromkeys(letters, 0) for p in range(1, shape.length + 1)}
     for j, bits in enumerate(problem.solutions):
         for clause in shape.true_literals(bits):
             for p, code in clause:
-                masks = makes_true.setdefault(p, {})
-                masks[code] = masks.get(code, 0) | 1 << j
+                makes_true[p][code] |= 1 << j
     blocks = tuple(tuple((p, makes_true[p]) for p, _ in clause)  # slots in probe order
                    for clause in shape.true_literals(problem.solutions[0]))
     everyone = (1 << len(problem.solutions)) - 1
@@ -308,7 +306,7 @@ def clause_first_scan(problem) -> DecisionProgram:
         for slots in blocks:
             block = 0
             for p, masks in slots:
-                block |= masks.get(probe(p), 0)
+                block |= masks[probe(p)]
             viable &= block
             if not viable:
                 return False

@@ -36,6 +36,12 @@ class TestLazySurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             logogram.no_such_name
 
+    def test_submodule_loads_as_an_attribute_before_any_import(self):
+        # in this process every submodule is already imported, so a fresh one runs it
+        loaded = modules_after("import logogram\n"
+                               "assert logogram.tracer is sys.modules['logogram.tracer']")
+        assert "logogram.tracer" in loaded
+
 
 # public names that no module of the package and no benchmark script calls:
 # the paper's definitions, through which the tests check its laws, and the
@@ -250,6 +256,7 @@ class TestValueTypes:
     @pytest.mark.parametrize("build, message", [
         (lambda: PartialString(((0, "1"),)), "positions must be integers >= 1"),
         (lambda: PartialString(((True, "1"),)), "positions must be integers >= 1"),
+        (lambda: PartialString((("a", "1"), (1, "1"))), "positions must be integers >= 1"),
         (lambda: PartialString(((1, "1"), (1, "2"))), "duplicate position"),
         (lambda: PartialString(((1, "12"),)), "single characters"),
         (lambda: Alphabet(()), "nonempty"),

@@ -342,6 +342,7 @@ class TestGeneric:
 
     def test_valid_descriptor(self):
         p = generic_problem(self.GOOD)
+        assert repr(p) == "ProblemSlice('corner')"
         assert p.alpha == 1
         assert target_texts(p) == ["11"]
         assert p.satisfies(ps("11", BINARY), "region-1")

@@ -99,6 +99,8 @@ class TestOrder:
     def test_strict(self):
         assert ps("1") < ps("12")
         assert not ps("12") < ps("12")
+        assert ps("12") > ps("1")
+        assert not ps("12") > ps("12")
 
 
 class TestMeetJoin:

@@ -1,14 +1,15 @@
 """Probe traces, justification, kernels of traced programs."""
 
 import io
+import json
 
 import pytest
 
 import logogram.budget
 import oracles
 from logogram import (
-    Antichain, Budget, BudgetExceededError, DecisionProgram, MalformedProgramError, ProbeTrace, ProgramFaultError,
-    Verdict, backward_assignment_scan, built_in_programs, clause_first_scan,
+    Antichain, Budget, BudgetExceededError, DecisionProgram, MalformedProgramError, ProgramFaultError,
+    backward_assignment_scan, built_in_programs, clause_first_scan,
     PartialString, forward_assignment_scan, generic_problem, irreducibility_report,
     justified, kernel, sat_problem, trace_records, BINARY, TERNARY,
 )
@@ -27,21 +28,21 @@ class TestOneRun:
     def test_forward_scan_accepts_satisfiable_unit(self):
         p = sat_problem(1, 1)
         record = record_of(forward_assignment_scan(p), p, "1")
-        assert record["verdict"] == Verdict.ACCEPT
+        assert record["verdict"] == "accept"
         assert record["probes"] == [[1, "1"]]
 
     def test_rejects_empty_clause(self):
         p = sat_problem(1, 1)
         for prog in built_in_programs(p):
             record = record_of(prog, p, "0")
-            assert record["verdict"] == Verdict.REJECT
+            assert record["verdict"] == "reject"
             assert record["probes"] == [[1, "0"]]
 
     def test_constant_accept_records_mismatching_verdict(self):
         p = sat_problem(1, 1)
         prog = DecisionProgram("always-accept", lambda probe: True)
         record = record_of(prog, p, "0")
-        assert record["verdict"] == Verdict.ACCEPT
+        assert record["verdict"] == "accept"
         # wrong, and kernel() will say so
         assert not p.f_mask() & p.slice.mask_of_words(["0"])
 
@@ -54,48 +55,63 @@ class TestOneRun:
         assert all(observed[pos] == "1012"[pos - 1] for pos in observed)
 
 
+def run(text, probes, verdict="accept", **fields):
+    """A run as a trace-dump record reads it."""
+    return {"input": text, "probes": [list(probe) for probe in probes], "verdict": verdict,
+            **fields}
+
+
 class TestJustified:
     def test_accept_on_forced_restriction(self):
         p = sat_problem(1, 1)
-        trace = ProbeTrace(((1, "1"),), Verdict.ACCEPT)
-        assert justified(trace, ps("1"), p)
+        assert justified(run("1", [(1, "1")]), p)
 
     def test_accept_with_partial_probe(self):
         p = sat_problem(2, 1)
-        trace = ProbeTrace(((1, "1"),), Verdict.ACCEPT)
-        assert justified(trace, ps("10"), p)
+        assert justified(run("10", [(1, "1")]), p)
 
     def test_unjustified_accept(self):
         p = sat_problem(2, 1)
-        trace = ProbeTrace(((2, "0"),), Verdict.ACCEPT)
-        assert not justified(trace, ps("10"), p)
+        assert not justified(run("10", [(2, "0")]), p)
 
     def test_justified_reject_requires_no_accepted_extension(self):
         p = sat_problem(2, 1)
-        assert justified(ProbeTrace(((1, "0"), (2, "0")), Verdict.REJECT),
-                         ps("00"), p)
-        assert not justified(ProbeTrace(((1, "0"),), Verdict.REJECT),
-                             ps("00"), p)
+        assert justified(run("00", [(1, "0"), (2, "0")], "reject"), p)
+        assert not justified(run("00", [(1, "0")], "reject"), p)
+
+    def test_judges_a_cli_dump_line_by_its_run_alone(self):
+        # the line's own judgement and certifying strings are not read
+        p = sat_problem(1, 1)
+        line = json.dumps(run("1", [(1, "1")], program="forward-assignment-scan",
+                              justified=False, certifying_strings=[]))
+        assert justified(json.loads(line), p)
+
+    @pytest.mark.parametrize("verdict", ["maybe", "ACCEPT", True])
+    def test_verdict_must_be_accept_or_reject(self, verdict):
+        p = sat_problem(1, 1)
+        with pytest.raises(ValueError, match="unknown verdict"):
+            justified(run("1", [(1, "1")], verdict), p)
 
     @pytest.mark.parametrize("text", ["0", "2"])
     def test_probe_letter_must_agree_with_the_word(self, text):
         p = sat_problem(1, 1)
-        with pytest.raises(ValueError, match="not probes of a word of the slice"):
-            justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT), ps(text), p)
+        with pytest.raises(ValueError, match="are not probes of the input"):
+            justified(run(text, [(1, "1")]), p)
 
     def test_probe_position_must_be_in_the_word(self):
         p = sat_problem(1, 1)
-        with pytest.raises(ValueError, match="not probes of a word of the slice"):
-            justified(ProbeTrace(((5, "1"),), Verdict.ACCEPT), ps("1"), p)
+        with pytest.raises(ValueError, match="are not probes of the input"):
+            justified(run("1", [(5, "1")]), p)
 
-    def test_word_must_be_a_word_of_the_slice(self):
-        p = sat_problem(1, 1)
-        with pytest.raises(ValueError):
-            justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT), ps("11"), p)
-        even = generic_problem(EVEN4_DOC)  # "1000" has odd parity
-        with pytest.raises(ValueError, match="not probes of a word of the slice"):
-            justified(ProbeTrace(((1, "1"),), Verdict.ACCEPT),
-                      PartialString.parse("1000", even.slice.alphabet), even)
+    @pytest.mark.parametrize("make, text", [
+        (lambda: sat_problem(1, 1), "11"),
+        (lambda: sat_problem(1, 1), "3"),
+        (lambda: sat_problem(1, 1), 1),
+        (lambda: generic_problem(EVEN4_DOC), "1000"),  # odd parity
+    ], ids=["long", "letter", "int", "outside-E"])
+    def test_word_must_be_a_word_of_the_slice(self, make, text):
+        with pytest.raises(ValueError, match="is no(t a)? word of"):
+            justified(run(text, [(1, "1")]), make())
 
     def test_accepting_restrictions_never_leave_the_target(self):
         # a justified accept's restriction cannot sit inside a rejected word
@@ -327,11 +343,15 @@ class TestKernelOracle:
         assert calls == 347
 
     @pytest.mark.parametrize("make", [
+        # the first-slot program's accepts and rejects are all unjustified
+        lambda: (sat_problem(2, 2), (*built_in_programs(sat_problem(2, 2)),
+                                     DecisionProgram("first-slot", lambda probe: probe(1) != "0"))),
         lambda: (sat_problem(2, 3), built_in_programs(sat_problem(2, 3))),
+        lambda: (sat_problem(3, 2), built_in_programs(sat_problem(3, 2))),
         lambda: (generic_problem(EVEN4_DOC),
                  (DecisionProgram("first-position", first_position),
                   DecisionProgram("odd-tail", odd_tail))),
-    ], ids=["sat-2x3", "even-4"])
+    ], ids=["sat-2x2", "sat-2x3", "sat-3x2", "even-4"])
     def test_dump_matches_per_word_runs(self, make):
         p, programs = make()
         slc, L = p.slice, p.slice.length
@@ -340,16 +360,14 @@ class TestKernelOracle:
             records = list(trace_records(prog, p))
             assert len(records) == slc.word_count()
             for i, record in zip(slc.word_ints(), records):
-                word = slc.word_of_int(i)
                 probes, accepted = oracles.run_once(prog.decide, slc.text_of_int(i))
-                trace = ProbeTrace(probes, Verdict.ACCEPT if accepted else Verdict.REJECT)
                 observed = dict(probes)
                 restriction = "".join(observed.get(pos, "_") for pos in range(1, L + 1))
                 assert record == {
                     "input": slc.text_of_int(i),
                     "probes": [[pos, ch] for pos, ch in probes],
-                    "verdict": trace.verdict.value,
-                    "justified": justified(trace, word, p),
+                    "verdict": "accept" if accepted else "reject",
+                    "justified": justified(record, p),
                     "certifying_strings": [g for g in log if accepted
                                            and oracles.includes(restriction, g)],
                 }, (prog.name, record["input"])

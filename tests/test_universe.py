@@ -431,10 +431,12 @@ class TestExpansionLaws:
 
 class TestDescriptors:
     def test_full_and_explicit_descriptors(self):
-        assert full_slice(TERNARY, 2, label="demo").descriptor() == {
+        demo, pair = full_slice(TERNARY, 2, label="demo"), Slice(BINARY, 2, ["11", "00"], label="pair")
+        assert demo.descriptor() == {
             "alphabet": ["0", "1", "2"], "length": 2, "label": "demo", "membership": "all"}
-        assert Slice(BINARY, 2, ["11", "00"], label="pair").descriptor() == {
+        assert pair.descriptor() == {
             "alphabet": ["0", "1"], "length": 2, "label": "pair", "membership": ["00", "11"]}
+        assert (repr(demo), repr(pair)) == ("Slice('demo', length=2)", "Slice('pair', length=2)")
 
 
 @settings(max_examples=60)
