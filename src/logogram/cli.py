@@ -10,14 +10,18 @@ CSV rows from their fields, and the text form walks that document.
 The analysis layers load on a handler's first use, so ``--help`` and each
 subcommand import only what they run. Handlers call them as attributes of
 this module (``_cli.kernel``), which resolve through the package on first
-access and can be replaced, for instance by a test or a tracer.
+access and can be replaced, for instance by a test or a tracer. ``run()``
+is the process entry: it freezes the heap, so exit collects no cycles among
+what the analysis left alive; no module here has a finalizer that needs it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
+import os
 import sys
 
 from .budget import DEFAULT_MAX_SECONDS, DEFAULT_MAX_STRINGS, Budget, BudgetExceededError
@@ -38,12 +42,10 @@ def __getattr__(name: str):
     value = globals()[name] = getattr(package, name)
     return value
 
-_PROBLEM_USAGE = "sat N M | composite WIDTH | connectivity V | generic PATH"
-
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("problem", choices=["sat", "composite", "connectivity", "generic"],
-                    help=_PROBLEM_USAGE)
+                    help="sat N M | composite WIDTH | connectivity V | generic PATH")
     sp.add_argument("args", nargs="*", help="problem arguments")
     sp.add_argument("--budget-strings", type=int, default=DEFAULT_MAX_STRINGS, metavar="N",
                     help="max distinct sub-problems per search (per suite for galois; "
@@ -355,5 +357,18 @@ def main(argv=None) -> int:
     return EXIT_VIOLATION if violation else EXIT_OK
 
 
+def run() -> None:
+    """The process entry: ``main()``, exiting 1 also when stdout cannot be written."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as err:  # a full disk, or a pipe its reader closed
+        print(f"error: {err}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit flushes again
+        code = EXIT_ERROR
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

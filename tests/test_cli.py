@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -763,3 +765,72 @@ class TestContract:
         elapsed = time.perf_counter() - start
         assert code in (0, 2), err
         assert elapsed < 10
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def process(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python ARGS`` on the checkout's ``src``, with stdout buffered as it
+    is wherever PYTHONUNBUFFERED is unset."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=60)
+
+
+# one case per exit code
+EXIT_CASES = {
+    "ok": (("logogram", "sat", "2", "2"), 0),
+    "error": (("logogram", "sat", "0", "2"), 1),
+    "budget": (("logogram", "composite", "12", "--budget-strings", "10"), 2),
+    "violation": (("irreducible", "composite", "6"), 3),
+}
+
+# a report that stays in stdout's buffer until exit, and one that overflows
+# it inside main's own write
+REPORT_SIZES = [("logogram", "sat", "2", "2"), ("cover", "composite", "10")]
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv,code", list(EXIT_CASES.values()), ids=list(EXIT_CASES))
+    def test_process_ends_as_main_returns(self, capsys, argv, code):
+        in_process = run(capsys, *argv)
+        assert in_process[0] == code
+        proc = process("-m", "logogram.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (code, in_process[1].encode())
+
+    @pytest.mark.parametrize("entry,frozen", [
+        ("runpy.run_module('logogram.cli', run_name='__main__', alter_sys=True)", True),
+        ("from logogram.cli import main\nmain(sys.argv[1:])", False),
+    ], ids=["run", "main"])
+    def test_only_the_process_entry_freezes_the_heap(self, entry, frozen):
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+                  "sys.argv = ['logogram', 'logogram', 'sat', '2', '2']\n" + entry)
+        proc = process("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert (int(proc.stderr.decode().split()[-1]) > 0) is frozen
+
+
+class TestFailedWriteToStdout:
+    # the write fails in the flush before exit, or in main for a long report;
+    # either way one error line and exit 1, not the interpreter's 120
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", REPORT_SIZES, ids=["buffered", "overflowing"])
+    def test_full_device_exits_1(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = process("-m", "logogram.cli", *argv, stdout=full)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("argv", REPORT_SIZES, ids=["buffered", "overflowing"])
+    def test_pipe_closed_by_its_reader_exits_1(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = process("-m", "logogram.cli", *argv, stdout=write)
+        finally:
+            os.close(write)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines

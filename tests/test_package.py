@@ -142,6 +142,25 @@ class TestPrivateNamesStayPrivate:
                     assert not private, f"{path.name}:{node.lineno} imports {private}"
 
 
+class TestNothingNeedsTheCollectorAtExit:
+    def test_no_module_defines_a_finalizer_or_exit_hook(self):
+        # the process entry freezes the heap before exit, so a finalizer
+        # (__del__, a weakref callback) on an object left in a cycle would
+        # stop running at exit; the package has none, nor an atexit hook
+        for path in (SRC / "logogram").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.FunctionDef):
+                    assert node.name != "__del__", f"{path.name}:{node.lineno} defines __del__"
+                if isinstance(node, ast.Import):
+                    modules = {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = {node.module.split(".")[0]}
+                else:
+                    continue
+                assert not modules & {"weakref", "atexit"}, \
+                    f"{path.name}:{node.lineno} imports {sorted(modules)}"
+
+
 def modules_after(code: str) -> set[str]:
     """The modules loaded by ``code`` in a fresh interpreter without site
     packages, with the checkout's ``src`` first on the path."""
