@@ -34,7 +34,7 @@ _EXPORTS = {
     "tracer": (
         "DecisionProgram", "MalformedProgramError", "ProgramFaultError",
         "backward_assignment_scan", "built_in_programs", "clause_first_scan",
-        "forward_assignment_scan", "justified", "kernel", "trace_records"),
+        "forward_assignment_scan", "justified", "kernel"),
     "universe": (
         "DegenerateSliceError", "Slice", "expand", "full_slice"),
     "wizardry": (

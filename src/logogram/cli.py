@@ -57,8 +57,13 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="write the report here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own swallows a failed write
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logogram",
         description="Certificate-structure analysis of finite decision problems.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,12 +340,8 @@ def _emit(doc: dict, rows: list[tuple], ns) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors; remap
-        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    try:
+        ns = build_parser().parse_args(argv)  # --help may fail to write: an OSError
         # one clock for the whole subcommand, started before the problem is built
         budget = Budget(ns.budget_strings, ns.budget_seconds).start(ns.command)
         problem = _resolve_problem(ns.problem, ns.args)
@@ -348,6 +349,8 @@ def main(argv=None) -> int:
             _check_text_letters(problem.slice.alphabet.letters)
         doc, rows, violation = HANDLERS[ns.command](ns, problem, budget)
         _emit(doc, rows, ns)
+    except SystemExit as exc:  # argparse exits 2 on usage errors; remap
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     except BudgetExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return EXIT_BUDGET

@@ -142,7 +142,7 @@ def in_logogram(string: PartialString, target_words, slc: Slice) -> bool:
     return _log_probe(slc.cylinder_of(string), off)
 
 
-def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
+def _minimal_pairs(on: int, slc: Slice, meter: Meter,
                    memo: dict[tuple[int, int, int], list[Pairs]] | None = None,
                    ) -> list[Pairs]:
     """The reduced logogram of the target mask ``on``, as pairs: the prime
@@ -169,7 +169,6 @@ def _minimal_pairs(on: int, slc: Slice, meter: Meter | None = None,
     pass one meter too, so that their total work stays within one budget; on
     a budget error the frontier's ``live_count`` counts the whole memo.
     """
-    meter = meter or Budget.default().start("reduced logogram")
     cofactors = slc.cofactors
     if memo is None:
         memo = {}

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from functools import cache, reduce
 from operator import and_
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from .budget import Budget, Meter
 from .engine import Antichain, is_complete
@@ -44,7 +44,6 @@ from .universe import holds, lowest, member_rows, set_bits
 
 
 _VERDICTS = ("reject", "accept")  # indexed by accepted
-_MISSED = "accepted on probes that include no reduced-logogram member"
 
 
 class MalformedProgramError(RuntimeError):
@@ -77,20 +76,25 @@ class DecisionProgram(NamedTuple):
 def justified(record: dict, problem) -> bool:
     """Is the run's verdict forced by its probed restriction alone?
 
-    ``record`` is a run as :func:`trace_records` yields it, or one line of
-    the CLI's trace dump: its ``input``, its ``probes`` as [position, letter]
-    pairs and its ``verdict`` are read, and any other field is ignored.
+    ``record`` is one line of a :func:`kernel` trace dump, parsed: its
+    ``input``, its ``probes`` as [position, letter] pairs and its ``verdict``
+    are read, and any other field is ignored.
     Accepts need the restriction to force the target; rejects need the
     restriction to admit no accepted extension within the slice. Raises
-    ``ValueError`` on an unknown verdict, an input that is no word of the
-    slice, or a probe that disagrees with the input or lies past its length.
+    ``ValueError`` on a field missing or of the wrong shape, an unknown
+    verdict, an input that is no word of the slice, or a probe that
+    disagrees with the input or lies past its length.
     """
-    slc, f, text, verdict = problem.slice, problem.f_mask(), record["input"], record["verdict"]
+    slc, f = problem.slice, problem.f_mask()
+    try:
+        text, verdict = record["input"], record["verdict"]
+        restriction = PartialString(map(tuple, record["probes"]))
+    except (KeyError, TypeError) as err:  # a field missing, or of the wrong shape
+        raise ValueError(f"malformed record: {err!r}") from err
     if verdict not in _VERDICTS:
         raise ValueError(f"unknown verdict {verdict!r}, not one of {_VERDICTS}")
     if not isinstance(text, str) or slc.stray(slc.mask_of_words([text])) is not None:
         raise ValueError(f"{text!r} is no word of the slice")
-    restriction = PartialString(map(tuple, record["probes"]))
     if not PartialString.parse(text, slc.alphabet) >= restriction:
         raise ValueError(f"{record['probes']!r} are not probes of the input {text!r}")
     cyl = slc.cylinder(slc.pairs_of(restriction))
@@ -173,8 +177,8 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
     justified throughout, and an accept must include a member, else the
     search missed one. After the walk it raises on the least lowest word of a
     faulty leaf. Given a text stream ``dump``, it writes there as it walks,
-    whole before any such error, the :func:`trace_records` dump with the
-    program's name added, reading the clock once per word instead."""
+    whole before any such error, the trace dump: one JSON record per word, in
+    word order, reading the clock once per word instead."""
     meter = (budget or Budget.default()).start(f"kernel sweep: {program.name}")
     log = problem.logogram(meter=meter)
     slc, used, faults = problem.slice, 0, []
@@ -191,44 +195,27 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
     if dump is None:
         for _ in tallied():
             pass
-    else:
-        dump.writelines(json.dumps({"program": program.name, **record}, sort_keys=True) + "\n"
-                        for record in _records(slc, log.texts(slc.length), tallied(), meter))
+    else:  # in word order, pulling leaves while the next word is not pending
+        leaves, texts, letters = tallied(), log.texts(slc.length), slc.alphabet.letters
+        pending: dict[int, dict] = {}  # words of pulled leaves not yet dumped -> body
+        for i in slc.word_ints():
+            meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
+            while i not in pending:  # a leaf's body goes to each word of its cylinder
+                accepted, just, path, bits = next(leaves)
+                pending.update(dict.fromkeys(set_bits(slc.cylinder(path)), {
+                    "program": program.name, "probes": [[p, letters[d]] for p, d in path],
+                    "verdict": _VERDICTS[accepted], "justified": just,
+                    "certifying_strings": [texts[j] for j in set_bits(bits)]}))
+            dump.write(json.dumps({"input": slc.text_of_int(i), **pending.pop(i)},
+                                  sort_keys=True) + "\n")
     if faults:  # the word lies in its leaf, so a verdict justified there is right
         w, accepted, just = min(faults)
         wrong = accepted != holds(problem.f_mask(), w)
-        reason = (_MISSED if just else "gave the wrong verdict" if wrong else
+        reason = ("accepted on probes that include no reduced-logogram member" if just else
+                  "gave the wrong verdict" if wrong else
                   f"was not justified in its {_VERDICTS[accepted]}")
         raise ProgramFaultError(slc.text_of_int(w), f"{program.name} {reason}")
     return Antichain(tuple(log.pairs[j] for j in set_bits(used)), log.alphabet)
-
-
-def _records(slc, texts: list[str], leaves, meter: Meter) -> Iterator[dict]:
-    """Records in word order, one clock read per word, from the walk's leaves, pulled
-    while the next word is not pending; a leaf's body goes to each word of its cylinder."""
-    pending: dict[int, dict] = {}  # words of pulled leaves not yet dumped -> body
-    for i in slc.word_ints():
-        meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
-        while i not in pending:
-            accepted, just, path, bits = next(leaves)
-            pending.update(dict.fromkeys(set_bits(slc.cylinder(path)), {
-                "probes": [[p, slc.alphabet.letters[d]] for p, d in path],
-                "verdict": _VERDICTS[accepted], "justified": just,
-                "certifying_strings": [texts[j] for j in set_bits(bits)]}))
-        yield {"input": slc.text_of_int(i), **pending.pop(i)}
-
-
-def trace_records(program: DecisionProgram, problem,
-                  budget: Budget | None = None) -> Iterator[dict]:
-    """JSON-ready trace dump, one record per input word, in word order, from
-    one walk of the program's decision tree; program faults are recorded,
-    not raised, but a missed logogram member raises as in :func:`kernel`."""
-    meter = (budget or Budget.default()).start(f"trace dump: {program.name}")
-    log, slc = problem.logogram(meter=meter), problem.slice
-    for rec in _records(slc, log.texts(slc.length), _walk(program, problem, log), meter):
-        if rec["verdict"] == "accept" and rec["justified"] and not rec["certifying_strings"]:
-            raise ProgramFaultError(rec["input"], f"{program.name} {_MISSED}")
-        yield rec
 
 
 # -- built-in traced solvers for the clause encoding ----------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import stat
@@ -411,16 +412,17 @@ class TestKernelCommand:
         assert code == 0
         assert len(calls) == 3
 
-    def test_dump_traces_match_trace_records(self, capsys, monkeypatch, tmp_path):
-        from logogram import built_in_programs, sat_problem, trace_records
+    def test_dump_traces_match_kernel_dumps(self, capsys, monkeypatch, tmp_path):
+        # the CLI's file is the three library dumps, one after another
+        from logogram import built_in_programs, kernel, sat_problem
         self.counted_programs(monkeypatch)
         path = tmp_path / "traces.jsonl"
         code, _ = run_json(capsys, "kernel", "sat", "2", "3", "--dump-traces", str(path))
         assert code == 0
-        p = sat_problem(2, 3)
-        assert path.read_text().splitlines() == [
-            json.dumps({"program": prog.name, **r}, sort_keys=True)
-            for prog in built_in_programs(p) for r in trace_records(prog, p)]
+        p, dump = sat_problem(2, 3), io.StringIO()
+        for prog in built_in_programs(p):
+            kernel(prog, p, dump=dump)
+        assert path.read_text() == dump.getvalue()
 
     def test_fault_leaves_no_dump_file(self, capsys, monkeypatch, tmp_path):
         # the built-in programs pass before the faulty one runs
@@ -770,11 +772,13 @@ class TestContract:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def process(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def process(*args: str, stdout=subprocess.PIPE, unbuffered=False) -> subprocess.CompletedProcess:
     """``python ARGS`` on the checkout's ``src``, with stdout buffered as it
-    is wherever PYTHONUNBUFFERED is unset."""
+    is wherever PYTHONUNBUFFERED is unset, or else unbuffered."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "PYTHONPATH")}
     env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
                           env=env, timeout=60)
 
@@ -834,3 +838,19 @@ class TestFailedWriteToStdout:
             os.close(write)
         lines = proc.stderr.decode().splitlines()
         assert proc.returncode == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    # with stdout unbuffered the help text's write fails inside argparse,
+    # which would swallow the error and exit 0
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("--help",), ("kernel", "--help")], ids=["top", "kernel"])
+    def test_help_to_a_full_device_exits_1(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = process("-m", "logogram.cli", *argv, stdout=full, unbuffered=unbuffered)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_piped_help_exits_0(self):
+        proc = process("-m", "logogram.cli", "--help", unbuffered=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"usage: logogram ")

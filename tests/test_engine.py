@@ -1,6 +1,7 @@
 """Logogram membership, reduced logograms vs. the oracle, closures,
 entanglement, completeness, irreducibility, independence, Galois laws."""
 
+import io
 import random
 import re
 import tracemalloc
@@ -20,7 +21,7 @@ from logogram import (
     isoexpansive, reduced_logogram, simple_independence,
     strong_independence, verify_galois, generic_problem, predicted_sat_logogram,
     sat_problem, composite_problem, connectivity_problem, classify, cover,
-    forward_assignment_scan, kernel, trace_records,
+    forward_assignment_scan, kernel,
 )
 from logogram.cli import main
 from logogram.universe import lowest
@@ -350,7 +351,7 @@ class TestSharedMemo:
             on = logogram.engine._target_mask(a, slc)
             shared = logogram.engine._minimal_pairs(on, slc, meter=meter, memo=memo)
             own = {}
-            fresh = logogram.engine._minimal_pairs(on, slc, memo=own)
+            fresh = logogram.engine._minimal_pairs(on, slc, Budget().start("fresh"), own)
             distinct |= own.keys()
             assert sorted(shared) == sorted(fresh)
             letters = "".join(slc.alphabet.letters)
@@ -945,9 +946,9 @@ STOP_SITES = {
                "galois suite: out of time after 2 samples"),
     "kernel": (_on_sat(1, 2, lambda p, b: kernel(forward_assignment_scan(p), p, b)),
                "kernel sweep: forward-assignment-scan: out of time at word '11'"),
-    "trace-dump": (
-        _on_sat(1, 2, lambda p, b: list(trace_records(forward_assignment_scan(p), p, b))),
-        "trace dump: forward-assignment-scan: out of time at word '02'"),
+    "kernel-dump": (
+        _on_sat(1, 2, lambda p, b: kernel(forward_assignment_scan(p), p, b, io.StringIO())),
+        "kernel sweep: forward-assignment-scan: out of time at word '02'"),
     "charge": (_charge_on, "search: out of time after 768 sub-problems"),
 }
 

@@ -46,11 +46,11 @@ class TestLazySurface:
 # public names that no module of the package and no benchmark script calls:
 # the paper's definitions, through which the tests check its laws, and the
 # entry points that validate what a caller hands them (a word-list target
-# on any slice) or record program faults where the CLI raises on them
+# on any slice)
 PAPER_DEFINITIONS = {
     "closure_ab_contains", "closure_ba", "entangles", "expand", "formula_word", "gamma",
     "is_closed", "isoexpansive", "justified", "witness_union_complete"}
-VALIDATED_ENTRY_POINTS = {"in_logogram", "reduced_logogram", "trace_records"}
+VALIDATED_ENTRY_POINTS = {"in_logogram", "reduced_logogram"}
 
 
 class TestOneNamePerJob:

@@ -1,5 +1,6 @@
 """Probe traces, justification, kernels of traced programs."""
 
+import contextlib
 import io
 import json
 
@@ -11,7 +12,7 @@ from logogram import (
     Antichain, Budget, BudgetExceededError, DecisionProgram, MalformedProgramError, ProgramFaultError,
     backward_assignment_scan, built_in_programs, clause_first_scan,
     PartialString, forward_assignment_scan, generic_problem, irreducibility_report,
-    justified, kernel, sat_problem, trace_records, BINARY, TERNARY,
+    justified, kernel, sat_problem, BINARY, TERNARY,
 )
 
 
@@ -19,9 +20,18 @@ def ps(text, alphabet=TERNARY):
     return PartialString.parse(text, alphabet)
 
 
+def dumped(program, p, budget=None):
+    """The trace dump ``kernel`` writes, parsed: one record per word, in word
+    order, whole even when the sweep then raises on a faulty program."""
+    buf = io.StringIO()
+    with contextlib.suppress(ProgramFaultError):
+        kernel(program, p, budget, buf)
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
 def record_of(program, p, text):
     """The trace dump's record of one input word."""
-    return next(r for r in trace_records(program, p) if r["input"] == text)
+    return next(r for r in dumped(program, p) if r["input"] == text)
 
 
 class TestOneRun:
@@ -92,6 +102,18 @@ class TestJustified:
         with pytest.raises(ValueError, match="unknown verdict"):
             justified(run("1", [(1, "1")], verdict), p)
 
+    @pytest.mark.parametrize("record", [
+        {"input": "10", "probes": 5, "verdict": "accept"},
+        {"input": "10", "verdict": "accept"},
+        {"input": "10", "probes": [[1, "1"]]},
+        {"probes": [[1, "1"]], "verdict": "accept"},
+        {"input": "10", "probes": [None], "verdict": "accept"},
+        ["10", [[1, "1"]], "accept"],
+    ], ids=["int-probes", "no-probes", "no-verdict", "no-input", "null-probe", "list"])
+    def test_malformed_record_is_a_value_error(self, record):
+        with pytest.raises(ValueError, match="^malformed record: "):
+            justified(record, sat_problem(1, 2))
+
     @pytest.mark.parametrize("text", ["0", "2"])
     def test_probe_letter_must_agree_with_the_word(self, text):
         p = sat_problem(1, 1)
@@ -118,7 +140,7 @@ class TestJustified:
         p = sat_problem(2, 2)
         f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
         for prog in built_in_programs(p):
-            for record in trace_records(prog, p):
+            for record in dumped(prog, p):
                 if record["verdict"] != "accept":
                     continue
                 restriction = {pos: ch for pos, ch in record["probes"]}
@@ -158,22 +180,6 @@ class TestKernel:
             kernel(DecisionProgram("always-accept", lambda probe: True), p)
         assert err.value.word_text == "0"
 
-    @pytest.mark.parametrize("sweep", [kernel, lambda prog, p: list(trace_records(prog, p))],
-                             ids=["kernel", "trace-records"])
-    def test_accept_without_a_member_means_a_missed_member(self, sweep):
-        # a justified accept's restriction lies in the logogram, so it
-        # includes a reduced-logogram member; with "1" dropped from the
-        # cached logogram, the accept on "1" includes none, and the dump
-        # raises on it as the kernel does
-        p = sat_problem.__wrapped__(1, 1)
-        log = p.logogram()
-        p._logogram = Antichain(log.pairs[1:], log.alphabet)
-        with pytest.raises(ProgramFaultError) as err:
-            sweep(forward_assignment_scan(p), p)
-        assert (err.value.word_text, err.value.reason) == (
-            "1", "forward-assignment-scan accepted on probes that include no "
-                 "reduced-logogram member")
-
     def test_underprobing_program_is_unjustified(self):
         # right verdicts on every input of the sweep, but with no probes the
         # restriction justifies none of them
@@ -190,7 +196,7 @@ class TestKernel:
         # deadline of 3.5 s has passed
         p = sat_problem(1, 2)
         p.logogram()
-        monkeypatch.setattr(logogram.budget, "time", TestTraceRecords.TickingClock())
+        monkeypatch.setattr(logogram.budget, "time", TestTraceDump.TickingClock())
         with pytest.raises(BudgetExceededError,
                            match="^kernel sweep: forward-assignment-scan: "
                                  "out of time at word '11'$"):
@@ -199,7 +205,7 @@ class TestKernel:
     def test_probe_economy(self):
         p = sat_problem(2, 3)
         for prog in built_in_programs(p):
-            for record in trace_records(prog, p):
+            for record in dumped(prog, p):
                 positions = [pos for pos, _ in record["probes"]]
                 assert len(positions) == len(set(positions))
                 assert len(positions) <= p.slice.length
@@ -286,7 +292,7 @@ class TestKernelOracle:
             kernel(prog, p)
         assert str(err.value) == message
         with pytest.raises(MalformedProgramError) as err:
-            list(trace_records(prog, p))
+            kernel(prog, p, dump=io.StringIO())
         assert str(err.value) == message
 
     def test_bool_probe_on_a_replayed_step(self):
@@ -307,14 +313,14 @@ class TestKernelOracle:
             kernel(flipping(), p)
         assert str(err.value) == message
         with pytest.raises(MalformedProgramError) as err:
-            list(trace_records(flipping(), p))
+            kernel(flipping(), p, dump=io.StringIO())
         assert str(err.value) == message
 
     def test_runs_once_per_distinct_trace(self):
         p = sat_problem(2, 3)
         prog = forward_assignment_scan(p)
         traces = {(tuple(map(tuple, r["probes"])), r["verdict"])
-                  for r in trace_records(prog, p)}
+                  for r in dumped(prog, p)}
         calls = 0
 
         def counted(probe):
@@ -336,7 +342,7 @@ class TestKernelOracle:
             calls += 1
             return prog.decide(probe)
 
-        records = list(trace_records(DecisionProgram(prog.name, counted), p))
+        records = dumped(DecisionProgram(prog.name, counted), p)
         assert [r["input"] for r in records] == [
             p.slice.text_of_int(i) for i in p.slice.word_ints()]
         assert len(records) == 729
@@ -357,14 +363,14 @@ class TestKernelOracle:
         slc, L = p.slice, p.slice.length
         log = p.logogram().texts(L)
         for prog in programs:
-            records = list(trace_records(prog, p))
+            records = dumped(prog, p)
             assert len(records) == slc.word_count()
             for i, record in zip(slc.word_ints(), records):
                 probes, accepted = oracles.run_once(prog.decide, slc.text_of_int(i))
                 observed = dict(probes)
                 restriction = "".join(observed.get(pos, "_") for pos in range(1, L + 1))
                 assert record == {
-                    "input": slc.text_of_int(i),
+                    "input": slc.text_of_int(i), "program": prog.name,
                     "probes": [[pos, ch] for pos, ch in probes],
                     "verdict": "accept" if accepted else "reject",
                     "justified": justified(record, p),
@@ -414,9 +420,8 @@ def reads_both(first, second):
 
 
 # the sweeps of the walk, as functions of (program, problem): the kernel,
-# the kernel with its trace dump, and the dump on its own
-SWEEPS = (kernel, lambda prog, p: kernel(prog, p, dump=io.StringIO()),
-          lambda prog, p: list(trace_records(prog, p)))
+# and the kernel with its trace dump
+SWEEPS = (kernel, lambda prog, p: kernel(prog, p, dump=io.StringIO()))
 
 
 class TestTreeWalk:
@@ -428,13 +433,13 @@ class TestTreeWalk:
         prog = reverse_reader(p, {"0001", "1000"}, seen)
         assert oracle_sweep(prog, p)[1] == ("0001", "reverse-reader gave the wrong verdict")
         seen.clear()
-        for sweep in SWEEPS[:2]:
+        for sweep in SWEEPS:
             with pytest.raises(ProgramFaultError) as err:
                 sweep(prog, p)
             assert (err.value.word_text, err.value.reason) == (
                 "0001", "reverse-reader gave the wrong verdict")
         assert seen.index("1000") < seen.index("0001")
-        unjustified = [r["input"] for r in trace_records(prog, p) if not r["justified"]]
+        unjustified = [r["input"] for r in dumped(prog, p) if not r["justified"]]
         assert unjustified == ["0001", "1000"]
 
     @pytest.mark.parametrize("then,message", [
@@ -458,7 +463,7 @@ class TestTreeWalk:
         expected, fault = oracle_sweep(prog, p)
         assert fault is None
         assert sorted(kernel(prog, p).texts(4)) == expected == ["1___", "_001", "_100"]
-        records = list(trace_records(prog, p))
+        records = dumped(prog, p)
         assert [r["input"] for r in records] == [
             p.slice.text_of_int(i) for i in p.slice.word_ints()]
         for record in records:
@@ -509,7 +514,7 @@ class TestJudgedByMembers:
         assert oracle_sweep(prog, p)[1] == fault
         p._logogram = Antichain.of([ps(g, BINARY) for g in ("0_", "_0", "1_")], BINARY)
         assert oracle_sweep(prog, p)[1] == fault
-        for sweep in SWEEPS[:2]:
+        for sweep in SWEEPS:
             with pytest.raises(ProgramFaultError) as err:
                 sweep(prog, p)
             assert (err.value.word_text, err.value.reason) == fault
@@ -527,7 +532,7 @@ class TestJudgedByMembers:
         p._logogram = Antichain.of([ps(g) for g in kept], TERNARY)
         assert not any(all(c in ("_", w) for c, w in zip(g, "02")) for g in kept)
         assert oracle_sweep(prog, p)[1] == fault
-        for sweep in SWEEPS[:2]:
+        for sweep in SWEEPS:
             with pytest.raises(ProgramFaultError) as err:
                 sweep(prog, p)
             assert (err.value.word_text, err.value.reason) == fault
@@ -542,7 +547,7 @@ class TestJudgedByMembers:
         expected, fault = oracle_sweep(prog, p)
         assert fault is None and expected == ["1___"]
         assert kernel(prog, p).texts(4) == expected
-        records = [r for r in trace_records(prog, p) if r["verdict"] == "reject"]
+        records = [r for r in dumped(prog, p) if r["verdict"] == "reject"]
         assert [r["input"] for r in records] == ["0000", "0011", "0101", "0110"]
         assert all(r["probes"] == [[1, "0"]] and r["justified"] for r in records)
 
@@ -573,10 +578,17 @@ class TestKernelLaws:
         assert not irreducibility_report(p.logogram(), p).irreducible
 
 
-class TestTraceRecords:
+def without_its_first_member(p):
+    """``p`` with the first member dropped from its cached reduced logogram."""
+    log = p.logogram()
+    p._logogram = Antichain(log.pairs[1:], log.alphabet)
+    return p
+
+
+class TestTraceDump:
     def test_record_shape_and_justification(self):
         p = sat_problem(1, 1)
-        records = list(trace_records(forward_assignment_scan(p), p))
+        records = dumped(forward_assignment_scan(p), p)
         assert [r["input"] for r in records] == ["0", "1", "2"]
         assert all(r["justified"] for r in records)
         accept = next(r for r in records if r["input"] == "1")
@@ -597,16 +609,56 @@ class TestTraceRecords:
     def test_out_of_time_between_words(self, monkeypatch):
         # the logogram is cached before the clock is patched, so every read
         # after the meter starts comes from the per-word check: the deadline
-        # of 3.5 s passes at the third word, "02"
+        # of 3.5 s passes at the third word, "02", and the dump holds the
+        # words before it
         p = sat_problem(1, 2)
         p.logogram()
         monkeypatch.setattr(logogram.budget, "time", self.TickingClock())
-        records = trace_records(forward_assignment_scan(p), p, Budget(max_seconds=2.5))
-        assert [r["input"] for r in (next(records), next(records))] == ["00", "01"]
+        buf = io.StringIO()
         with pytest.raises(BudgetExceededError,
-                           match="^trace dump: forward-assignment-scan: "
+                           match="^kernel sweep: forward-assignment-scan: "
                                  "out of time at word '02'$"):
-            next(records)
+            kernel(forward_assignment_scan(p), p, Budget(max_seconds=2.5), buf)
+        assert [json.loads(line)["input"] for line in buf.getvalue().splitlines()] == [
+            "00", "01"]
+
+    @pytest.mark.parametrize("problem,program,fault", [
+        (lambda: sat_problem(1, 2), lambda p: DecisionProgram("always-accept", lambda probe: True),
+         ("00", "always-accept gave the wrong verdict")),
+        (lambda: generic_problem(NAND2_DOC),
+         lambda p: DecisionProgram("reads-one", lambda probe: probe(1) in "01"),
+         ("10", "reads-one was not justified in its accept")),
+        # a justified accept's restriction lies in the logogram, so it
+        # includes a reduced-logogram member; with "1" dropped from the
+        # cached logogram, the accept on "1" includes none
+        (lambda: without_its_first_member(sat_problem.__wrapped__(1, 1)), forward_assignment_scan,
+         ("1", "forward-assignment-scan accepted on probes that include no "
+               "reduced-logogram member")),
+    ], ids=["wrong", "unjustified", "missed-member"])
+    def test_fault_raises_after_the_whole_dump(self, problem, program, fault):
+        # the dump raises what the bare sweep raises, once every word's
+        # record is written, and each record's judgement is its run's
+        p = problem()
+        prog = program(p)
+        with pytest.raises(ProgramFaultError) as bare:
+            kernel(prog, p)
+        assert (bare.value.word_text, bare.value.reason) == fault
+        buf = io.StringIO()
+        with pytest.raises(ProgramFaultError) as err:
+            kernel(prog, p, dump=buf)
+        assert (err.value.word_text, err.value.reason) == fault
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [r["input"] for r in records] == [
+            p.slice.text_of_int(i) for i in p.slice.word_ints()]
+        assert all(justified(r, p) == r["justified"] for r in records)
+
+    def test_malformed_program_leaves_a_word_order_prefix(self):
+        # right and justified on "00", after which the probe order changes
+        p = sat_problem(2, 1)
+        buf = io.StringIO()
+        with pytest.raises(MalformedProgramError, match="nondeterministic"):
+            kernel(changing_after_one_run(reads_both(1, 2), reads_both(2, 1)), p, dump=buf)
+        assert [json.loads(line)["input"] for line in buf.getvalue().splitlines()] == ["00"]
 
     def test_built_ins_need_clause_shape(self):
         doc = {"alphabet": ["0", "1"], "length": 2, "universe": "all",
