@@ -36,7 +36,7 @@ _EXPORTS = {
         "backward_assignment_scan", "built_in_programs", "clause_first_scan",
         "forward_assignment_scan", "justified", "kernel"),
     "universe": (
-        "DegenerateSliceError", "Slice", "expand", "full_slice"),
+        "DegenerateSliceError", "Slice", "expand"),
     "wizardry": (
         "Chart", "ClassifiedLogogram", "ClassifiedString", "CoverReport", "classify",
         "cover", "witness_union_complete"),

@@ -82,6 +82,9 @@ class Antichain(Value):
             (p, letters.index(ch)) for p, ch in string.pairs) in self.pairs
 
     def texts(self, length: int) -> list[str]:
+        size = max((p for x in self.pairs for p, _ in x), default=0)
+        if size > length:
+            raise ValueError(f"string of size {size} does not fit length {length}")
         return [text_of_pairs(x, length, self.alphabet.letters) for x in self.pairs]
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 from .budget import Budget
 from .engine import Antichain, reduced_logogram_of_mask
 from .strings import BINARY, TERNARY, Alphabet, FormatError, PartialString
-from .universe import Slice, count, full_slice, repeat_bits
+from .universe import Slice, count, repeat_bits
 from .values import Value
 
 
@@ -85,14 +85,6 @@ class ProblemSlice:
         """The target set as a mask over the slice (see :meth:`Slice.cylinder`)."""
         return self._f_mask
 
-    def satisfies(self, word: PartialString, solution) -> bool:
-        """Does the solution satisfy the word: is the word in its region?"""
-        mask = self._region_masks[self.solutions.index(solution)]
-        return bool(mask & self.slice.mask_of_words([word]))
-
-    def solution_texts(self) -> list[str]:
-        return [self.solution_text(y) for y in self.solutions]
-
     def logogram(self, budget: Budget | None = None, meter=None) -> Antichain:
         if self._logogram is None:
             self._logogram = reduced_logogram_of_mask(self._f_mask, self.slice, budget,
@@ -120,7 +112,7 @@ class ProblemSlice:
             "target": [slc.text_of_int(i) for i in slc.ints_of_mask(self._f_mask)],
             "regions": [[slc.text_of_int(i) for i in slc.ints_of_mask(m)]
                         for m in self._region_masks],
-            "solutions": self.solution_texts(),
+            "solutions": [self.solution_text(y) for y in self.solutions],
         }
 
     def __repr__(self) -> str:
@@ -181,7 +173,7 @@ def sat_problem(var_count: int, clause_count: int) -> ProblemSlice:
     """
     shape = CnfShape(var_count, clause_count)
     n, m = var_count, clause_count
-    slc = full_slice(TERNARY, shape.length, label=f"cnf:{n}x{m}")
+    slc = Slice(TERNARY, shape.length, label=f"cnf:{n}x{m}")
     solutions = tuple(
         tuple(bool((i >> v) & 1) for v in range(n)) for i in range(2 ** n))
 
@@ -231,21 +223,22 @@ def gamma(string: PartialString, shape: CnfShape) -> PartialString:
 
 def formula_word(doc: dict) -> tuple[CnfShape, PartialString]:
     """Encode a clause-list document {"n": ..., "clauses": [[1, 3, -4], ...]}
-    as a word of the clause encoding."""
+    as a word of the clause encoding: ``n`` an integer >= 1, ``clauses`` a
+    non-empty list of lists of integer literals, each 1 <= |literal| <= n."""
     try:
-        n = int(doc["n"])
-        clauses = list(doc["clauses"])
+        n, clauses = doc["n"], doc["clauses"]
     except (KeyError, TypeError) as exc:
         raise ProblemFormatError(f"clause document needs 'n' and 'clauses': {exc}") from None
-    if not clauses:
+    if type(n) is not int or n < 1:  # not 1.5, "2" or true
+        raise ProblemFormatError(f"n must be an integer >= 1, got {n!r}")
+    if not _typed(clauses, list, "clauses"):
         raise ProblemFormatError("at least one clause is required")
     shape = CnfShape(n, len(clauses))
     cells = {p: "0" for p in range(1, shape.length + 1)}
     for c, clause in enumerate(clauses, start=1):
-        for lit in clause:
-            var = abs(int(lit))
-            if not 1 <= var <= n:
-                raise ProblemFormatError(f"literal {lit} outside variables 1..{n}")
+        for lit in _typed(clause, list, f"clause {c}"):
+            if type(lit) is not int or not 1 <= (var := abs(lit)) <= n:
+                raise ProblemFormatError(f"clause {c}: literal {lit!r} is no integer in ±1..{n}")
             p = shape.position(c, var)
             code = shape.CODES[lit > 0]
             if cells[p] not in ("0", code):
@@ -253,7 +246,7 @@ def formula_word(doc: dict) -> tuple[CnfShape, PartialString]:
                     f"clause {c} uses x{var} with both polarities; "
                     "the encoding has one slot per variable and clause")
             cells[p] = code
-    return shape, PartialString(tuple(sorted(cells.items())))
+    return shape, PartialString(cells)
 
 
 # -- compositeness of binary integers --------------------------------------
@@ -266,7 +259,7 @@ def composite_problem(width: int) -> ProblemSlice:
     satisfies a word when it properly divides its value."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    slc = full_slice(BINARY, width, label=f"bin:{width}")
+    slc = Slice(BINARY, width, label=f"bin:{width}")
 
     def is_composite(v: int) -> bool:
         return v >= 4 and any(v % d == 0 for d in range(2, isqrt(v) + 1))
@@ -299,7 +292,7 @@ def connectivity_problem(vertices: int) -> ProblemSlice:
         raise ValueError("need at least 2 vertices")
     edges = [(i, j) for i in range(1, vertices + 1)
              for j in range(i + 1, vertices + 1)]
-    slc = full_slice(BINARY, len(edges), label=f"graph:{vertices}")
+    slc = Slice(BINARY, len(edges), label=f"graph:{vertices}")
 
     def reaches_all(edge_idxs: Iterable[int]) -> bool:
         adj: dict[int, list[int]] = {v: [] for v in range(1, vertices + 1)}
@@ -377,7 +370,7 @@ def _generic_problem(doc: dict) -> ProblemSlice:
     if type(length) is not int:  # not 2.5 read as 2, nor "2" or true
         raise ProblemFormatError(f"length must be an integer, got {length!r}")
     try:
-        alphabet = Alphabet.of(_typed(doc["alphabet"], list, "alphabet"))
+        alphabet = Alphabet(_typed(doc["alphabet"], list, "alphabet"))
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
     label = _typed(doc.get("label", ""), str, "label") or "generic"

@@ -29,7 +29,8 @@ class IncompatibleStrings(ValueError):
 
 
 class Alphabet(Value):
-    """An ordered set of single-character letters.
+    """An ordered set of single-character letters, taken from any iterable
+    of them: ``Alphabet("01") == Alphabet(["0", "1"])``.
 
     The declared order is the canonical one; it drives word enumeration
     and every deterministic ordering of output. Alphabets are immutable
@@ -38,7 +39,8 @@ class Alphabet(Value):
 
     _fields = ("letters",)
 
-    def __init__(self, letters: tuple[str, ...]):
+    def __init__(self, letters: Iterable[str]):
+        letters = tuple(letters)
         if not letters:
             raise ValueError("alphabet must be nonempty")
         for ch in letters:
@@ -49,10 +51,6 @@ class Alphabet(Value):
         if len(set(letters)) != len(letters):
             raise ValueError("letters must be distinct")
         super().__init__(letters)
-
-    @classmethod
-    def of(cls, letters: Iterable[str]) -> "Alphabet":
-        return cls(tuple(letters))
 
     def index(self, letter: str) -> int:
         try:
@@ -70,12 +68,13 @@ class Alphabet(Value):
         return iter(self.letters)
 
 
-BINARY = Alphabet.of("01")
-TERNARY = Alphabet.of("012")
+BINARY = Alphabet("01")
+TERNARY = Alphabet("012")
 
 
 class PartialString(Value):
-    """An immutable finite map from positions (>= 1) to letters.
+    """An immutable finite map from positions (>= 1) to letters, built from
+    (position, letter) pairs or a mapping of them.
 
     ``pairs`` is kept sorted by position; equality and hashing follow from
     that canonical form.
@@ -83,8 +82,8 @@ class PartialString(Value):
 
     _fields = ("pairs",)
 
-    def __init__(self, pairs: Iterable[tuple[int, str]]):
-        pairs = tuple(pairs)
+    def __init__(self, pairs: Mapping[int, str] | Iterable[tuple[int, str]]):
+        pairs = tuple(pairs.items() if isinstance(pairs, Mapping) else pairs)
         positions = [p for p, _ in pairs]
         if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in positions):
             raise ValueError("positions must be integers >= 1")
@@ -94,11 +93,6 @@ class PartialString(Value):
             if not isinstance(ch, str) or len(ch) != 1:
                 raise ValueError(f"letters must be single characters, got {ch!r}")
         super().__init__(tuple(sorted(pairs)))
-
-    @classmethod
-    def of(cls, assignments: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PartialString":
-        items = assignments.items() if isinstance(assignments, Mapping) else assignments
-        return cls(tuple(items))
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet) -> "PartialString":
@@ -114,10 +108,6 @@ class PartialString(Value):
         return cls(tuple(pairs))
 
     # -- basic views ---------------------------------------------------
-
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
 
     @property
     def size(self) -> int:
@@ -179,7 +169,7 @@ class PartialString(Value):
             if merged.setdefault(p, ch) != ch:
                 raise IncompatibleStrings(
                     f"position {p}: {merged[p]!r} vs {ch!r}")
-        return PartialString(tuple(merged.items()))
+        return PartialString(merged)
 
     def __and__(self, other: "PartialString") -> "PartialString":
         return self.meet(other)

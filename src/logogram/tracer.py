@@ -202,7 +202,7 @@ def kernel(program: DecisionProgram, problem, budget: Budget | None = None,
             meter.check(lambda: f"at word {slc.text_of_int(i)!r}")
             while i not in pending:  # a leaf's body goes to each word of its cylinder
                 accepted, just, path, bits = next(leaves)
-                pending.update(dict.fromkeys(set_bits(slc.cylinder(path)), {
+                pending.update(dict.fromkeys(slc.words_extending(path), {
                     "program": program.name, "probes": [[p, letters[d]] for p, d in path],
                     "verdict": _VERDICTS[accepted], "justified": just,
                     "certifying_strings": [texts[j] for j in set_bits(bits)]}))

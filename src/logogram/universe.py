@@ -13,6 +13,7 @@ the slice's own membership is one mask, E, and the words extending a
 string (its cylinder) are that mask ANDed with per-position masks. Word
 lists from outside enter through one packer, :meth:`Slice.mask_of_words`;
 word tuples are decoded from a mask only where a caller lists words.
+:class:`Slice` alone builds a slice, with all of its tables at once.
 
 It is the one place that layout lives, and the only module that reads E,
 the per-position masks or single bits of a mask. Other layers reach a word
@@ -22,7 +23,8 @@ set through these primitives:
   splits a mask over positions p..L on p, the only tail-space primitive;
 - :meth:`Slice.restrict` keeps the words of a mask over the cube that
   extend some pairs, :meth:`Slice.cylinder` is that restriction of E, and
-  :meth:`Slice.expansion` the union of cylinders;
+  :meth:`Slice.expansion` the union of cylinders; :meth:`Slice.words_extending`
+  lists a cylinder's words, summing them on the full cube;
 - :meth:`Slice.complement` is a mask's complement within E, and
   :meth:`Slice.stray` the lowest word of a mask outside E, for the caller
   to name in its own error;
@@ -66,14 +68,14 @@ class Slice:
     ``membership`` is ``"all"`` or a collection of words, packed by
     :meth:`mask_of_words`. Either way it becomes one mask, :meth:`e_mask`,
     at construction, and :class:`DegenerateSliceError` is raised when it
-    holds no word. Slices are immutable; derived tables are cached on first
-    use.
+    holds no word. Slices are immutable, and every derived table is built
+    at construction.
     """
 
     def __init__(self, alphabet: Alphabet, length: int,
                  membership: str | Iterable = "all", label: str = ""):
-        if length < 1:
-            raise ValueError("length must be >= 1")
+        if type(length) is not int or length < 1:
+            raise ValueError(f"length must be >= 1 and an int, got {length!r}")
         k = len(alphabet)
         if k ** length > MAX_UNIVERSE:
             raise ValueError(f"universe of {k}^{length} words exceeds the supported size")
@@ -82,9 +84,19 @@ class Slice:
         self.label = label or f"{''.join(alphabet)}^{length}"
         self._word_weights = tuple(k ** (length - p) for p in range(1, length + 1))
         self._splits = tuple(((1 << w) - 1, range(0, k * w, w)) for w in self._word_weights)
-        self._position_masks: tuple[tuple[int, ...], ...] | None = None
-        self._halves: tuple | None = None
-        self._cube = (1 << self.total_words) - 1
+        self._cube = full = (1 << self.total_words) - 1
+        # _position_masks[p - 1][d]: the words of the cube with letter index d
+        # at p. Position p holds one letter on runs of k^(L-p) consecutive
+        # words, cycling through the alphabet, so each mask is one run
+        # repeated every k runs, shifted by whole runs for the other letters
+        rows = []
+        for run in self._word_weights:
+            pattern = repeat_bits((1 << run) - 1, k * run, self.total_words)
+            rows.append(tuple((pattern << d * run) & full for d in range(k)))
+        self._position_masks = tuple(rows)
+        tail = length // 2
+        self._halves = (k ** tail, tuple(product(range(k), repeat=length - tail)),
+                        tuple(product(range(k), repeat=tail)))
         self.is_full = membership == "all"
         if self.is_full:
             self._e_mask = self._cube
@@ -104,11 +116,7 @@ class Slice:
 
     def letters_of(self, value: int) -> tuple[int, ...]:
         """The letter index per position of the packed word ``value``, joined from
-        lazy tables of the first ceil(L/2) and last floor(L/2) positions' letters."""
-        if self._halves is None:
-            k, tail = len(self.alphabet), self.length // 2
-            self._halves = (k ** tail, tuple(product(range(k), repeat=self.length - tail)),
-                            tuple(product(range(k), repeat=tail)))
+        tables of the first ceil(L/2) and last floor(L/2) positions' letters."""
         base, heads, tails = self._halves
         head, tail = divmod(value, base)
         return heads[head] + tails[tail]
@@ -168,29 +176,10 @@ class Slice:
         """The words of the slice as a mask."""
         return self._e_mask
 
-    def position_masks(self) -> tuple[tuple[int, ...], ...]:
-        """``position_masks()[p - 1][d]``: the words of the full cube with
-        letter index d at position p, as a mask.
-
-        Position p holds one letter on runs of k^(L-p) consecutive words,
-        cycling through the alphabet, so each mask is a periodic pattern:
-        one run repeated every k runs across the cube, and the other
-        letters' masks are that pattern shifted by whole runs.
-        """
-        if self._position_masks is None:
-            k = len(self.alphabet)
-            n, full = self.total_words, self._cube
-            rows = []
-            for run in self._word_weights:
-                pattern = repeat_bits((1 << run) - 1, k * run, n)
-                rows.append(tuple((pattern << (d * run)) & full for d in range(k)))
-            self._position_masks = tuple(rows)
-        return self._position_masks
-
     def restrict(self, mask: int, pairs: Pairs) -> int:
         """The words of ``mask``, a mask over the full cube, extending the
         given pairs."""
-        masks = self._position_masks or self.position_masks()
+        masks = self._position_masks
         for p, d in pairs:
             mask &= masks[p - 1][d]
         return mask
@@ -198,6 +187,18 @@ class Slice:
     def cylinder(self, pairs: Pairs) -> int:
         """The words of the slice extending the given pairs, as a mask."""
         return self.restrict(self._e_mask, pairs)
+
+    def words_extending(self, pairs: Pairs) -> Iterable[int]:
+        """The packed words of the slice extending the given pairs, ascending: on
+        the full cube summed from the position weights, else read off the cylinder."""
+        if not self.is_full:
+            return set_bits(self.cylinder(pairs))
+        fixed, k = dict(pairs), len(self.alphabet)
+        words = [sum(d * self._word_weights[p - 1] for p, d in pairs)]
+        for p, weight in enumerate(self._word_weights, 1):
+            if p not in fixed:
+                words = [w + d * weight for w in words for d in range(k)]
+        return words
 
     def expansion(self, strings: Iterable[Pairs]) -> int:
         """The union of the cylinders of strings given as pairs: their
@@ -220,7 +221,7 @@ class Slice:
         ``mask`` holds, k (the alphabet size) where its words differ: the
         restriction :func:`members_inside` reads. A forced letter is the
         lowest word's."""
-        masks, k = self.position_masks(), len(self.alphabet)
+        masks, k = self._position_masks, len(self.alphabet)
         row = list(self.letters_of(lowest(mask)))
         for p, d in enumerate(row):
             if mask & masks[p][d] != mask:
@@ -267,10 +268,6 @@ class Slice:
 
     def __repr__(self) -> str:
         return f"Slice({self.label!r}, length={self.length})"
-
-
-def full_slice(alphabet: Alphabet, length: int, label: str = "") -> Slice:
-    return Slice(alphabet, length, "all", label)
 
 
 # -- the cylinder operators ---------------------------------------------

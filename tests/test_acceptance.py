@@ -15,7 +15,7 @@ import oracles
 from logogram import (
     BINARY, TERNARY, Budget, CnfShape, PartialString, Slice, classify,
     composite_problem, connectivity_problem, cover, entangles, expand,
-    full_slice, gamma, in_logogram, irreducibility_report, is_complete,
+    gamma, in_logogram, irreducibility_report, is_complete,
     kernel as program_kernel, predicted_sat_logogram,
     reduced_logogram, sat_problem, strong_independence, verify_galois,
     built_in_programs, witness_union_complete,
@@ -58,7 +58,7 @@ def test_criterion_reduced_logogram_oracle_equivalence():
             p = connectivity_problem(v)
             cases.append((p.slice, p.slice.ints_of_mask(p.f_mask()), p.logogram()))
         rng = random.Random(2024)
-        tern3 = full_slice(TERNARY, 3)
+        tern3 = Slice(TERNARY, 3)
         for _ in range(6):
             target = rng.sample(tern3.word_ints(), rng.randint(1, 26))
             cases.append((tern3, target, reduced_logogram(target, tern3)))
@@ -152,9 +152,9 @@ def test_criterion_galois_laws():
     with criterion("expansion/logogram closure laws hold on 1000 seeded "
                    "samples per slice with zero counterexamples (< 30 s)"):
         slices = [
-            full_slice(BINARY, 4),
-            full_slice(BINARY, 6),
-            full_slice(TERNARY, 4),
+            Slice(BINARY, 4),
+            Slice(BINARY, 6),
+            Slice(TERNARY, 4),
             Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0),
                   label="even:4"),
         ]
@@ -249,7 +249,7 @@ def test_criterion_order_and_entanglement_laws():
                     assert frozenset((f | g).pairs) == fs | gs
 
         # expansion laws on a couple of slices, exhaustive singletons
-        for slc in (full_slice(TERNARY, 2), full_slice(BINARY, 4)):
+        for slc in (Slice(TERNARY, 2), Slice(BINARY, 4)):
             sigma = sorted(oracles.sigma_members(
                 slc.text_of_int(i) for i in slc.word_ints()))
             strings = [PartialString.parse(t, slc.alphabet) for t in sigma]
@@ -270,7 +270,7 @@ def test_criterion_order_and_entanglement_laws():
 
         # expansion laws again on a 256-word slice, seeded random string sets
         rng = random.Random(77)
-        wide = full_slice(BINARY, 8)
+        wide = Slice(BINARY, 8)
         wide_words = [wide.text_of_int(i) for i in wide.word_ints()]
         for _ in range(40):
             def pick_set():
@@ -292,7 +292,7 @@ def test_criterion_order_and_entanglement_laws():
             assert set(expand(list(eh), wide)) == eh
 
         # logogram of a union swallows both logograms (random, via oracle)
-        slc = full_slice(BINARY, 3)
+        slc = Slice(BINARY, 3)
         e_texts = [slc.text_of_int(i) for i in slc.word_ints()]
         for _ in range(12):
             a = set(rng.sample(e_texts, rng.randint(1, 4)))

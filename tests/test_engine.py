@@ -16,7 +16,7 @@ import oracles
 from logogram import (
     BINARY, TERNARY, VOID, Alphabet, Antichain, Budget, BudgetExceededError,
     PartialString, Slice, closure_ab_contains, closure_ba, entangles,
-    expand, full_slice, in_logogram, internal_independence,
+    expand, in_logogram, internal_independence,
     irreducibility_report, is_closed, is_complete,
     isoexpansive, reduced_logogram, simple_independence,
     strong_independence, verify_galois, generic_problem, predicted_sat_logogram,
@@ -62,7 +62,7 @@ class TestAntichainOf:
         chain = Antichain.of([ps("1_"), ps("_2")], TERNARY)
         assert ps("1_") in chain and ps("_2") in chain
         assert all(s not in chain for s in [VOID, ps("2_"), ps("12"), ps("__2")])
-        assert PartialString.parse("3", Alphabet.of("0123")) not in chain
+        assert PartialString.parse("3", Alphabet("0123")) not in chain
 
     def test_agrees_with_pairwise_definition(self):
         rng = random.Random(20081)
@@ -91,13 +91,19 @@ class TestCanonicalOrder:
         assert Antichain.of([VOID], TERNARY).pairs == ((),)
 
     def test_letter_order_follows_alphabet(self):
-        weird = Alphabet.of("ba")
-        a = PartialString.of({1: "a"})
-        b = PartialString.of({1: "b"})
+        weird = Alphabet("ba")
+        a = PartialString({1: "a"})
+        b = PartialString({1: "b"})
         chain = Antichain.of([a, b], weird)
         assert chain.elements == (b, a)
         assert chain.pairs == (((1, 0),), ((1, 1),))
         assert chain.texts(2) == ["b_", "a_"]
+
+    def test_texts_refuse_a_length_short_of_a_member(self):
+        chain = Antichain.of([ps("1"), ps("_02")], TERNARY)
+        assert chain.texts(3) == ["1__", "_02"]
+        with pytest.raises(ValueError, match="^string of size 3 does not fit length 2$"):
+            chain.texts(2)
 
     def test_deduplicates(self):
         chain = Antichain.of([ps("1"), ps("1")], TERNARY)
@@ -107,13 +113,13 @@ class TestCanonicalOrder:
 
 class TestInLogogram:
     def test_whole_slice_accepts_everything_present(self):
-        slc = full_slice(TERNARY, 2)
+        slc = Slice(TERNARY, 2)
         e = list(slc.word_ints())
         assert in_logogram(VOID, e, slc)
         assert in_logogram(ps("1_"), e, slc)
 
     def test_empty_target_accepts_nothing(self):
-        slc = full_slice(TERNARY, 1)
+        slc = Slice(TERNARY, 1)
         for g in all_strings(TERNARY, 1):
             assert not in_logogram(g, [], slc)
 
@@ -126,8 +132,8 @@ class TestInLogogram:
     def test_string_outside_the_slice_is_not_a_member(self, text):
         # a position past L, or a letter outside the alphabet, occurs in no
         # word of the slice, even when every word is a target word
-        slc = full_slice(TERNARY, 2)
-        string = PartialString.parse(text, Alphabet.of("0123"))
+        slc = Slice(TERNARY, 2)
+        string = PartialString.parse(text, Alphabet("0123"))
         everything = list(slc.word_ints())
         assert not in_logogram(string, everything, slc)
         assert not closure_ab_contains(string, [VOID], slc)
@@ -160,7 +166,7 @@ class TestInLogogram:
 
 class TestReducedLogogram:
     def test_whole_slice_gives_void(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         chain = reduced_logogram(list(slc.word_ints()), slc)
         assert chain.elements == (VOID,)
 
@@ -181,9 +187,9 @@ class TestReducedLogogram:
         assert covered == set(map(p.slice.word_of_int, p.slice.ints_of_mask(p.f_mask())))
 
     @pytest.mark.parametrize("make_slice,make_target", [
-        (lambda: full_slice(BINARY, 3),
+        (lambda: Slice(BINARY, 3),
          lambda slc: [i for i in slc.word_ints() if bin(i).count("1") == 2]),
-        (lambda: full_slice(TERNARY, 2),
+        (lambda: Slice(TERNARY, 2),
          lambda slc: [i for i in slc.word_ints() if i % 3]),
         (lambda: Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0)),
          lambda slc: list(slc.word_ints())[:3]),
@@ -196,7 +202,7 @@ class TestReducedLogogram:
 
     def test_matches_oracle_random_targets(self):
         rng = random.Random(42)
-        slc = full_slice(TERNARY, 3)
+        slc = Slice(TERNARY, 3)
         for _ in range(20):
             n = rng.randint(1, slc.word_count() - 1)
             target = rng.sample(slc.word_ints(), n)
@@ -208,7 +214,7 @@ class TestReducedLogogram:
         # so hammer exactly that configuration
         rng = random.Random(4242)
         for alphabet, length in [(BINARY, 4), (TERNARY, 3), (BINARY, 5)]:
-            cube = full_slice(alphabet, length)
+            cube = Slice(alphabet, length)
             all_texts = [cube.text_of_int(i) for i in range(cube.total_words)]
             for _ in range(25):
                 e_texts = rng.sample(all_texts, rng.randint(1, len(all_texts)))
@@ -237,7 +243,7 @@ class TestReducedLogogram:
     @given(st.sets(st.integers(min_value=0, max_value=26), min_size=1, max_size=26))
     @settings(max_examples=40, deadline=None)
     def test_members_minimal_and_set_complete(self, target):
-        slc = full_slice(TERNARY, 3)
+        slc = Slice(TERNARY, 3)
         target = sorted(target)
         chain = reduced_logogram(target, slc)
         covered = set(slc.ints_of_mask(slc.mask_of_words(expand(chain.elements, slc))))
@@ -313,7 +319,7 @@ class TestReducedLogogram:
         shapes = [("a", 1), ("a", 3), ("01", 1), ("01", 4), ("01", 5),
                   ("012", 2), ("012", 3), ("0123", 2), ("0123", 3)]
         for letters, length in shapes:
-            alphabet = Alphabet.of(letters)
+            alphabet = Alphabet(letters)
             words = oracles.all_words(letters, length)
             for trial in range(40):
                 e = sorted(rng.sample(words, rng.randint(1, len(words))))
@@ -383,7 +389,7 @@ class TestSharedMemo:
     def test_target_sequences_on_one_slice(self, letters, length):
         rng = random.Random(f"{letters}{length}")
         for trial in range(6):
-            slc, e = self.random_slice(rng, Alphabet.of(letters), length)
+            slc, e = self.random_slice(rng, Alphabet(letters), length)
             self.run_through_one_memo(
                 [(slc, e, a) for a in self.random_targets(rng, e, 10)])
 
@@ -392,7 +398,7 @@ class TestSharedMemo:
         # the memo's sub-problems depend on the alphabet size and the length,
         # not on the slice, so two slices of one shape may share it
         rng = random.Random(f"{letters}{length}")
-        alphabet = Alphabet.of(letters)
+        alphabet = Alphabet(letters)
         for trial in range(4):
             slices = [self.random_slice(rng, alphabet, length) for _ in range(2)]
             queries = [(slc, e, a) for slc, e in slices
@@ -403,9 +409,9 @@ class TestSharedMemo:
 
 class TestSearchSplitsByCofactorsAlone:
     """The search reads its word sets through ``Slice.cofactors`` alone:
-    with the position masks and every cylinder primitive disabled, fresh
-    searches and searches through one shared memo still give the closed
-    form and the oracle."""
+    with every reader of the position masks disabled, fresh searches and
+    searches through one shared memo still give the closed form and the
+    oracle."""
 
     @staticmethod
     def brute(slc, on):
@@ -427,7 +433,7 @@ class TestSearchSplitsByCofactorsAlone:
         def forbidden(*args, **kwargs):
             raise AssertionError("the search read a mask other than by its cofactors")
 
-        for name in ("restrict", "position_masks", "cylinder"):
+        for name in ("restrict", "cylinder", "forced_row"):
             monkeypatch.setattr(Slice, name, forbidden)
         search = logogram.engine.reduced_logogram_of_mask
         for slc, on, expected in fresh:
@@ -440,11 +446,11 @@ class TestSearchSplitsByCofactorsAlone:
 
 class TestEntanglement:
     def test_restriction_always_forced(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         assert entangles([ps("10", BINARY)], [ps("1", BINARY)], slc)
 
     def test_separate_cylinders_full_cube(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         assert not entangles([ps("1", BINARY)], [ps("_1", BINARY)], slc)
 
     def test_sparse_slice_creates_forcing(self):
@@ -454,7 +460,7 @@ class TestEntanglement:
     def test_restriction_forced_for_any_slice(self):
         # extending strings force their restrictions regardless of the slice
         rng = random.Random(3)
-        slc_full = full_slice(TERNARY, 3)
+        slc_full = Slice(TERNARY, 3)
         words = [slc_full.text_of_int(i) for i in slc_full.word_ints()]
         for _ in range(30):
             e = rng.sample(words, rng.randint(1, len(words)))
@@ -466,7 +472,7 @@ class TestEntanglement:
             assert entangles([f], [g], slc)
 
     def test_incompatible_present_strings_never_entangle(self):
-        slc = full_slice(TERNARY, 2)
+        slc = Slice(TERNARY, 2)
         for f in all_strings(TERNARY, 2):
             for g in all_strings(TERNARY, 2):
                 if not f.compatible(g):
@@ -483,8 +489,8 @@ class TestEntanglement:
             assert entangles(h, k, slc)
 
     def test_isoexpansive(self):
-        slc = full_slice(TERNARY, 1)
-        singles = [PartialString.of({1: ch}) for ch in "012"]
+        slc = Slice(TERNARY, 1)
+        singles = [PartialString({1: ch}) for ch in "012"]
         assert isoexpansive([VOID], singles, slc)
         assert not isoexpansive([singles[1]], [singles[2]], slc)
         assert isoexpansive([singles[0]], [singles[0]], slc)
@@ -492,7 +498,7 @@ class TestEntanglement:
     def test_matches_naive_definition_on_random_slices(self):
         # entangles(H, K) spelled out word by word over the slice
         rng = random.Random(13)
-        cube = full_slice(BINARY, 3)
+        cube = Slice(BINARY, 3)
         all_texts = [cube.text_of_int(i) for i in range(cube.total_words)]
         for _ in range(40):
             e_texts = rng.sample(all_texts, rng.randint(1, len(all_texts)))
@@ -518,7 +524,7 @@ class TestSeparatorConstruction:
         # f entails g, by forced pairs, exactly when no word of the slice
         # includes f and not g, for every non-extending string pair
         from logogram.engine import _first_entailment
-        slc = full_slice(TERNARY, 3)
+        slc = Slice(TERNARY, 3)
         meter = Budget().start("test")
         e_texts = [slc.text_of_int(i) for i in slc.word_ints()]
         strings = list(all_strings(TERNARY, 3))
@@ -536,10 +542,10 @@ class TestSeparatorConstruction:
 
     def test_single_letter_alphabet_never_separates(self):
         from logogram.engine import _first_entailment
-        lone = Alphabet.of("a")
-        slc = full_slice(lone, 2)
-        f = slc.pairs_of(PartialString.of({1: "a"}))
-        g = slc.pairs_of(PartialString.of({2: "a"}))
+        lone = Alphabet("a")
+        slc = Slice(lone, 2)
+        f = slc.pairs_of(PartialString({1: "a"}))
+        g = slc.pairs_of(PartialString({2: "a"}))
         walked, hit = _first_entailment([f, g], slc, Budget().start("test"))
         assert (walked, hit) == (1, (0, 1))
         assert not internal_independence(slc).passed
@@ -562,7 +568,7 @@ class TestIndependenceOracle:
 
     def test_internal_matches_oracle_on_random_slices(self):
         rng = random.Random(41)
-        cases = [(Alphabet.of("a"), length) for length in (1, 2, 3)]
+        cases = [(Alphabet("a"), length) for length in (1, 2, 3)]
         cases += [(BINARY, rng.randint(1, 4)) for _ in range(40)]
         cases += [(TERNARY, rng.randint(1, 3)) for _ in range(30)]
         cases += [(TERNARY, 4) for _ in range(4)]
@@ -575,7 +581,7 @@ class TestIndependenceOracle:
                                min(sigma, limit), limit}):
                 if cap < 1:
                     continue
-                slc = full_slice(alphabet, length) if universe == "all" \
+                slc = Slice(alphabet, length) if universe == "all" \
                     else Slice(alphabet, length, universe)
                 report = internal_independence(slc, Budget(max_strings=cap * cap))
                 checked, saw_all, passed, walked, hit = \
@@ -596,7 +602,7 @@ class TestIndependenceOracle:
         # every position, a neighbour in E; checked uncapped against the
         # engine and against the per-pair definition
         rng = random.Random(47)
-        cases = [(Alphabet.of("a"), length) for length in (1, 2, 3)]
+        cases = [(Alphabet("a"), length) for length in (1, 2, 3)]
         cases += [(BINARY, rng.randint(1, 4)) for _ in range(60)]
         cases += [(TERNARY, rng.randint(1, 3)) for _ in range(40)]
         verdicts = {True: 0, False: 0}
@@ -654,7 +660,7 @@ class TestIndependenceOracle:
 
 class TestClosures:
     def test_empty_and_full(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         assert closure_ba([], slc) == ()
         everything = list(slc.word_ints())
         assert len(closure_ba(everything, slc)) == 4
@@ -665,11 +671,11 @@ class TestClosures:
         assert [w.render(1) for w in closed] == ["1", "2"]
 
     def test_binary_singleton_closed(self):
-        slc = full_slice(BINARY, 1)
+        slc = Slice(BINARY, 1)
         assert is_closed([ps("0", BINARY)], slc)
 
     def test_every_subset_closed_in_fixed_length_slices(self):
-        slc = full_slice(BINARY, 3)
+        slc = Slice(BINARY, 3)
         rng = random.Random(1)
         for _ in range(15):
             a = rng.sample(slc.word_ints(), rng.randint(1, 8))
@@ -687,7 +693,7 @@ class TestClosures:
             assert again == ints
 
     def test_string_closure_membership(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         h = [ps("1", BINARY)]
         assert closure_ab_contains(ps("1", BINARY), h, slc)
         assert closure_ab_contains(ps("10", BINARY), h, slc)
@@ -695,7 +701,7 @@ class TestClosures:
 
     def test_logogram_union_inside_union_logogram(self):
         # membership certificates for either side certify the union
-        slc = full_slice(BINARY, 3)
+        slc = Slice(BINARY, 3)
         e_texts = [slc.text_of_int(i) for i in slc.word_ints()]
         rng = random.Random(8)
         for _ in range(10):
@@ -723,7 +729,7 @@ class TestCompleteness:
     @pytest.mark.parametrize("strings", [
         [ps("0")],
         Antichain((((1, 0),),), TERNARY),
-        Antichain.of([PartialString.parse("a", Alphabet.of("ab"))], Alphabet.of("ab")),
+        Antichain.of([PartialString.parse("a", Alphabet("ab"))], Alphabet("ab")),
     ], ids=["string", "antichain", "foreign-alphabet"])
     def test_non_member_rejected(self, strings):
         p = sat_problem(1, 1)
@@ -739,7 +745,7 @@ class TestCompleteness:
     def test_other_alphabet_read_by_letters(self):
         # the same strings indexed by another alphabet are the same members
         p = sat_problem(2, 1)
-        chain = Antichain.of(p.logogram().elements, Alphabet.of("210"))
+        chain = Antichain.of(p.logogram().elements, Alphabet("210"))
         assert chain.pairs != p.logogram().pairs
         assert is_complete(chain, p)
         assert irreducibility_report(chain, p) == irreducibility_report(p.logogram(), p)
@@ -940,9 +946,9 @@ STOP_SITES = {
     "cover": (_on_sat(2, 2, cover), "cover: sat:2x2: out of time after 1 of 12 strings"),
     "simple": (_on_sat(2, 2, simple_independence),
                "simple independence: sat:2x2: out of time after 22 pairs"),
-    "internal": (lambda b: internal_independence(full_slice(TERNARY, 3), b),
+    "internal": (lambda b: internal_independence(Slice(TERNARY, 3), b),
                  "internal independence: 012^3: out of time after 126 pairs"),
-    "galois": (lambda b: verify_galois(full_slice(BINARY, 2), 10, budget=b),
+    "galois": (lambda b: verify_galois(Slice(BINARY, 2), 10, budget=b),
                "galois suite: out of time after 2 samples"),
     "kernel": (_on_sat(1, 2, lambda p, b: kernel(forward_assignment_scan(p), p, b)),
                "kernel sweep: forward-assignment-scan: out of time at word '11'"),
@@ -972,7 +978,7 @@ class TestStopSites:
 class TestInternalIndependence:
     def test_full_cubes_pass(self):
         for alphabet, length in [(BINARY, 2), (BINARY, 3), (TERNARY, 2), (TERNARY, 3)]:
-            report = internal_independence(full_slice(alphabet, length))
+            report = internal_independence(Slice(alphabet, length))
             assert report.passed and not report.budget_exhausted
 
     def test_two_word_slice_fails(self):
@@ -988,7 +994,7 @@ class TestInternalIndependence:
         assert not report.passed
 
     def test_budget_flag(self):
-        report = internal_independence(full_slice(TERNARY, 3), Budget(max_strings=9))
+        report = internal_independence(Slice(TERNARY, 3), Budget(max_strings=9))
         assert report.budget_exhausted
         assert report.strings_checked == 3
 
@@ -1067,7 +1073,7 @@ FAULT_TABLE = {
 
 class TestGalois:
     def test_small_slices_pass(self):
-        for slc in [full_slice(BINARY, 3), full_slice(TERNARY, 2),
+        for slc in [Slice(BINARY, 3), Slice(TERNARY, 2),
                     Slice(BINARY, 4,
                           oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0))]:
             report = verify_galois(slc, sample_count=120, seed=5)
@@ -1075,7 +1081,7 @@ class TestGalois:
             assert all(c.samples >= 120 for c in report.checks)
 
     def test_seeded_runs_reproducible(self):
-        slc = full_slice(TERNARY, 2)
+        slc = Slice(TERNARY, 2)
         a = verify_galois(slc, sample_count=60, seed=9)
         b = verify_galois(slc, sample_count=60, seed=9)
         assert a == b
@@ -1089,7 +1095,7 @@ class TestGalois:
                             lambda *args, **kwargs: search(*args, **kwargs)[1:])
         keys = {"antitone-expansion": {"H", "K"}, "antitone-logogram": {"A", "B"},
                 "word-closure-extensive": {"A"}, "logogram-roundtrip-stable": {"A"}}
-        for slc in [full_slice(BINARY, 3), full_slice(TERNARY, 2),
+        for slc in [Slice(BINARY, 3), Slice(TERNARY, 2),
                     Slice(BINARY, 4,
                           oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0))]:
             report = verify_galois(slc, sample_count=60, seed=3)
@@ -1151,11 +1157,11 @@ class TestGalois:
             assert failed == per_slice.get((fault, problem.label), laws), problem.label
 
     def test_fault_table_breaks_every_law(self):
-        laws = {c.law for c in verify_galois(full_slice(BINARY, 2), sample_count=1).checks}
+        laws = {c.law for c in verify_galois(Slice(BINARY, 2), sample_count=1).checks}
         assert set().union(*FAULT_TABLE.values()) == laws
 
     def test_nested_logograms_in_report(self):
-        report = verify_galois(full_slice(BINARY, 2), sample_count=50, seed=1)
+        report = verify_galois(Slice(BINARY, 2), sample_count=50, seed=1)
         assert {c.law for c in report.checks} == {
             "antitone-expansion", "antitone-logogram", "string-closure-covered",
             "word-closure-extensive", "string-closure-extensive",

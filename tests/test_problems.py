@@ -1,5 +1,7 @@
 """Problem adapters: clause encoding, compositeness, connectivity, generic."""
 
+import re
+
 import pytest
 
 import oracles
@@ -22,6 +24,11 @@ def target_texts(p):
 
 def in_target(p, word):
     return bool(p.f_mask() & p.slice.mask_of_words([word]))
+
+
+def satisfies(p, word, solution):
+    """Does the solution satisfy the word: is the word in its region?"""
+    return bool(p.region_mask(p.solutions.index(solution)) & p.slice.mask_of_words([word]))
 
 
 class TestCnfShape:
@@ -67,6 +74,23 @@ class TestSatEncoding:
         with pytest.raises(ProblemFormatError, match="at least one clause is required"):
             formula_word({"n": 2, "clauses": []})
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"n": 2, "clauses": [[1.7]]}, "clause 1: literal 1.7 is no integer"),
+        ({"n": 2, "clauses": [[1], [True]]}, "clause 2: literal True is no integer"),
+        ({"n": 2, "clauses": [["1"]]}, "clause 1: literal '1' is no integer"),
+        ({"n": True, "clauses": [[1]]}, "n must be an integer >= 1, got True"),
+        ({"n": 2.0, "clauses": [[1]]}, "n must be an integer >= 1, got 2.0"),
+        ({"n": "2", "clauses": [[1]]}, "n must be an integer >= 1, got '2'"),
+        ({"n": 0, "clauses": [[1]]}, "n must be an integer >= 1, got 0"),
+        ({"n": 2, "clauses": "12"}, "clauses must be a list, got '12'"),
+        ({"n": 2, "clauses": [1, 2]}, "clause 1 must be a list, got 1"),
+        ({"n": 2, "clauses": ["12"]}, "clause 1 must be a list, got '12'"),
+    ], ids=["float-literal", "bool-literal", "text-literal", "bool-n",
+            "float-n", "text-n", "zero-n", "text-clauses", "int-clause", "text-clause"])
+    def test_outside_input_is_typed(self, doc, message):
+        with pytest.raises(ProblemFormatError, match=re.escape(message)):
+            formula_word(doc)
+
 
 class TestSatProblem:
     def test_1x1_target(self):
@@ -79,14 +103,14 @@ class TestSatProblem:
         assert p.alpha == 4
         assert p.solutions == (
             (False, False), (True, False), (False, True), (True, True))
-        assert p.solution_texts()[0] == "x1=0 x2=0"
+        assert p.solution_text(p.solutions[0]) == "x1=0 x2=0"
 
     def test_satisfies_examples(self):
         p = sat_problem(2, 1)
         y = (True, False)  # x1 true, x2 false
-        assert p.satisfies(ps("12"), y)
-        assert p.satisfies(ps("02"), y)
-        assert not p.satisfies(ps("01"), y)
+        assert satisfies(p, ps("12"), y)
+        assert satisfies(p, ps("02"), y)
+        assert not satisfies(p, ps("01"), y)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3)])
     def test_target_matches_truth_table_oracle(self, n, m):
@@ -106,7 +130,7 @@ class TestSatProblem:
             for y in p.solutions:
                 lits = {v + 1 if y[v] else -(v + 1) for v in range(2)}
                 expected = all(cl & lits for cl in oracles.decode_clauses(text, 2, 2))
-                assert p.satisfies(w, y) == expected
+                assert satisfies(p, w, y) == expected
 
     def test_regions_cover_target(self):
         p = sat_problem(2, 2)
@@ -156,7 +180,7 @@ class TestRegionMasks:
         p = composite_problem(5)
         for i, d in enumerate(p.solutions):
             for w in p.slice.word_ints():
-                assert p.satisfies(p.slice.word_of_int(w), d) == bool(p.region_mask(i) >> w & 1)
+                assert satisfies(p, p.slice.word_of_int(w), d) == bool(p.region_mask(i) >> w & 1)
 
 
 class TestRegionLogograms:
@@ -239,8 +263,8 @@ class TestComposite:
         p = composite_problem(4)
         twelve = ps("1100", BINARY)
         thirteen = ps("1101", BINARY)
-        assert p.satisfies(twelve, 3)
-        assert all(not p.satisfies(thirteen, d) for d in p.solutions)
+        assert satisfies(p, twelve, 3)
+        assert all(not satisfies(p, thirteen, d) for d in p.solutions)
 
     def test_width_2_degenerate(self):
         with pytest.raises(DegenerateProblemError):
@@ -261,7 +285,7 @@ class TestComposite:
         f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
         for i in p.slice.word_ints():
             w = p.slice.word_of_int(i)
-            assert (i in f_ints) == any(p.satisfies(w, d) for d in p.solutions)
+            assert (i in f_ints) == any(satisfies(p, w, d) for d in p.solutions)
 
 
 class TestConnectivity:
@@ -274,8 +298,8 @@ class TestConnectivity:
         p = connectivity_problem(3)
         # edge order (1,2),(1,3),(2,3); the tree {1-2, 1-3} is edges 0 and 1
         tree = next(t for t in p.solutions if p.solution_text(t) == "1-2+1-3")
-        assert p.satisfies(ps("110", BINARY), tree)
-        assert not p.satisfies(ps("011", BINARY), tree)
+        assert satisfies(p, ps("110", BINARY), tree)
+        assert not satisfies(p, ps("011", BINARY), tree)
 
     def test_two_vertices(self):
         p = connectivity_problem(2)
@@ -316,7 +340,7 @@ class TestConnectivity:
         f_ints = frozenset(p.slice.ints_of_mask(p.f_mask()))
         for i in p.slice.word_ints():
             w = p.slice.word_of_int(i)
-            assert (i in f_ints) == any(p.satisfies(w, t) for t in p.solutions)
+            assert (i in f_ints) == any(satisfies(p, w, t) for t in p.solutions)
 
 
 class TestProblemSliceMasks:
@@ -345,7 +369,7 @@ class TestGeneric:
         assert repr(p) == "ProblemSlice('corner')"
         assert p.alpha == 1
         assert target_texts(p) == ["11"]
-        assert p.satisfies(ps("11", BINARY), "region-1")
+        assert satisfies(p, ps("11", BINARY), "region-1")
 
     def test_region_missing_target_word(self):
         doc = dict(self.GOOD, target=["11", "10"])
@@ -405,4 +429,4 @@ class TestGeneric:
             assert back.region_mask(i) == original.region_mask(i)
         for w in map(original.slice.word_of_int, original.slice.word_ints()):
             for y_new, y_old in zip(back.solutions, original.solutions):
-                assert back.satisfies(w, y_new) == original.satisfies(w, y_old)
+                assert satisfies(back, w, y_new) == satisfies(original, w, y_old)

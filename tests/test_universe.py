@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from logogram import (
-    BINARY, TERNARY, VOID, Alphabet, DegenerateSliceError, PartialString, Slice,
-    expand, full_slice,
+    BINARY, TERNARY, VOID, Alphabet, DegenerateSliceError, PartialString, Slice, expand,
 )
-from logogram.universe import count, holds
+from logogram.universe import count, holds, set_bits
 
 
 def texts(words, length):
@@ -30,11 +29,11 @@ def extensions(string, slc):
 
 class TestEnumeration:
     def test_full_ternary_length_one(self):
-        slc = full_slice(TERNARY, 1)
+        slc = Slice(TERNARY, 1)
         assert texts(words(slc), 1) == ["0", "1", "2"]
 
     def test_full_binary_length_two(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         assert texts(words(slc), 2) == ["00", "01", "10", "11"]
 
     def test_explicit_word_list(self):
@@ -46,33 +45,35 @@ class TestEnumeration:
             Slice(BINARY, 2, [])
 
     def test_matches_oracle_word_generation(self):
-        slc = full_slice(TERNARY, 3)
+        slc = Slice(TERNARY, 3)
         assert texts(words(slc), 3) == oracles.all_words("012", 3)
 
     def test_restartable(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         assert words(slc) == words(slc)
 
 
 class TestConstruction:
     @pytest.mark.parametrize("build,message", [
         (lambda: Slice(BINARY, 0), "length must be >= 1"),
+        (lambda: Slice(BINARY, True), "^length must be >= 1 and an int, got True$"),
+        (lambda: Slice(BINARY, 2.0), "^length must be >= 1 and an int, got 2.0$"),
         (lambda: Slice(BINARY, 23), "exceeds the supported size"),
-        (lambda: full_slice(BINARY, 2).mask_of_words(["1"]), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2).mask_of_words(["1"]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, ["11", "1"]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, ["1_"]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, ["12"]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, [PartialString.parse("1", BINARY)]), "not a word of length 2"),
-        (lambda: Slice(BINARY, 2, [PartialString.of({3: "1"})]), "not a word of length 2"),
+        (lambda: Slice(BINARY, 2, [PartialString({3: "1"})]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, [4]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, [-1]), "not a word of length 2"),
         (lambda: Slice(BINARY, 2, [True]), "^True is not a word of length 2 over '01'$"),
-        (lambda: full_slice(BINARY, 2).mask_of_words([0, False]),
+        (lambda: Slice(BINARY, 2).mask_of_words([0, False]),
          "^False is not a word of length 2 over '01'$"),
-    ], ids=["length-0", "too-many-words", "short-text", "short-member", "blank-member",
-            "foreign-letter-member", "partial-string-member", "long-string-member",
-            "packed-member-past-the-cube", "negative-packed-member", "bool-member",
-            "bool-word"])
+    ], ids=["length-0", "length-bool", "length-float", "too-many-words", "short-text",
+            "short-member", "blank-member", "foreign-letter-member", "partial-string-member",
+            "long-string-member", "packed-member-past-the-cube", "negative-packed-member",
+            "bool-member", "bool-word"])
     def test_rejects(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -81,7 +82,7 @@ class TestConstruction:
 class TestMembership:
     # each slice with its words, listed directly
     CASES = [
-        (lambda: full_slice(TERNARY, 2), oracles.all_words("012", 2)),
+        (lambda: Slice(TERNARY, 2), oracles.all_words("012", 2)),
         (lambda: Slice(TERNARY, 2, ["21", "00", "12", "21"]), ["00", "12", "21"]),
         (lambda: Slice(TERNARY, 2, oracles.words_where("012", 2, lambda w: w.count("1") == 1)),
          ["01", "10", "12", "21"]),
@@ -102,20 +103,20 @@ class TestMembership:
 
 class TestPacking:
     def test_int_roundtrip(self):
-        slc = full_slice(TERNARY, 3)
+        slc = Slice(TERNARY, 3)
         for i in slc.word_ints():
             assert slc.mask_of_words([slc.word_of_int(i)]) == 1 << i
             assert slc.text_of_int(i) == slc.word_of_int(i).render(3)
 
     def test_rejects_partial_words(self):
-        slc = full_slice(TERNARY, 3)
+        slc = Slice(TERNARY, 3)
         with pytest.raises(ValueError):
             slc.mask_of_words([PartialString.parse("1_2", TERNARY)])
 
     @pytest.mark.parametrize("alphabet,length", [
         (BINARY, 1), (BINARY, 3), (TERNARY, 3), (BINARY, 10)])
     def test_mask_roundtrip(self, alphabet, length):
-        slc = full_slice(alphabet, length)
+        slc = Slice(alphabet, length)
         n = slc.total_words
         rng = random.Random(length)
         shapes = [(), (0,), (n - 1,), tuple(range(n)),
@@ -134,11 +135,11 @@ class TestSigmaMembership:
         assert slc.cylinder_of(PartialString.parse("1", BINARY)) != 0
 
     def test_position_beyond_length(self):
-        slc = full_slice(TERNARY, 1)
-        assert slc.cylinder_of(PartialString.of({2: "1"})) == 0
+        slc = Slice(TERNARY, 1)
+        assert slc.cylinder_of(PartialString({2: "1"})) == 0
 
     def test_foreign_letter(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         assert slc.cylinder_of(PartialString.parse("2", TERNARY)) == 0
 
     def test_agrees_with_oracle(self):
@@ -151,11 +152,11 @@ class TestSigmaMembership:
 
 class TestExtensions:
     def test_basic(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         assert texts(extensions(PartialString.parse("1", BINARY), slc), 2) == ["10", "11"]
 
     def test_total_word(self):
-        slc = full_slice(BINARY, 2)
+        slc = Slice(BINARY, 2)
         w = PartialString.parse("10", BINARY)
         assert extensions(w, slc) == [w]
 
@@ -198,9 +199,9 @@ class TestCylinderOfAndLettersOf:
     @staticmethod
     def random_slices(rng):
         for _ in range(30):
-            alphabet = (BINARY, TERNARY, Alphabet.of("abcd"))[rng.randrange(3)]
+            alphabet = (BINARY, TERNARY, Alphabet("abcd"))[rng.randrange(3)]
             length = rng.randint(1, 4)
-            cube = [w.render(length) for w in words(full_slice(alphabet, length))]
+            cube = [w.render(length) for w in words(Slice(alphabet, length))]
             if rng.random() < 0.5:
                 yield Slice(alphabet, length, rng.sample(cube, rng.randint(1, len(cube))))
             else:
@@ -213,8 +214,8 @@ class TestCylinderOfAndLettersOf:
         for slc in self.random_slices(rng):
             letters = list(slc.alphabet.letters) + ["z"]  # "z" is in no alphabet here
             for _ in range(40):
-                g = PartialString.of({p: rng.choice(letters)
-                                      for p in range(1, slc.length + 3) if rng.random() < 0.4})
+                g = PartialString({p: rng.choice(letters)
+                                   for p in range(1, slc.length + 3) if rng.random() < 0.4})
                 pairs = slc.pairs_of(g)
                 if pairs is None:  # a position past the length or a foreign letter
                     assert slc.cylinder_of(g) == 0
@@ -222,15 +223,15 @@ class TestCylinderOfAndLettersOf:
                     assert slc.cylinder_of(g) == slc.cylinder(pairs)
 
     def test_foreign_strings_have_empty_cylinders(self):
-        slc = full_slice(BINARY, 3)
-        assert slc.cylinder_of(PartialString.of({4: "1"})) == 0
-        assert slc.cylinder_of(PartialString.of({1: "2"})) == 0
+        slc = Slice(BINARY, 3)
+        assert slc.cylinder_of(PartialString({4: "1"})) == 0
+        assert slc.cylinder_of(PartialString({1: "2"})) == 0
         assert slc.cylinder_of(VOID) == slc.e_mask()
 
     @staticmethod
     def cubes():
         # k = 1..3, odd and even L, L = 1 among them
-        return [full_slice(alphabet, length) for alphabet in (Alphabet.of("a"), BINARY, TERNARY)
+        return [Slice(alphabet, length) for alphabet in (Alphabet("a"), BINARY, TERNARY)
                 for length in range(1, 6)]
 
     def test_letters_of_matches_counting_order(self):
@@ -256,14 +257,31 @@ class TestCylinderOfAndLettersOf:
                     assert slc.cofactors(mask, p) == direct
 
 
+class TestWordsExtending:
+    def test_matches_the_cylinder_in_order(self):
+        # summed from the position weights on the full cube, read off the
+        # cylinder on an explicit set: the same words, ascending, either way
+        rng = random.Random(7)
+        for _ in range(300):
+            k, length = rng.randint(1, 4), rng.randint(1, 6)
+            alphabet = Alphabet("abcd"[:k])
+            n = k ** length
+            membership = "all" if rng.random() < 0.5 else (
+                [i for i in range(n) if rng.random() < 0.4] or [rng.randrange(n)])
+            slc = Slice(alphabet, length, membership)
+            pairs = tuple((p, rng.randrange(k))
+                          for p in range(1, length + 1) if rng.random() < 0.4)
+            assert list(slc.words_extending(pairs)) == list(set_bits(slc.cylinder(pairs)))
+
+
 class TestWordSetPrimitives:
     """Each word-set primitive against a loop over the words of the cube,
     word i holding the i-th letter tuple in counting order."""
 
     SLICES = [
-        lambda: full_slice(BINARY, 3),
-        lambda: full_slice(TERNARY, 2),
-        lambda: full_slice(Alphabet.of("abcd"), 3),
+        lambda: Slice(BINARY, 3),
+        lambda: Slice(TERNARY, 2),
+        lambda: Slice(Alphabet("abcd"), 3),
         lambda: Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w[1] != "1")),
         lambda: Slice(TERNARY, 3, oracles.words_where("012", 3, lambda w: w.count("2") == 1)),
         lambda: Slice(TERNARY, 2, ["21"]),
@@ -347,24 +365,24 @@ class TestWordSetPrimitives:
 
 class TestExpand:
     def test_single_cylinder(self):
-        slc = full_slice(TERNARY, 1)
-        assert texts(expand([PartialString.of({1: "1"})], slc), 1) == ["1"]
+        slc = Slice(TERNARY, 1)
+        assert texts(expand([PartialString({1: "1"})], slc), 1) == ["1"]
 
     def test_void_covers_everything(self):
         slc = Slice(BINARY, 2, ["01", "10"])
         assert texts(expand([VOID], slc), 2) == ["01", "10"]
 
     def test_union_of_cylinders(self):
-        slc = full_slice(BINARY, 2)
-        h = [PartialString.of({1: "1"}), PartialString.of({2: "1"})]
+        slc = Slice(BINARY, 2)
+        h = [PartialString({1: "1"}), PartialString({2: "1"})]
         assert texts(expand(h, slc), 2) == ["01", "10", "11"]
 
     def test_empty_set(self):
-        assert expand([], full_slice(BINARY, 2)) == ()
+        assert expand([], Slice(BINARY, 2)) == ()
 
     def test_foreign_strings_contribute_nothing(self):
-        slc = full_slice(BINARY, 2)
-        assert expand([PartialString.of({9: "1"})], slc) == ()
+        slc = Slice(BINARY, 2)
+        assert expand([PartialString({9: "1"})], slc) == ()
 
 
 def _random_string_sets(slc, rng, count, size=3):
@@ -378,8 +396,8 @@ class TestExpansionLaws:
     """Union, intersection, monotonicity, idempotence of the expansion."""
 
     slices = [
-        full_slice(BINARY, 3),
-        full_slice(TERNARY, 2),
+        Slice(BINARY, 3),
+        Slice(TERNARY, 2),
         Slice(BINARY, 4, oracles.words_where("01", 4, lambda w: w.count("1") % 2 == 0),
               label="even"),
     ]
@@ -431,7 +449,7 @@ class TestExpansionLaws:
 
 class TestDescriptors:
     def test_full_and_explicit_descriptors(self):
-        demo, pair = full_slice(TERNARY, 2, label="demo"), Slice(BINARY, 2, ["11", "00"], label="pair")
+        demo, pair = Slice(TERNARY, 2, label="demo"), Slice(BINARY, 2, ["11", "00"], label="pair")
         assert demo.descriptor() == {
             "alphabet": ["0", "1", "2"], "length": 2, "label": "demo", "membership": "all"}
         assert pair.descriptor() == {
@@ -442,6 +460,6 @@ class TestDescriptors:
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=3 ** 3 - 1))
 def test_word_int_agrees_with_text_position(i):
-    slc = full_slice(TERNARY, 3)
+    slc = Slice(TERNARY, 3)
     text = slc.text_of_int(i)
     assert int(text, 3) == i
