@@ -43,20 +43,6 @@ def __getattr__(name: str):
     return value
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("problem", choices=["sat", "composite", "connectivity", "generic"],
-                    help="sat N M | composite WIDTH | connectivity V | generic PATH")
-    sp.add_argument("args", nargs="*", help="problem arguments")
-    sp.add_argument("--budget-strings", type=int, default=DEFAULT_MAX_STRINGS, metavar="N",
-                    help="max distinct sub-problems per search (per suite for galois; "
-                         "--regions adds each distinct region sub-problem once)")
-    sp.add_argument("--budget-seconds", type=float, default=DEFAULT_MAX_SECONDS, metavar="S",
-                    help="max wall-clock seconds for the whole subcommand, construction included")
-    sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    sp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the report here instead of stdout")
-
-
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):  # argparse's own swallows a failed write
         (file or sys.stdout).write(self.format_help())
@@ -68,12 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certificate-structure analysis of finite decision problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("logogram", help="reduced logogram of the target set")
-    _add_common(sp)
-    sp.add_argument("--regions", action="store_true",
-                    help="also emit each region's reduced logogram")
-
     for name, help_text in [
+        ("logogram", "reduced logogram of the target set"),
         ("wizards", "classify logogram strings as witnesses or wizards"),
         ("independence", "internal, simple, and strong independence checks"),
         ("irreducible", "irreducibility of the reduced logogram, with removal witnesses"),
@@ -82,7 +64,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("cover", "cover table: chart sizes and containing-region counts"),
     ]:
         sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
+        sp.add_argument("problem", choices=["sat", "composite", "connectivity", "generic"],
+                        help="sat N M | composite WIDTH | connectivity V | generic PATH")
+        sp.add_argument("args", nargs="*", help="problem arguments")
+        sp.add_argument("--budget-strings", type=int, default=DEFAULT_MAX_STRINGS, metavar="N",
+                        help="max distinct sub-problems per search (per suite for galois; "
+                             "--regions adds each distinct region sub-problem once)")
+        sp.add_argument("--budget-seconds", type=float, default=DEFAULT_MAX_SECONDS,
+                        metavar="S", help="max wall-clock seconds for the whole subcommand, "
+                                          "construction included")
+        sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        sp.add_argument("--out", default=None, metavar="PATH",
+                        help="write the report here instead of stdout")
+        if name == "logogram":
+            sp.add_argument("--regions", action="store_true",
+                            help="also emit each region's reduced logogram")
         if name == "galois":
             sp.add_argument("--samples", type=int, default=1000, metavar="N")
             sp.add_argument("--seed", type=int, default=0, metavar="K",

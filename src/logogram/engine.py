@@ -9,8 +9,10 @@ it, and this module computes them by the classical recursion for primes on
 Shannon cofactors, memoized per call or across the calls of one suite: a
 prime of a letter's cofactors needs the letter unless it is a prime of their
 OR, which is when it misses the OR's off. It also decides entanglement
-between string sets, exposes the expansion/logogram closure pair, and checks
-the three independence notions a decision problem may enjoy.
+between string sets, composes both closures of the expansion/logogram
+Galois connection from the public operators (a closure's budget error names
+the reduced-logogram search), and checks the three independence notions a
+decision problem may enjoy: internal and simple by one entailment search.
 
 Word sets are bitmasks over the slice (see :mod:`logogram.universe`), so
 entanglement, expansions, irreducibility, the independence checks and the
@@ -30,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError, Meter
 from .strings import Alphabet, PartialString
-from .universe import (Pairs, Slice, expand_mask, letter_row, lowest, member_rows,
+from .universe import (Pairs, Slice, expand, expand_mask, letter_row, lowest, member_rows,
                        members_inside, text_of_pairs)
 from .values import Value
 
@@ -256,35 +258,23 @@ def isoexpansive(first, second, slc: Slice) -> bool:
 # -- the closure pair ----------------------------------------------------
 
 
-def closure_ba(target_words, slc: Slice,
-               budget: Budget | None = None) -> tuple[PartialString, ...]:
-    """Close a word set: expand its own reduced logogram.
-
-    Always contains the input and is idempotent; within a fixed-length
-    slice it coincides with the input, which is exactly what makes every
-    subset of such a slice closed.
-    """
-    closed = _closure_mask(_target_mask(target_words, slc), slc, budget)
-    return tuple(slc.word_of_int(i) for i in slc.ints_of_mask(closed))
-
-
-def _closure_mask(on: int, slc: Slice, budget: Budget | None) -> int:
-    """The words of the slice extending a member of the target's reduced
-    logogram."""
-    meter = (budget or Budget.default()).start("closure")
-    return slc.expansion(_minimal_pairs(on, slc, meter))
+def closure_ba(target_words, slc: Slice, budget: Budget | None = None) -> tuple[PartialString, ...]:
+    """Close a word set: expand its reduced logogram. Extensive and idempotent,
+    and within a fixed-length slice the input itself, so every subset of such a
+    slice is closed."""
+    return expand(reduced_logogram(target_words, slc, budget), slc)
 
 
 def closure_ab_contains(string: PartialString, strings, slc: Slice) -> bool:
-    """Is ``string`` in the closure of the string set ``strings``, i.e. in
-    the logogram of their expansion?"""
-    off = slc.complement(expand_mask(strings, slc))
-    return _log_probe(slc.cylinder_of(string), off)
+    """Is ``string`` in the closure of ``strings``, the logogram of their expansion:
+    does it occur in the slice and entangle them?"""
+    return slc.cylinder_of(string) != 0 and entangles([string], strings, slc)
 
 
 def is_closed(target_words, slc: Slice, budget: Budget | None = None) -> bool:
-    on = _target_mask(target_words, slc)
-    return _closure_mask(on, slc, budget) == on
+    """Is the word set its own closure: the expansion of its reduced logogram?"""
+    closed = expand_mask(reduced_logogram(target_words, slc, budget), slc)
+    return closed == _target_mask(target_words, slc)
 
 
 # -- complete and irreducible certificate sets ---------------------------
@@ -388,15 +378,16 @@ class IndependenceReport(NamedTuple):
     separators: tuple[tuple[str, str], ...] | None = None
 
 
-def _first_entailment(pair_list: Sequence[Pairs], slc: Slice,
-                      meter: Meter) -> tuple[int, tuple[int, int] | None]:
-    """The first ordered pair (f, g) of distinct strings, rows f in list
-    order, where every word of the slice extending f also extends g and f
-    does not extend g: the extension order entails that by itself, and in
-    an antichain, such as the reduced logogram, f extends only itself.
-
-    Returns (pairs examined, (i, j) of that pair or None). The clock is
-    checked once per f, and the time-out says how many pairs were examined.
+def _first_entailment(kind: str, pair_list: Sequence[Pairs], slc: Slice, meter: Meter,
+                      exhausted: bool = False, **extra) -> IndependenceReport:
+    """The ``kind`` report on the first ordered pair (f, g) of distinct
+    strings, rows f in list order, where every word of the slice extending f
+    also extends g and f does not extend g: the extension order entails that
+    by itself, and in an antichain, such as the reduced logogram, f extends
+    only itself. It fails on that pair, with the texts of f and g, then
+    ``entangled`` and the ``extra`` keys as its counterexample; it counts the
+    pairs examined, and ``exhausted`` is its ``budget_exhausted``. The clock
+    is checked once per f, and the time-out says how many pairs were examined.
 
     Call a pair (p, d) forced by f when f's cylinder lies inside the mask
     of (p, d); f entails g exactly when every pair of g is forced. So the
@@ -415,8 +406,11 @@ def _first_entailment(pair_list: Sequence[Pairs], slc: Slice,
         bad = entailed & ~members_inside(rows, letter_row(f, k, slc.length))
         if bad:
             j = lowest(bad)
-            return i * (n - 1) + j + (j < i), (i, j)
-    return n * (n - 1), None
+            f, g = (text_of_pairs(pair_list[x], slc.length, slc.alphabet.letters)
+                    for x in (i, j))
+            return IndependenceReport(kind, False, n, i * (n - 1) + j + (j < i), exhausted,
+                                      {"f": f, "g": g, "entangled": True, **extra})
+    return IndependenceReport(kind, True, n, n * (n - 1), exhausted)
 
 
 def internal_independence(slc: Slice, budget: Budget | None = None) -> IndependenceReport:
@@ -433,15 +427,7 @@ def internal_independence(slc: Slice, budget: Budget | None = None) -> Independe
     meter = (budget or Budget.default()).start(f"internal independence: {slc.label}")
     cap = max(1, int(meter.budget.max_strings ** 0.5))
     pair_list, saw_all = _sigma_pairs(slc, cap)
-    pairs_checked, hit = _first_entailment(pair_list, slc, meter)
-    counterexample = None
-    if hit is not None:
-        f, g = (text_of_pairs(pair_list[x], slc.length, slc.alphabet.letters) for x in hit)
-        counterexample = {"f": f, "g": g, "entangled": True, "extends": False}
-    return IndependenceReport(
-        kind="internal", passed=hit is None, strings_checked=len(pair_list),
-        pairs_checked=pairs_checked, budget_exhausted=not saw_all,
-        counterexample=counterexample)
+    return _first_entailment("internal", pair_list, slc, meter, not saw_all, extends=False)
 
 
 def _sigma_pairs(slc: Slice, cap: int) -> tuple[list[Pairs], bool]:
@@ -483,16 +469,7 @@ def simple_independence(problem, budget: Budget | None = None) -> IndependenceRe
     another's presence in the slice."""
     meter = (budget or Budget.default()).start(f"simple independence: {problem.label}")
     log = problem.logogram(meter=meter)
-    slc = problem.slice
-    pairs_checked, hit = _first_entailment(log.pairs, slc, meter)
-    counterexample = None
-    if hit is not None:
-        f, g = (text_of_pairs(log.pairs[x], slc.length, slc.alphabet.letters) for x in hit)
-        counterexample = {"f": f, "g": g, "entangled": True}
-    return IndependenceReport(
-        kind="simple", passed=hit is None, strings_checked=len(log),
-        pairs_checked=pairs_checked, budget_exhausted=False,
-        counterexample=counterexample)
+    return _first_entailment("simple", log.pairs, problem.slice, meter)
 
 
 def strong_independence(problem, budget: Budget | None = None) -> IndependenceReport:

@@ -56,7 +56,8 @@ class Alphabet(Value):
         try:
             return self.letters.index(letter)
         except ValueError:
-            raise FormatError(f"letter {letter!r} not in alphabet {''.join(self.letters)!r}") from None
+            raise FormatError(
+                f"letter {letter!r} not in alphabet {''.join(self.letters)!r}") from None
 
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters

@@ -24,7 +24,7 @@ set through these primitives:
 - :meth:`Slice.restrict` keeps the words of a mask over the cube that
   extend some pairs, :meth:`Slice.cylinder` is that restriction of E, and
   :meth:`Slice.expansion` the union of cylinders; :meth:`Slice.words_extending`
-  lists a cylinder's words, summing them on the full cube;
+  lists a cylinder's words;
 - :meth:`Slice.complement` is a mask's complement within E, and
   :meth:`Slice.stray` the lowest word of a mask outside E, for the caller
   to name in its own error;
@@ -104,6 +104,7 @@ class Slice:
             self._e_mask = self.mask_of_words(membership)
             if not self._e_mask:
                 raise DegenerateSliceError(f"{self.label}: empty word set")
+            self._e_bytes = self._e_mask.to_bytes((self.total_words + 7) >> 3, "little")
 
     # -- word packing ----------------------------------------------------
 
@@ -189,16 +190,19 @@ class Slice:
         return self.restrict(self._e_mask, pairs)
 
     def words_extending(self, pairs: Pairs) -> Iterable[int]:
-        """The packed words of the slice extending the given pairs, ascending: on
-        the full cube summed from the position weights, else read off the cylinder."""
-        if not self.is_full:
-            return set_bits(self.cylinder(pairs))
-        fixed, k = dict(pairs), len(self.alphabet)
+        """The packed words of the slice extending the given pairs, ascending: the cube's
+        summed from the position weights, kept where E holds them, or read off a sparse cylinder."""
+        fixed, k, n = dict(pairs), len(self.alphabet), self.total_words
+        span = k ** (self.length - len(pairs)) << 12  # a word read off costs ~n / 4,096 sums
+        if not self.is_full and span > n:  # else reading one word off costs more than the sums
+            cylinder = self.cylinder(pairs)
+            if count(cylinder) * n < span:
+                return set_bits(cylinder)
         words = [sum(d * self._word_weights[p - 1] for p, d in pairs)]
         for p, weight in enumerate(self._word_weights, 1):
             if p not in fixed:
                 words = [w + d * weight for w in words for d in range(k)]
-        return words
+        return words if self.is_full else [w for w in words if self._e_bytes[w >> 3] >> (w & 7) & 1]
 
     def expansion(self, strings: Iterable[Pairs]) -> int:
         """The union of the cylinders of strings given as pairs: their

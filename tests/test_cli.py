@@ -553,6 +553,11 @@ REPORT_CASES = {
     "logogram composite 4 --regions": 0,
 }
 
+# six ternary words on which internal, simple and strong independence all fail
+ENTANGLED = {"alphabet": ["0", "1", "2"], "length": 3,
+             "universe": ["000", "012", "120", "201", "111", "222"],
+             "target": ["012", "120"], "regions": [["012"], ["120"]]}
+
 
 class TestReportBytes:
     @pytest.mark.parametrize("fmt,suffix", [("csv", "csv"), ("text", "txt")])
@@ -563,6 +568,17 @@ class TestReportBytes:
         code, out, err = run(capsys, *argv.split(), "--format", fmt)
         assert code == expected, err
         assert out.encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("csv", "csv"), ("text", "txt")])
+    def test_failing_independence_matches_recording(self, capsys, tmp_path, fmt, suffix):
+        # every check fails on this slice: internal on 00_/__0 after 338
+        # pairs over 34 strings, simple on 01_/0_2 after 1 pair, so the
+        # counterexamples' keys print in their order
+        path = tmp_path / "entangled.json"
+        path.write_text(json.dumps(ENTANGLED))
+        code, out, err = run(capsys, "independence", "generic", str(path), "--format", fmt)
+        assert code == 3, err
+        assert out.encode() == (REPORTS / f"independence_generic_entangled.{suffix}").read_bytes()
 
     def test_failing_law_evidence_prints_without_python_syntax(self, capsys, monkeypatch):
         # a failing law's evidence is a dict of word lists inside a list

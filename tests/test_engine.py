@@ -14,7 +14,7 @@ import logogram.budget
 import logogram.engine
 import oracles
 from logogram import (
-    BINARY, TERNARY, VOID, Alphabet, Antichain, Budget, BudgetExceededError,
+    BINARY, TERNARY, VOID, Alphabet, Antichain, Budget, BudgetExceededError, IndependenceReport,
     PartialString, Slice, closure_ab_contains, closure_ba, entangles,
     expand, in_logogram, internal_independence,
     irreducibility_report, is_closed, is_complete,
@@ -533,12 +533,13 @@ class TestSeparatorConstruction:
             for g in strings:
                 if f >= g:
                     continue  # the order excuses entailed extensions
-                walked, hit = _first_entailment([fp, slc.pairs_of(g)], slc, meter)
+                report = _first_entailment("internal", [fp, slc.pairs_of(g)], slc, meter)
                 exists = any(
                     oracles.includes(x, f.render(3)) and not oracles.includes(x, g.render(3))
                     for x in e_texts)
-                assert (hit == (0, 1)) == (not exists)
-                assert walked == (1 if hit == (0, 1) else 2)
+                f_first = not report.passed and report.counterexample["f"] == f.render(3)
+                assert f_first == (not exists)
+                assert report.pairs_checked == (1 if f_first else 2)
 
     def test_single_letter_alphabet_never_separates(self):
         from logogram.engine import _first_entailment
@@ -546,8 +547,10 @@ class TestSeparatorConstruction:
         slc = Slice(lone, 2)
         f = slc.pairs_of(PartialString({1: "a"}))
         g = slc.pairs_of(PartialString({2: "a"}))
-        walked, hit = _first_entailment([f, g], slc, Budget().start("test"))
-        assert (walked, hit) == (1, (0, 1))
+        report = _first_entailment("simple", [f, g], slc, Budget().start("test"))
+        assert report == IndependenceReport(
+            kind="simple", passed=False, strings_checked=2, pairs_checked=1,
+            budget_exhausted=False, counterexample={"f": "a_", "g": "_a", "entangled": True})
         assert not internal_independence(slc).passed
 
 
@@ -698,6 +701,33 @@ class TestClosures:
         assert closure_ab_contains(ps("1", BINARY), h, slc)
         assert closure_ab_contains(ps("10", BINARY), h, slc)
         assert not closure_ab_contains(ps("_1", BINARY), h, slc)
+
+    def test_string_closure_is_the_logogram_of_the_expansion(self):
+        # on explicit random word sets and word sets cut out by a predicate
+        rng = random.Random(40)
+        predicates = [lambda w: w.count(w[0]) > 1, lambda w: w[-1] != w[0],
+                      lambda w: w.count("0") % 2 == 0]
+        for letters, length in [("01", 3), ("012", 2), ("01", 4), ("012", 3)]:
+            alphabet, cube = Alphabet(letters), oracles.all_words(letters, length)
+            for e_texts in (sorted(rng.sample(cube, rng.randint(1, len(cube)))),
+                            oracles.words_where(letters, length, rng.choice(predicates))):
+                slc = Slice(alphabet, length, e_texts)
+                sigma = sorted(oracles.sigma_members(e_texts))
+                for _ in range(3):
+                    h_texts = rng.sample(sigma, rng.randint(1, min(3, len(sigma))))
+                    exp_h = [x for x in e_texts if any(oracles.includes(x, f) for f in h_texts)]
+                    members = oracles.logogram_members(e_texts, exp_h)
+                    h = [ps(t, alphabet) for t in h_texts]
+                    for s in all_strings(alphabet, length):
+                        assert closure_ab_contains(s, h, slc) == (s.render(length) in members), \
+                            (e_texts, h_texts, s)
+
+    @pytest.mark.parametrize("run", [closure_ba, is_closed])
+    def test_budget_error_names_the_search(self, run):
+        # a closure is a reduced-logogram search and an expansion: the search
+        # is what runs out
+        with pytest.raises(BudgetExceededError, match="^reduced logogram: exceeded 1 "):
+            run(["011", "101", "110"], Slice(BINARY, 3), Budget(max_strings=1))
 
     def test_logogram_union_inside_union_logogram(self):
         # membership certificates for either side certify the union

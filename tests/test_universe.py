@@ -259,8 +259,8 @@ class TestCylinderOfAndLettersOf:
 
 class TestWordsExtending:
     def test_matches_the_cylinder_in_order(self):
-        # summed from the position weights on the full cube, read off the
-        # cylinder on an explicit set: the same words, ascending, either way
+        # summed from the position weights, or read off the cylinder: the
+        # cylinder's words, ascending, either way
         rng = random.Random(7)
         for _ in range(300):
             k, length = rng.randint(1, 4), rng.randint(1, 6)
@@ -271,6 +271,17 @@ class TestWordsExtending:
             slc = Slice(alphabet, length, membership)
             pairs = tuple((p, rng.randrange(k))
                           for p in range(1, length + 1) if rng.random() < 0.4)
+            assert list(slc.words_extending(pairs)) == list(set_bits(slc.cylinder(pairs)))
+
+    @pytest.mark.parametrize("density", [0.001, 0.1, 0.4, 0.7])
+    def test_sparse_and_dense_explicit_sets_on_a_larger_cube(self, density):
+        # 4^7 words: a dense explicit set is summed and kept where E holds its
+        # words, a sparse one read off the cylinder
+        rng, n = random.Random(density), 4 ** 7
+        slc = Slice(Alphabet("abcd"), 7, [i for i in range(n) if rng.random() < density] or [0])
+        for _ in range(20):
+            fine = rng.choice([0.3, 0.9])  # coarse leaves and leaves of a few words
+            pairs = tuple((p, rng.randrange(4)) for p in range(1, 8) if rng.random() < fine)
             assert list(slc.words_extending(pairs)) == list(set_bits(slc.cylinder(pairs)))
 
 
